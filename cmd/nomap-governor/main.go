@@ -32,7 +32,7 @@ func main() {
 	maxSquashed := flag.Int64("max-squashed", -1, "exit 1 if CyclesSquashed exceeds this ceiling (-1 disables)")
 	flag.Parse()
 
-	arch, ok := archByName(*archName)
+	arch, ok := vm.ParseArch(*archName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "nomap-governor: unknown arch %q (want one of %v)\n", *archName, vm.AllArchs)
 		os.Exit(2)
@@ -82,7 +82,7 @@ func main() {
 		c.CyclesSquashed, c.CyclesSquashedBy[0], c.CyclesSquashedBy[1], c.CyclesSquashedBy[2], c.CyclesSquashedBy[3], c.CyclesTM)
 
 	fmt.Println("  governor state:")
-	for _, fr := range b.Governor().Report() {
+	for _, fr := range b.Governor().Export() {
 		flags := ""
 		if fr.Probing {
 			flags += " probing"
@@ -91,14 +91,14 @@ func main() {
 			flags += " pinned"
 		}
 		fmt.Printf("    %-12s level=%v proven=%v failed=%d window=%d progress=%d%s\n",
-			fr.Fn, fr.Level, fr.Proven, fr.FailedProbes, fr.Window, fr.Progress, flags)
+			fr.Fn, fr.Level, fr.Proven, fr.Failed, fr.Window, fr.Progress, flags)
 		for _, s := range fr.Sites {
 			kept := ""
-			if s.Kept {
+			if s.On {
 				kept = " [SMP restored]"
 			}
 			fmt.Printf("      site pc=%d class=%v aborts=%d deopts=%d%s\n",
-				s.Site.PC, s.Site.Class, s.Aborts, s.Deopts, kept)
+				s.Key.PC, s.Key.Class, s.N, s.Aux, kept)
 		}
 	}
 
@@ -106,15 +106,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nomap-governor: CyclesSquashed %d exceeds ceiling %d\n", c.CyclesSquashed, *maxSquashed)
 		os.Exit(1)
 	}
-}
-
-func archByName(name string) (vm.Arch, bool) {
-	for _, a := range vm.AllArchs {
-		if a.String() == name {
-			return a, true
-		}
-	}
-	return 0, false
 }
 
 func policyName(legacy bool) string {

@@ -35,22 +35,6 @@ import (
 	"nomap/internal/workloads"
 )
 
-var archNames = map[string]vm.Arch{
-	"base":      vm.ArchBase,
-	"nomap_s":   vm.ArchNoMapS,
-	"nomap_b":   vm.ArchNoMapB,
-	"nomap":     vm.ArchNoMap,
-	"nomap_bc":  vm.ArchNoMapBC,
-	"nomap_rtm": vm.ArchNoMapRTM,
-}
-
-var tierNames = map[string]profile.Tier{
-	"interp":   profile.TierInterp,
-	"baseline": profile.TierBaseline,
-	"dfg":      profile.TierDFG,
-	"ftl":      profile.TierFTL,
-}
-
 func main() {
 	workloadIDs := flag.String("workload", "", "comma-separated workload IDs to sweep (e.g. X01,X03)")
 	gen := flag.Int("gen", 0, "number of generated programs to sweep")
@@ -73,7 +57,7 @@ func main() {
 	}
 	if *archList != "all" {
 		for _, name := range strings.Split(*archList, ",") {
-			arch, ok := archNames[strings.ToLower(strings.TrimSpace(name))]
+			arch, ok := vm.ParseArch(strings.TrimSpace(name))
 			if !ok {
 				fatalf("unknown architecture %q", name)
 			}
@@ -207,7 +191,7 @@ func runScheduleSweep(ids string, archs []vm.Arch, schedules, capacity int, seed
 }
 
 func mustTier(name string) profile.Tier {
-	t, ok := tierNames[strings.ToLower(name)]
+	t, ok := profile.ParseTier(name)
 	if !ok {
 		fatalf("unknown tier %q", name)
 	}

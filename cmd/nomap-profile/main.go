@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"nomap/internal/harness"
 	"nomap/internal/jit"
@@ -31,10 +30,11 @@ func main() {
 	archName := flag.String("arch", "base", "architecture for -dump-ir: base|nomap_s|nomap_b|nomap|nomap_bc|nomap_rtm")
 	flag.Parse()
 
-	arch := map[string]vm.Arch{
-		"base": vm.ArchBase, "nomap_s": vm.ArchNoMapS, "nomap_b": vm.ArchNoMapB,
-		"nomap": vm.ArchNoMap, "nomap_bc": vm.ArchNoMapBC, "nomap_rtm": vm.ArchNoMapRTM,
-	}[strings.ToLower(*archName)]
+	arch, ok := vm.ParseArch(*archName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "nomap-profile: unknown arch %q (want one of %v)\n", *archName, vm.AllArchs)
+		os.Exit(2)
+	}
 
 	var src string
 	var label string

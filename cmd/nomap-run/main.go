@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"nomap/internal/harness"
 	"nomap/internal/jit"
@@ -24,22 +23,6 @@ import (
 	"nomap/internal/workloads"
 )
 
-var archNames = map[string]vm.Arch{
-	"base":      vm.ArchBase,
-	"nomap_s":   vm.ArchNoMapS,
-	"nomap_b":   vm.ArchNoMapB,
-	"nomap":     vm.ArchNoMap,
-	"nomap_bc":  vm.ArchNoMapBC,
-	"nomap_rtm": vm.ArchNoMapRTM,
-}
-
-var tierNames = map[string]profile.Tier{
-	"interp":   profile.TierInterp,
-	"baseline": profile.TierBaseline,
-	"dfg":      profile.TierDFG,
-	"ftl":      profile.TierFTL,
-}
-
 func main() {
 	archName := flag.String("arch", "base", "architecture: base|nomap_s|nomap_b|nomap|nomap_bc|nomap_rtm")
 	tierName := flag.String("tier", "ftl", "maximum tier: interp|baseline|dfg|ftl")
@@ -49,11 +32,11 @@ func main() {
 	trace := flag.Bool("trace", false, "stream transaction/deopt/compile events to stderr")
 	flag.Parse()
 
-	arch, ok := archNames[strings.ToLower(*archName)]
+	arch, ok := vm.ParseArch(*archName)
 	if !ok {
 		fatalf("unknown architecture %q", *archName)
 	}
-	tier, ok := tierNames[strings.ToLower(*tierName)]
+	tier, ok := profile.ParseTier(*tierName)
 	if !ok {
 		fatalf("unknown tier %q", *tierName)
 	}

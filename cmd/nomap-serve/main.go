@@ -60,7 +60,7 @@ func main() {
 	)
 	flag.Parse()
 
-	arch, ok := archByName(*archName)
+	arch, ok := vm.ParseArch(*archName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown arch %q\n", *archName)
 		os.Exit(2)
@@ -231,12 +231,12 @@ func main() {
 		}
 		fmt.Printf("  failures       %s\n", strings.Join(parts, ", "))
 	}
-	if plan != nil || st.Crashes > 0 || st.Health.Degraded {
+	if plan != nil || st.Crashes > 0 || st.Health.Degraded() {
 		fmt.Printf("  resilience     %d crashes contained, %d isolates replaced, %d retries, %d degrade steps, %d repromotions, %d sheds, %d snapshot rejects\n",
 			st.Crashes, st.Replacements, st.Retries, st.DegradeSteps,
 			st.Repromotions, st.Sheds, st.SnapshotRejects)
 		fmt.Printf("  health         cap=%v ceiling=%v degraded=%v shedding=%v\n",
-			st.Health.Cap, st.Health.Ceiling, st.Health.Degraded, st.Health.Shedding)
+			st.Health.Cap, st.Health.Ceiling, st.Health.Degraded(), st.Health.Shed)
 	}
 	fmt.Printf("  code cache     %d hits, %d misses, %d evictions, %d bind-fails, %d uncacheable (hit rate %.1f%%)\n",
 		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Cache.BindFails,
@@ -260,9 +260,9 @@ func main() {
 		if !plan.Exhausted() {
 			fatalf("chaos plan %v did not fire every scheduled fault", plan)
 		}
-		if st.Health.Degraded || st.Health.Shedding {
+		if st.Health.Degraded() {
 			fatalf("fleet did not recover from chaos: cap=%v ceiling=%v shedding=%v",
-				st.Health.Cap, st.Health.Ceiling, st.Health.Shedding)
+				st.Health.Cap, st.Health.Ceiling, st.Health.Shed)
 		}
 	} else if failed > 0 {
 		fatalf("%d requests failed", failed)
@@ -318,15 +318,6 @@ func servingMix(ids string) []workloads.Workload {
 	}
 	out = append(out, workloads.Adversarial()...)
 	return out
-}
-
-func archByName(name string) (vm.Arch, bool) {
-	for _, a := range vm.AllArchs {
-		if a.String() == name {
-			return a, true
-		}
-	}
-	return 0, false
 }
 
 func fatalf(format string, args ...any) {

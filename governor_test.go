@@ -157,7 +157,7 @@ func TestIrrevocableKeepsFTL(t *testing.T) {
 	if lvl := b.Governor().LevelFor("run"); lvl != core.TxOff {
 		t.Errorf("level = %v, want off", lvl)
 	}
-	rep := b.Governor().Report()
+	rep := b.Governor().Export()
 	if len(rep) != 1 || !rep[0].Pinned {
 		t.Errorf("function not pinned: %+v", rep)
 	}

@@ -220,11 +220,11 @@ func TestGovernorInlinePathLedgerReset(t *testing.T) {
 		t.Fatalf("storm fired only %d of its shots; no inlined in-tx site was visited", 6-storm.shots)
 	}
 	var kept, ledgered bool
-	for _, fr := range b.Governor().Report() {
+	for _, fr := range b.Governor().Export() {
 		for _, s := range fr.Sites {
-			if s.Site.Path == storm.path {
+			if s.Key.Path == storm.path {
 				ledgered = true
-				kept = kept || s.Kept
+				kept = kept || s.On
 			}
 		}
 	}
@@ -236,7 +236,7 @@ func TestGovernorInlinePathLedgerReset(t *testing.T) {
 	}
 
 	b.SetGovernorPolicy(governor.DefaultPolicy(true))
-	if rep := b.Governor().Report(); len(rep) != 0 {
+	if rep := b.Governor().Export(); len(rep) != 0 {
 		t.Errorf("inline-path ledgers survived SetGovernorPolicy: %+v", rep)
 	}
 	if keep := b.Governor().KeepSet("run"); keep != nil {

@@ -29,6 +29,7 @@ package codecache
 import (
 	"container/list"
 	"reflect"
+	"slices"
 	"sync"
 
 	"nomap/internal/bytecode"
@@ -557,12 +558,7 @@ func KeepFingerprint(keep core.KeepSet) string {
 	for s := range keep {
 		sites = append(sites, s)
 	}
-	// Insertion sort: keep sets are tiny.
-	for i := 1; i < len(sites); i++ {
-		for j := i; j > 0 && siteLess(sites[j], sites[j-1]); j-- {
-			sites[j], sites[j-1] = sites[j-1], sites[j]
-		}
-	}
+	slices.SortFunc(sites, core.CheckSite.Compare)
 	buf := make([]byte, 0, len(sites)*8)
 	for _, s := range sites {
 		buf = appendInt(buf, int64(s.PC))
@@ -579,19 +575,6 @@ func KeepFingerprint(keep core.KeepSet) string {
 		buf = append(buf, ';')
 	}
 	return string(buf)
-}
-
-func siteLess(a, b core.CheckSite) bool {
-	if a.Path != b.Path {
-		return a.Path < b.Path
-	}
-	if a.PC != b.PC {
-		return a.PC < b.PC
-	}
-	if a.Class != b.Class {
-		return a.Class < b.Class
-	}
-	return a.Shape < b.Shape
 }
 
 func appendInt(b []byte, n int64) []byte {

@@ -5,6 +5,7 @@ package codecache_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,6 +62,23 @@ func TestKeepFingerprintCanonical(t *testing.T) {
 	}
 	if codecache.KeepFingerprint(nil) != "" {
 		t.Error("empty keep set must fingerprint empty")
+	}
+	// The rendered bytes are part of every cache key: pinned in the canonical
+	// site order (inline path, then pc, class, shape).
+	d := core.KeepSet{
+		{PC: 9, Class: stats.CheckBounds}:                           true,
+		{PC: 2, Class: stats.CheckOverflow}:                         true,
+		{PC: 2, Class: stats.CheckBounds, Shape: "s2"}:              true,
+		{PC: 2, Class: stats.CheckBounds, Shape: "s1"}:              true,
+		{PC: 1, Class: stats.CheckBounds, Path: "g@5"}:              true,
+		{PC: 7, Class: stats.CheckBounds, Path: "g@5", Shape: "s1"}: true,
+	}
+	want := fmt.Sprintf("2:%[1]d#s1;2:%[1]d#s2;2:%[2]d;9:%[1]d;1:%[1]d:g@5;7:%[1]d:g@5#s1;", stats.CheckBounds, stats.CheckOverflow)
+	if stats.CheckBounds > stats.CheckOverflow {
+		t.Fatal("test assumes CheckBounds orders before CheckOverflow")
+	}
+	if got := codecache.KeepFingerprint(d); got != want {
+		t.Errorf("fingerprint = %q, want %q", got, want)
 	}
 }
 

@@ -7,6 +7,8 @@
 package core
 
 import (
+	"cmp"
+
 	"nomap/internal/ir"
 	"nomap/internal/stats"
 )
@@ -26,6 +28,16 @@ type CheckSite struct {
 	// checks, so pre-IC site identity is unchanged.
 	Shape string
 }
+
+// Compare is the one canonical site order (inline path, then pc, class,
+// shape): governor exports and code-cache key fingerprints both render in it.
+func (a CheckSite) Compare(b CheckSite) int {
+	return cmp.Or(cmp.Compare(a.Path, b.Path), cmp.Compare(a.PC, b.PC),
+		cmp.Compare(a.Class, b.Class), cmp.Compare(a.Shape, b.Shape))
+}
+
+// Less reports whether a sorts before b in the canonical order.
+func (a CheckSite) Less(b CheckSite) bool { return a.Compare(b) < 0 }
 
 // KeepSet selects check sites whose Stack Map Points must be preserved when
 // the site sits inside a transaction — the abort-recovery governor's surgical

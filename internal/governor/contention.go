@@ -1,9 +1,6 @@
 package governor
 
-import (
-	"hash/fnv"
-	"sort"
-)
+import "sort"
 
 // Contention is the shared-heap analogue of the abort-recovery governor: it
 // owns all post-abort policy for shared sections, and its central job is
@@ -51,21 +48,27 @@ func DefaultContentionPolicy(seed int64) ContentionPolicy {
 	}
 }
 
-// contentionSite is one section's contention state.
+// ContentionSiteReport is one site's demotion flag and lifetime ledgers
+// (diagnostics and tests).
+type ContentionSiteReport struct {
+	Site        string
+	Demoted     bool
+	Conflicts   int64
+	Capacities  int64
+	Backoffs    int64
+	Fallbacks   int64
+	Repromotes  int64
+	TxCommits   int64
+	FallCommits int64
+}
+
+// contentionSite is one section's contention state: its report row plus the
+// counters that drive decisions.
 type contentionSite struct {
-	attempts  int // conflict aborts of the current section execution
-	demoted   bool
+	ContentionSiteReport
+	attempts  int   // conflict aborts of the current section execution
 	cleanFall int64 // clean fallback executions since demotion
 	draws     uint64
-
-	// Lifetime ledgers (diagnostics and tests).
-	conflicts   int64
-	capacities  int64
-	backoffs    int64
-	fallbacks   int64
-	repromotes  int64
-	txCommits   int64
-	fallCommits int64
 }
 
 // Contention is the per-run contention governor. It is not safe for
@@ -100,7 +103,7 @@ func (c *Contention) Policy() ContentionPolicy { return c.pol }
 func (c *Contention) site(key string) *contentionSite {
 	s, ok := c.sites[key]
 	if !ok {
-		s = &contentionSite{}
+		s = &contentionSite{ContentionSiteReport: ContentionSiteReport{Site: key}}
 		c.sites[key] = s
 	}
 	return s
@@ -108,18 +111,8 @@ func (c *Contention) site(key string) *contentionSite {
 
 // Demoted reports whether the site must execute on the fallback path.
 func (c *Contention) Demoted(key string) bool {
-	if s, ok := c.sites[key]; ok {
-		return s.demoted
-	}
-	return false
-}
-
-// xorshift64 is the deterministic backoff RNG.
-func xorshift64(x uint64) uint64 {
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	return x
+	s, ok := c.sites[key]
+	return ok && s.Demoted
 }
 
 // ContentionDecision is the verdict on one conflict or capacity abort.
@@ -137,28 +130,20 @@ type ContentionDecision struct {
 // site is demoted to the fallback path.
 func (c *Contention) OnConflict(key string) ContentionDecision {
 	s := c.site(key)
-	s.conflicts++
+	s.Conflicts++
 	s.attempts++
 	if s.attempts >= c.pol.MaxAttempts {
 		s.attempts = 0
-		s.demoted = true
+		s.Demoted = true
 		s.cleanFall = 0
-		s.fallbacks++
+		s.Fallbacks++
 		return ContentionDecision{Fallback: true}
 	}
-	// Deterministic "randomized" window: hash the seed, the site identity,
-	// and the per-site draw count, scale into the doubling envelope.
-	h := fnv.New64a()
-	h.Write([]byte(key))
+	// The draw hashes the per-site draw count, not the attempt, so a site's
+	// windows differ across section executions.
 	s.draws++
-	r := xorshift64(uint64(c.pol.Seed)*0x9E3779B97F4A7C15 + h.Sum64() + s.draws*0xBF58476D1CE4E5B9)
-	envelope := c.pol.BackoffBase << (s.attempts - 1)
-	if envelope > c.pol.BackoffCap {
-		envelope = c.pol.BackoffCap
-	}
-	window := 1 + int64(r%uint64(envelope))
-	s.backoffs++
-	return ContentionDecision{BackoffCycles: window}
+	s.Backoffs++
+	return ContentionDecision{BackoffCycles: backoffWindow(c.pol.Seed, key, s.draws, s.attempts, c.pol.BackoffBase, c.pol.BackoffCap)}
 }
 
 // OnCapacity reacts to a capacity abort of the given section site. Capacity
@@ -168,9 +153,9 @@ func (c *Contention) OnConflict(key string) ContentionDecision {
 // footprints), and unlike conflicts there is no remote context to wait out.
 func (c *Contention) OnCapacity(key string) ContentionDecision {
 	s := c.site(key)
-	s.capacities++
+	s.Capacities++
 	s.attempts = 0
-	s.fallbacks++
+	s.Fallbacks++
 	return ContentionDecision{Fallback: true}
 }
 
@@ -181,53 +166,30 @@ func (c *Contention) OnCapacity(key string) ContentionDecision {
 func (c *Contention) OnCommit(key string, viaFallback bool) (repromoted bool) {
 	s := c.site(key)
 	if !viaFallback {
-		s.txCommits++
+		s.TxCommits++
 		s.attempts = 0
 		return false
 	}
-	s.fallCommits++
-	if !s.demoted {
+	s.FallCommits++
+	if !s.Demoted {
 		return false
 	}
 	s.cleanFall++
 	if s.cleanFall >= c.pol.RepromoteWindow {
-		s.demoted = false
+		s.Demoted = false
 		s.cleanFall = 0
-		s.repromotes++
+		s.Repromotes++
 		return true
 	}
 	return false
 }
 
-// ContentionSiteReport is one site's ledger in a report.
-type ContentionSiteReport struct {
-	Site        string
-	Demoted     bool
-	Conflicts   int64
-	Capacities  int64
-	Backoffs    int64
-	Fallbacks   int64
-	Repromotes  int64
-	TxCommits   int64
-	FallCommits int64
-}
-
 // Report renders the governor's full state, deterministically ordered.
 func (c *Contention) Report() []ContentionSiteReport {
-	keys := make([]string, 0, len(c.sites))
-	for k := range c.sites {
-		keys = append(keys, k)
+	out := make([]ContentionSiteReport, 0, len(c.sites))
+	for _, s := range c.sites {
+		out = append(out, s.ContentionSiteReport)
 	}
-	sort.Strings(keys)
-	out := make([]ContentionSiteReport, 0, len(keys))
-	for _, k := range keys {
-		s := c.sites[k]
-		out = append(out, ContentionSiteReport{
-			Site: k, Demoted: s.demoted,
-			Conflicts: s.conflicts, Capacities: s.capacities,
-			Backoffs: s.backoffs, Fallbacks: s.fallbacks, Repromotes: s.repromotes,
-			TxCommits: s.txCommits, FallCommits: s.fallCommits,
-		})
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
 	return out
 }

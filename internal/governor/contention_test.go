@@ -109,3 +109,20 @@ func TestContentionCapacityBlame(t *testing.T) {
 		t.Fatalf("capacity not ledgered separately from conflicts: %+v", rep[0])
 	}
 }
+
+// TestContentionBackoffSurvivesLongRetryBudget: a caller-supplied policy with
+// a retry budget past the width of the shift used to push the envelope
+// negative (cap ignored) at attempt 60 and divide by zero at attempt 61.
+func TestContentionBackoffSurvivesLongRetryBudget(t *testing.T) {
+	pol := ContentionPolicy{MaxAttempts: 80, BackoffBase: 16, BackoffCap: 512}
+	g := NewContention(pol)
+	for i := 1; i < pol.MaxAttempts; i++ {
+		dec := g.OnConflict("site")
+		if dec.Fallback {
+			t.Fatalf("conflict %d: fell back below MaxAttempts", i)
+		}
+		if dec.BackoffCycles < 1 || dec.BackoffCycles > pol.BackoffCap {
+			t.Fatalf("conflict %d: window %d outside [1, %d]", i, dec.BackoffCycles, pol.BackoffCap)
+		}
+	}
+}

@@ -27,6 +27,7 @@
 package governor
 
 import (
+	"slices"
 	"sort"
 
 	"nomap/internal/core"
@@ -131,44 +132,28 @@ type Decision struct {
 	DemotedDispatch bool
 }
 
-// siteLedger tracks one check site's abort history (decayed) and its
-// post-restoration deopt count (diagnostic).
-type siteLedger struct {
-	aborts int64
-	deopts int64
-}
-
-// funcState is the governor's per-function state machine.
+// funcState is the governor's per-function state machine: the §V-C level
+// ladder under Probation, and three Trips ledgers on one decay clock.
 type funcState struct {
 	level  core.TxLevel // operating transaction level
 	proven core.TxLevel // last level that survived a full window
-	// probing marks a probationary run at a level one step above proven.
-	probing bool
-	// pinned freezes the level: set by irrevocable aborts, call-containing
-	// overflows (§V-C blames the callee; tiling cannot bound callee
-	// footprints), and MaxProbations failed probes.
-	pinned bool
-	// promoted marks that the current level was reached by a confirmed
-	// probe, so a later capacity abort counts as a regression.
-	promoted   bool
-	failed     int   // failed probes / post-promotion regressions
-	window     int64 // current re-promotion window (doubles on failure)
-	progress   int64 // clean progress toward the next probe/confirmation
+	// Probation drives re-promotion. Pinned is set by irrevocable aborts,
+	// call-containing overflows (§V-C blames the callee; tiling cannot bound
+	// callee footprints), and MaxProbations failed probes.
+	Probation
 	sinceDecay int64
-	keep       map[core.CheckSite]bool
-	sites      map[core.CheckSite]*siteLedger
-	// demote lists dispatch-site families (PC+Path, no Class/Shape) whose
-	// accumulated misses crossed the budget: their plans are dropped at the
-	// next compile and the generic path runs. dmiss is the decayed family
-	// miss ledger feeding it; decay drains a family and re-enables the site
-	// with the same probationary semantics as OSR headers.
-	demote map[core.CheckSite]bool
-	dmiss  map[core.CheckSite]int64
-	// osrAborts ledgers transfers (aborts and plain deopts) out of OSR
-	// artifacts per loop-header entry pc; osrOff disables OSR entry at a
-	// header whose ledger crossed the budget.
-	osrAborts map[int]int64
-	osrOff    map[int]bool
+	// sites ledgers check-site aborts (Aux: deopts); a tripped site is in the
+	// keep set and stays there across decay (sticky), so the keep set is
+	// stable across recompiles.
+	sites Trips[core.CheckSite]
+	// dispatch ledgers misses per dispatch-site family (PC+Path, no
+	// Class/Shape); a tripped family's plan is dropped at the next compile
+	// and the generic path runs. Decay drains a family and re-enables it.
+	dispatch Trips[core.CheckSite]
+	// osr ledgers transfers (aborts and plain deopts) out of OSR artifacts
+	// per loop-header entry pc; a tripped header is not OSR-entered until
+	// decay drains it.
+	osr Trips[int]
 }
 
 // Governor owns per-function recovery state. It is deliberately keyed by
@@ -197,37 +182,21 @@ func (g *Governor) state(fn string) *funcState {
 		st = &funcState{
 			level:     core.TxLoopNest,
 			proven:    core.TxLoopNest,
-			window:    g.pol.RepromoteWindow,
-			keep:      make(map[core.CheckSite]bool),
-			sites:     make(map[core.CheckSite]*siteLedger),
-			demote:    make(map[core.CheckSite]bool),
-			dmiss:     make(map[core.CheckSite]int64),
-			osrAborts: make(map[int]int64),
-			osrOff:    make(map[int]bool),
+			Probation: Probation{Window: g.pol.RepromoteWindow},
 		}
 		g.fns[fn] = st
 	}
 	return st
 }
 
-func (st *funcState) ledger(s core.CheckSite) *siteLedger {
-	l, ok := st.sites[s]
-	if !ok {
-		l = &siteLedger{}
-		st.sites[s] = l
-	}
-	return l
-}
-
 // DemoteSet returns fn's demoted dispatch-site families (nil when empty, so
 // the common case costs nothing at compile time). Keys carry PC and inline
 // path only; the FTL driver matches them against plan placeholders.
 func (g *Governor) DemoteSet(fn string) core.KeepSet {
-	st, ok := g.fns[fn]
-	if !ok || len(st.demote) == 0 {
-		return nil
+	if st, ok := g.fns[fn]; ok {
+		return st.dispatch.set()
 	}
-	return core.KeepSet(st.demote)
+	return nil
 }
 
 // noteDispatchMiss charges one dispatch miss (abort or deopt) to the site's
@@ -238,16 +207,11 @@ func (g *Governor) DemoteSet(fn string) core.KeepSet {
 // Baseline pinning.
 func (g *Governor) noteDispatchMiss(ss *funcState, t Transfer) Decision {
 	fam := core.CheckSite{PC: t.SitePC, Path: t.SitePath}
-	ss.dmiss[fam]++
 	drop := []string{t.Fn}
 	if t.SiteFn != "" && t.SiteFn != t.Fn {
 		drop = append(drop, t.SiteFn)
 	}
-	if !ss.demote[fam] && ss.dmiss[fam] >= g.pol.CheckAbortBudget {
-		ss.demote[fam] = true
-		return Decision{Recompile: true, DemotedDispatch: true, Drop: drop}
-	}
-	return Decision{Recompile: true, Drop: drop}
+	return Decision{Recompile: true, DemotedDispatch: ss.dispatch.charge(fam, g.pol.CheckAbortBudget), Drop: drop}
 }
 
 // LevelFor returns the transaction placement level fn must compile at.
@@ -261,21 +225,10 @@ func (g *Governor) LevelFor(fn string) core.TxLevel {
 // KeepSet returns the restored-SMP sites for fn (nil when empty, so the
 // common case costs nothing at compile time).
 func (g *Governor) KeepSet(fn string) core.KeepSet {
-	st, ok := g.fns[fn]
-	if !ok || len(st.keep) == 0 {
-		return nil
+	if st, ok := g.fns[fn]; ok {
+		return st.sites.set()
 	}
-	return core.KeepSet(st.keep)
-}
-
-// fail records a failed probe or post-promotion regression with
-// window-doubling hysteresis.
-func (g *Governor) fail(st *funcState) {
-	st.failed++
-	st.window *= g.pol.ProbationBackoff
-	if st.failed >= g.pol.MaxProbations {
-		st.pinned = true
-	}
+	return nil
 }
 
 // raise is the inverse of core.TxLevel.Lower, one rung at a time.
@@ -300,44 +253,29 @@ func raise(l core.TxLevel, allowTiling bool) core.TxLevel {
 // drains it.
 func (g *Governor) OSRAllowed(fn string, pc int) bool {
 	st, ok := g.fns[fn]
-	if !ok {
-		return true
-	}
-	return !st.osrOff[pc]
+	return !ok || !st.osr.tripped(pc)
 }
 
 // OnTransfer reacts to one abort or OSR exit surfacing in fn's frame.
 func (g *Governor) OnTransfer(t Transfer) Decision {
 	dec := g.transferDecision(t)
-	if t.OSR {
-		// OSR-entry sites are first-class abort sites: every transfer out of
-		// an OSR artifact — abort or plain deopt — charges its header's
-		// ledger. Past the budget, entering optimized code mid-loop has cost
-		// more than it saved; disable the header so the function promotes at
-		// the invocation boundary instead.
-		st := g.state(t.Fn)
-		st.osrAborts[t.OSRPC]++
-		if !st.osrOff[t.OSRPC] && st.osrAborts[t.OSRPC] >= g.pol.CheckAbortBudget {
-			st.osrOff[t.OSRPC] = true
-			dec.Recompile = true
-			found := false
-			for _, n := range dec.Drop {
-				if n == t.Fn {
-					found = true
-					break
-				}
-			}
-			if !found {
-				dec.Drop = append(dec.Drop, t.Fn)
-			}
+	// OSR-entry sites are first-class abort sites: every transfer out of an
+	// OSR artifact — abort or plain deopt — charges its header's ledger. Past
+	// the budget, entering optimized code mid-loop has cost more than it
+	// saved; disable the header so the function promotes at the invocation
+	// boundary instead.
+	if t.OSR && g.state(t.Fn).osr.charge(t.OSRPC, g.pol.CheckAbortBudget) {
+		dec.Recompile = true
+		if !slices.Contains(dec.Drop, t.Fn) {
+			dec.Drop = append(dec.Drop, t.Fn)
 		}
 	}
 	return dec
 }
 
 func (g *Governor) transferDecision(t Transfer) Decision {
+	st := g.state(t.Fn)
 	if g.pol.Legacy {
-		st := g.state(t.Fn)
 		if t.Aborted && t.Cause == htm.AbortCapacity {
 			st.level = st.level.Lower(t.HadCalls, g.pol.AllowTiling)
 			st.proven = st.level
@@ -346,7 +284,6 @@ func (g *Governor) transferDecision(t Transfer) Decision {
 		return Decision{Recompile: true, ChargeDeopt: true, Drop: []string{t.Fn}}
 	}
 
-	st := g.state(t.Fn)
 	siteFn := t.SiteFn
 	if siteFn == "" {
 		siteFn = t.Fn
@@ -359,7 +296,7 @@ func (g *Governor) transferDecision(t Transfer) Decision {
 			// A dispatch-guard miss outside a transaction: the receiver
 			// matched no speculated way. Per-shape ledger plus family
 			// demotion budget; never the whole-function deopt budget.
-			ss.ledger(site).deopts++
+			ss.sites.bump(site, 0, 1)
 			return g.noteDispatchMiss(ss, t)
 		}
 		// Plain OSR exit. A restored-SMP site deopting is the governed
@@ -367,8 +304,8 @@ func (g *Governor) transferDecision(t Transfer) Decision {
 		// cached code stays, and the budget is untouched. Any other exit
 		// keeps the legacy semantics — charge the budget and recompile
 		// with refreshed feedback, which is how type storms self-heal.
-		if ss.keep[site] {
-			ss.ledger(site).deopts++
+		if ss.sites.tripped(site) {
+			ss.sites.bump(site, 0, 1)
 			return Decision{}
 		}
 		return Decision{Recompile: true, ChargeDeopt: true, Drop: []string{t.Fn}}
@@ -379,56 +316,50 @@ func (g *Governor) transferDecision(t Transfer) Decision {
 		// Transactions meet I/O: remove them for good, keep the tier, and
 		// do not touch the deopt budget — the speculation was fine.
 		st.level, st.proven = core.TxOff, core.TxOff
-		st.probing, st.pinned = false, true
-		st.progress = 0
+		st.pin()
 		return Decision{Recompile: true, Drop: []string{t.Fn}}
 
 	case htm.AbortCapacity:
-		if st.probing {
+		if st.Probing {
 			// The probe failed: fall back to the proven level and back off.
-			st.probing = false
 			st.level = st.proven
-			g.fail(st)
+			st.fail(g.pol.ProbationBackoff, g.pol.MaxProbations)
 		} else {
-			if st.promoted {
+			if st.Promoted {
 				// A confirmed promotion regressed — hysteresis, so a
 				// phase-flapping workload converges instead of oscillating.
-				g.fail(st)
+				st.fail(g.pol.ProbationBackoff, g.pol.MaxProbations)
 			}
-			st.promoted = false
+			st.Promoted = false
 			st.level = st.level.Lower(t.HadCalls, g.pol.AllowTiling)
 			st.proven = st.level
 			if t.HadCalls {
 				// §V-C blames the callee for the overflow; tiling cannot
 				// bound a callee's footprint, so probing is pointless.
-				st.pinned = true
+				st.pin()
 			}
 		}
-		st.progress = 0
+		st.Progress = 0
 		return Decision{Recompile: true, Drop: []string{t.Fn}}
 
 	default: // AbortCheck, AbortSOF
 		ss := g.state(siteFn)
-		l := ss.ledger(site)
-		l.aborts++
 		if t.Dispatch {
 			// In-transaction dispatch miss (the tail guard aborted): same
 			// demotion ledger as the deopt path — dispatch guards demote to
 			// the generic path rather than earning restored SMPs.
+			ss.sites.bump(site, 1, 0)
 			return g.noteDispatchMiss(ss, t)
-		}
-		if !ss.keep[site] && l.aborts >= g.pol.CheckAbortBudget {
-			ss.keep[site] = true
-			drop := []string{t.Fn}
-			if siteFn != t.Fn {
-				drop = append(drop, siteFn)
-			}
-			return Decision{Recompile: true, RestoredSMP: true, Drop: drop}
 		}
 		// Below budget: recompile with refreshed feedback (heals type and
 		// overflow storms) but never charge the whole-function budget for
-		// a transactional abort.
-		return Decision{Recompile: true, Drop: []string{t.Fn}}
+		// a transactional abort. At budget: restore the site's SMP.
+		restored := ss.sites.charge(site, g.pol.CheckAbortBudget)
+		drop := []string{t.Fn}
+		if restored && siteFn != t.Fn {
+			drop = append(drop, siteFn)
+		}
+		return Decision{Recompile: true, RestoredSMP: restored, Drop: drop}
 	}
 }
 
@@ -438,115 +369,57 @@ func (g *Governor) transferDecision(t Transfer) Decision {
 // nothing, yet must still be able to earn a probe).
 func (g *Governor) OnClean(fn string, commits int64) Decision {
 	st := g.state(fn)
-	units := commits
-	if units <= 0 {
-		units = 1
-	}
+	units := max(commits, 1)
 
-	// Deterministic ledger decay, counted in clean progress.
+	// Deterministic ledger decay, counted in clean progress. Kept SMPs
+	// survive it; a drained dispatch family or OSR header is re-enabled, so
+	// the next recompile re-expands the dispatch tree and the next hot run
+	// gets one more chance to enter mid-loop.
 	st.sinceDecay += units
 	if st.sinceDecay >= g.pol.DecayWindow {
 		st.sinceDecay = 0
-		for s, l := range st.sites {
-			l.aborts /= 2
-			if l.aborts == 0 && l.deopts == 0 && !st.keep[s] {
-				delete(st.sites, s)
-			}
-		}
-		// Dispatch-miss family ledgers decay too; a drained family is
-		// un-demoted, so the next recompile re-expands its dispatch tree
-		// (the probationary re-promotion semantics OSR headers get).
-		for s, n := range st.dmiss {
-			n /= 2
-			if n == 0 {
-				delete(st.dmiss, s)
-				delete(st.demote, s)
-			} else {
-				st.dmiss[s] = n
-			}
-		}
-		// OSR-entry ledgers decay on the same schedule; a drained ledger
-		// re-enables the header (probationary re-promotion: the next hot
-		// run gets one more chance to enter mid-loop).
-		for pc, n := range st.osrAborts {
-			n /= 2
-			if n == 0 {
-				delete(st.osrAborts, pc)
-				delete(st.osrOff, pc)
-			} else {
-				st.osrAborts[pc] = n
-			}
-		}
+		st.sites.decay(true)
+		st.dispatch.decay(false)
+		st.osr.decay(false)
 	}
 
-	if g.pol.Legacy || st.pinned {
+	if g.pol.Legacy {
 		return Decision{}
 	}
-	if st.probing {
-		st.progress += units
-		if st.progress >= st.window {
-			// Probe survived a full window: the higher level is proven.
-			st.probing = false
-			st.proven = st.level
-			st.promoted = true
-			st.progress = 0
-		}
-		return Decision{}
+	start, confirmed := st.clean(units, st.level == core.TxLoopNest)
+	if confirmed {
+		// Probe survived a full window: the higher level is proven.
+		st.proven = st.level
 	}
-	if st.level == core.TxLoopNest {
-		return Decision{}
-	}
-	st.progress += units
-	if st.progress >= st.window {
+	if start {
 		// Earned a probation: try one level higher on the next compile.
-		st.probing = true
 		st.level = raise(st.level, g.pol.AllowTiling)
-		st.progress = 0
 		return Decision{Recompile: true, Drop: []string{fn}}
 	}
 	return Decision{}
 }
 
-// SiteSnap is one check site's ledger in a snapshot.
-type SiteSnap struct {
-	Site   core.CheckSite
-	Aborts int64
-	Deopts int64
-}
-
-// OSRSnap is one OSR-entry header's ledger in a snapshot or report.
-type OSRSnap struct {
-	PC     int
-	Aborts int64
-	Off    bool
-}
-
 // FuncSnap is one function's complete governor state in portable form: plain
 // data keyed by function name and bytecode check site, valid across isolates
-// of the same program.
+// of the same program. Sites rows carry aborts in N, deopts in Aux and the
+// restored SMP in On; Dispatch rows are per-family misses, On when demoted;
+// OSR rows are keyed by loop-header pc, On when OSR entry is disabled.
 type FuncSnap struct {
-	Fn         string
-	Level      core.TxLevel
-	Proven     core.TxLevel
-	Probing    bool
-	Pinned     bool
-	Promoted   bool
-	Failed     int
-	Window     int64
-	Progress   int64
+	Fn     string
+	Level  core.TxLevel
+	Proven core.TxLevel
+	Probation
 	SinceDecay int64
-	Keep       []core.CheckSite
-	Sites      []SiteSnap
-	Demote     []core.CheckSite
-	DMiss      []SiteSnap
-	OSR        []OSRSnap
+	Sites      []Ledger[core.CheckSite]
+	Dispatch   []Ledger[core.CheckSite]
+	OSR        []Ledger[int]
 }
 
 // Snapshot is the governor's exported ledger state, deterministically
-// ordered. The warm-start facility captures it after a donor isolate's
-// warmup and restores it into fresh isolates, so a repeat program starts at
-// its converged transaction levels and kept-SMP sets instead of re-learning
-// them through aborts.
+// ordered; it is also the diagnostic report. The warm-start facility captures
+// it after a donor isolate's warmup and restores it into fresh isolates, so a
+// repeat program starts at its converged transaction levels and kept-SMP sets
+// instead of re-learning them through aborts.
 type Snapshot []FuncSnap
 
 // Export captures the full per-function state under the current policy.
@@ -559,30 +432,13 @@ func (g *Governor) Export() Snapshot {
 	snap := make(Snapshot, 0, len(names))
 	for _, n := range names {
 		st := g.fns[n]
-		fs := FuncSnap{
+		snap = append(snap, FuncSnap{
 			Fn: n, Level: st.level, Proven: st.proven,
-			Probing: st.probing, Pinned: st.pinned, Promoted: st.promoted,
-			Failed: st.failed, Window: st.window, Progress: st.progress,
-			SinceDecay: st.sinceDecay,
-		}
-		for s := range st.keep {
-			fs.Keep = append(fs.Keep, s)
-		}
-		sortSites(fs.Keep)
-		for s, l := range st.sites {
-			fs.Sites = append(fs.Sites, SiteSnap{Site: s, Aborts: l.aborts, Deopts: l.deopts})
-		}
-		sort.Slice(fs.Sites, func(i, j int) bool { return siteLess(fs.Sites[i].Site, fs.Sites[j].Site) })
-		for s := range st.demote {
-			fs.Demote = append(fs.Demote, s)
-		}
-		sortSites(fs.Demote)
-		for s, n := range st.dmiss {
-			fs.DMiss = append(fs.DMiss, SiteSnap{Site: s, Aborts: n})
-		}
-		sort.Slice(fs.DMiss, func(i, j int) bool { return siteLess(fs.DMiss[i].Site, fs.DMiss[j].Site) })
-		fs.OSR = osrSnaps(st)
-		snap = append(snap, fs)
+			Probation: st.Probation, SinceDecay: st.sinceDecay,
+			Sites:    st.sites.export(core.CheckSite.Less),
+			Dispatch: st.dispatch.export(core.CheckSite.Less),
+			OSR:      st.osr.export(func(a, b int) bool { return a < b }),
+		})
 	}
 	return snap
 }
@@ -593,125 +449,10 @@ func (g *Governor) Export() Snapshot {
 func (g *Governor) Restore(snap Snapshot) {
 	g.fns = make(map[string]*funcState, len(snap))
 	for _, fs := range snap {
-		st := &funcState{
-			level: fs.Level, proven: fs.Proven,
-			probing: fs.Probing, pinned: fs.Pinned, promoted: fs.Promoted,
-			failed: fs.Failed, window: fs.Window, progress: fs.Progress,
-			sinceDecay: fs.SinceDecay,
-			keep:       make(map[core.CheckSite]bool, len(fs.Keep)),
-			sites:      make(map[core.CheckSite]*siteLedger, len(fs.Sites)),
-			demote:     make(map[core.CheckSite]bool, len(fs.Demote)),
-			dmiss:      make(map[core.CheckSite]int64, len(fs.DMiss)),
-			osrAborts:  make(map[int]int64, len(fs.OSR)),
-			osrOff:     make(map[int]bool),
-		}
-		for _, s := range fs.Keep {
-			st.keep[s] = true
-		}
-		for _, ss := range fs.Sites {
-			st.sites[ss.Site] = &siteLedger{aborts: ss.Aborts, deopts: ss.Deopts}
-		}
-		for _, s := range fs.Demote {
-			st.demote[s] = true
-		}
-		for _, ss := range fs.DMiss {
-			st.dmiss[ss.Site] = ss.Aborts
-		}
-		for _, os := range fs.OSR {
-			st.osrAborts[os.PC] = os.Aborts
-			if os.Off {
-				st.osrOff[os.PC] = true
-			}
-		}
+		st := &funcState{level: fs.Level, proven: fs.Proven, Probation: fs.Probation, sinceDecay: fs.SinceDecay}
+		st.sites.restore(fs.Sites)
+		st.dispatch.restore(fs.Dispatch)
+		st.osr.restore(fs.OSR)
 		g.fns[fs.Fn] = st
 	}
-}
-
-func siteLess(a, b core.CheckSite) bool {
-	if a.Path != b.Path {
-		return a.Path < b.Path
-	}
-	if a.PC != b.PC {
-		return a.PC < b.PC
-	}
-	if a.Class != b.Class {
-		return a.Class < b.Class
-	}
-	return a.Shape < b.Shape
-}
-
-func sortSites(sites []core.CheckSite) {
-	sort.Slice(sites, func(i, j int) bool { return siteLess(sites[i], sites[j]) })
-}
-
-// SiteStat is one check site's ledger in a report.
-type SiteStat struct {
-	Site   core.CheckSite
-	Aborts int64
-	Deopts int64
-	Kept   bool
-}
-
-// FuncReport is one function's governor state, for diagnostics.
-type FuncReport struct {
-	Fn           string
-	Level        core.TxLevel
-	Proven       core.TxLevel
-	Probing      bool
-	Pinned       bool
-	FailedProbes int
-	Window       int64
-	Progress     int64
-	Sites        []SiteStat
-	Demote       []core.CheckSite
-	OSR          []OSRSnap
-}
-
-// osrSnaps renders a function's OSR-entry ledgers, ordered by header pc.
-func osrSnaps(st *funcState) []OSRSnap {
-	if len(st.osrAborts) == 0 && len(st.osrOff) == 0 {
-		return nil
-	}
-	pcs := make(map[int]bool, len(st.osrAborts))
-	for pc := range st.osrAborts {
-		pcs[pc] = true
-	}
-	for pc := range st.osrOff {
-		pcs[pc] = true
-	}
-	out := make([]OSRSnap, 0, len(pcs))
-	for pc := range pcs {
-		out = append(out, OSRSnap{PC: pc, Aborts: st.osrAborts[pc], Off: st.osrOff[pc]})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
-	return out
-}
-
-// Report renders the full governor state, deterministically ordered.
-func (g *Governor) Report() []FuncReport {
-	names := make([]string, 0, len(g.fns))
-	for n := range g.fns {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]FuncReport, 0, len(names))
-	for _, n := range names {
-		st := g.fns[n]
-		r := FuncReport{
-			Fn: n, Level: st.level, Proven: st.proven,
-			Probing: st.probing, Pinned: st.pinned,
-			FailedProbes: st.failed, Window: st.window, Progress: st.progress,
-		}
-		for s, l := range st.sites {
-			r.Sites = append(r.Sites, SiteStat{Site: s, Aborts: l.aborts, Deopts: l.deopts, Kept: st.keep[s]})
-		}
-		sort.Slice(r.Sites, func(i, j int) bool { return siteLess(r.Sites[i].Site, r.Sites[j].Site) })
-		for s := range st.demote {
-			r.Demote = append(r.Demote, s)
-		}
-		sortSites(r.Demote)
-		r.OSR = osrSnaps(st)
-		out = append(out, r)
-	}
-	return out
 }

@@ -190,7 +190,7 @@ func TestInlinePathSiteLedgers(t *testing.T) {
 
 	// Reset must clear the path-keyed ledgers and keep sets like any other.
 	g.Reset()
-	if g.KeepSet("f") != nil || len(g.Report()) != 0 {
+	if g.KeepSet("f") != nil || len(g.Export()) != 0 {
 		t.Fatal("Reset left inline-path state behind")
 	}
 }
@@ -219,7 +219,7 @@ func TestProbationConfirm(t *testing.T) {
 	for i := int64(0); i < w; i++ {
 		g.OnClean("f", 1)
 	}
-	rep := g.Report()
+	rep := g.Export()
 	if len(rep) != 1 || rep[0].Probing || rep[0].Proven != core.TxLoopNest {
 		t.Fatalf("after clean probe window: %+v, want proven loop-nest", rep)
 	}
@@ -244,10 +244,10 @@ func TestProbeFailureBacksOff(t *testing.T) {
 	if g.LevelFor("f") != core.TxInnermost {
 		t.Fatalf("level = %v after failed probe, want proven innermost", g.LevelFor("f"))
 	}
-	rep := g.Report()[0]
-	if rep.FailedProbes != 1 || rep.Window != pol.RepromoteWindow*pol.ProbationBackoff {
+	rep := g.Export()[0]
+	if rep.Failed != 1 || rep.Window != pol.RepromoteWindow*pol.ProbationBackoff {
 		t.Fatalf("after failed probe: failed=%d window=%d, want 1 and %d",
-			rep.FailedProbes, rep.Window, pol.RepromoteWindow*pol.ProbationBackoff)
+			rep.Failed, rep.Window, pol.RepromoteWindow*pol.ProbationBackoff)
 	}
 }
 
@@ -269,7 +269,7 @@ func TestHysteresisConverges(t *testing.T) {
 	if probes != pol.MaxProbations {
 		t.Fatalf("probes = %d, want exactly MaxProbations = %d", probes, pol.MaxProbations)
 	}
-	rep := g.Report()[0]
+	rep := g.Export()[0]
 	if !rep.Pinned || rep.Level != core.TxInnermost {
 		t.Fatalf("after convergence: %+v, want pinned at innermost", rep)
 	}
@@ -287,17 +287,17 @@ func TestPromotedRegressionCountsTowardPinning(t *testing.T) {
 				probed = true
 				break
 			}
-			if g.Report()[0].Pinned {
+			if g.Export()[0].Pinned {
 				return false, false
 			}
 		}
 		if !probed {
 			return false, false
 		}
-		for i := int64(0); i < g.Report()[0].Window; i++ {
+		for i := int64(0); i < g.Export()[0].Window; i++ {
 			g.OnClean("f", 1)
 		}
-		confirmed = !g.Report()[0].Probing
+		confirmed = !g.Export()[0].Probing
 		// The big phase returns: the confirmed promotion regresses.
 		g.OnTransfer(capacityAbort("f", false))
 		return probed, confirmed
@@ -316,7 +316,7 @@ func TestPromotedRegressionCountsTowardPinning(t *testing.T) {
 			t.Fatalf("flapped %d times, want pinning at %d regressions", flaps, pol.MaxProbations)
 		}
 	}
-	if !g.Report()[0].Pinned {
+	if !g.Export()[0].Pinned {
 		t.Fatal("phase-flapping function never pinned")
 	}
 }
@@ -328,8 +328,8 @@ func TestInitialRetreatDoesNotCountAsRegression(t *testing.T) {
 	g.OnTransfer(capacityAbort("f", false))
 	g.OnTransfer(capacityAbort("f", false))
 	g.OnTransfer(capacityAbort("f", false))
-	rep := g.Report()[0]
-	if rep.FailedProbes != 0 || rep.Pinned {
+	rep := g.Export()[0]
+	if rep.Failed != 0 || rep.Pinned {
 		t.Fatalf("initial retreat consumed hysteresis budget: %+v", rep)
 	}
 }
@@ -402,7 +402,7 @@ func TestLedgerDecay(t *testing.T) {
 	// Two more decays empty the ledger entirely.
 	g.OnClean("f", pol.DecayWindow)
 	g.OnClean("f", pol.DecayWindow)
-	if sites := g.Report()[0].Sites; len(sites) != 0 {
+	if sites := g.Export()[0].Sites; len(sites) != 0 {
 		t.Fatalf("emptied ledger not dropped: %+v", sites)
 	}
 	// A kept site survives any amount of decay.
@@ -455,7 +455,7 @@ func TestReset(t *testing.T) {
 		g.OnTransfer(pathAbort("f", 7, "g@5")) // inline-path ledgers reset too
 	}
 	g.Reset()
-	if g.LevelFor("f") != core.TxLoopNest || g.KeepSet("f") != nil || len(g.Report()) != 0 {
+	if g.LevelFor("f") != core.TxLoopNest || g.KeepSet("f") != nil || len(g.Export()) != 0 {
 		t.Fatal("Reset left state behind")
 	}
 }
@@ -472,7 +472,7 @@ func TestReportDeterministic(t *testing.T) {
 		}
 		return g
 	}
-	a, b := build().Report(), build().Report()
+	a, b := build().Export(), build().Export()
 	if len(a) != 3 || a[0].Fn != "alpha" || a[1].Fn != "mid" || a[2].Fn != "zeta" {
 		t.Fatalf("report order: %+v", a)
 	}
@@ -536,17 +536,12 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		if a.Fn != b.Fn || a.Level != b.Level || a.Proven != b.Proven ||
 			a.Probing != b.Probing || a.Pinned != b.Pinned || a.Promoted != b.Promoted ||
 			a.Failed != b.Failed || a.Window != b.Window || a.Progress != b.Progress ||
-			a.SinceDecay != b.SinceDecay || len(a.Keep) != len(b.Keep) || len(a.Sites) != len(b.Sites) {
+			a.SinceDecay != b.SinceDecay || len(a.Sites) != len(b.Sites) {
 			t.Fatalf("re-export differs at %s:\n%+v\nvs\n%+v", a.Fn, a, b)
 		}
 		for j := range a.Sites {
 			if a.Sites[j] != b.Sites[j] {
 				t.Fatalf("%s site %d differs: %+v vs %+v", a.Fn, j, a.Sites[j], b.Sites[j])
-			}
-		}
-		for j := range a.Keep {
-			if a.Keep[j] != b.Keep[j] {
-				t.Fatalf("%s keep %d differs", a.Fn, j)
 			}
 		}
 	}

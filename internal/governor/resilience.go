@@ -1,8 +1,7 @@
 package governor
 
 import (
-	"hash/fnv"
-	"sort"
+	"math"
 	"sync"
 
 	"nomap/internal/profile"
@@ -17,12 +16,12 @@ import (
 //     (program, site) fingerprint; after RetireAfterCrashes charges the
 //     fingerprint is permanently retired — further requests matching it fail
 //     fast instead of burning fresh isolates on a deterministic crasher
-//     (the serving analogue of funcState.pinned).
+//     (the serving analogue of a pinned function).
 //
 //   - Retry backoff. Transient request failures retry on a fresh isolate
-//     after a deterministic seeded-xorshift window in a doubling envelope —
-//     the identical recipe Contention.OnConflict uses, because the same
-//     interleaving retried immediately tends to fail identically.
+//     after a deterministic backoffWindow — the draw Contention.OnConflict
+//     uses, because the same interleaving retried immediately tends to fail
+//     identically.
 //
 //   - Degradation ladder. Sustained fault or abort storms step the whole
 //     fleet's tier ceiling down FTL → DFG → Baseline → interp-only; at the
@@ -131,6 +130,13 @@ type CrashKey struct {
 	Site    string
 }
 
+func (a CrashKey) less(b CrashKey) bool {
+	if a.Program != b.Program {
+		return a.Program < b.Program
+	}
+	return a.Site < b.Site
+}
+
 // CrashVerdict is the quarantine ledger's reaction to one contained crash.
 type CrashVerdict struct {
 	// Crashes is the fingerprint's lifetime charge count.
@@ -175,34 +181,30 @@ type Resilience struct {
 	// ceiling is the configured fleet tier cap the ladder re-promotes to.
 	ceiling profile.Tier
 
-	cap     profile.Tier
-	proven  profile.Tier
-	probing bool
-	shed    bool
-	window  int64
-	// progress counts clean completions toward the next probe/confirmation.
-	progress int64
+	cap    profile.Tier
+	proven profile.Tier
+	// probation drives re-promotion; the fleet ladder never pins.
+	probation Probation
+	shed      bool
 	// faults / completions are the current trip-accounting window.
 	faults      int64
 	completions int64
-	failed      int64 // failed probes (diagnostic; drives nothing beyond window)
 	admits      int64 // shed-mode admission counter
 
-	crashes map[CrashKey]int64
-	retired map[CrashKey]bool
+	// crashes is the quarantine ledger; a tripped fingerprint is retired.
+	crashes Trips[CrashKey]
 }
 
 // NewResilience creates the recovery state machine for a fleet whose
 // configured tier cap is ceiling.
 func NewResilience(pol ResiliencePolicy, ceiling profile.Tier) *Resilience {
+	pol = pol.withDefaults()
 	return &Resilience{
-		pol:     pol.withDefaults(),
-		ceiling: ceiling,
-		cap:     ceiling,
-		proven:  ceiling,
-		window:  pol.withDefaults().RepromoteWindow,
-		crashes: make(map[CrashKey]int64),
-		retired: make(map[CrashKey]bool),
+		pol:       pol,
+		ceiling:   ceiling,
+		cap:       ceiling,
+		proven:    ceiling,
+		probation: Probation{Window: pol.RepromoteWindow},
 	}
 }
 
@@ -249,14 +251,14 @@ func (r *Resilience) Admit() bool {
 func (r *Resilience) CrashCount(k CrashKey) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.crashes[k]
+	return r.crashes.count(k)
 }
 
 // Retired reports whether a crash fingerprint is permanently retired.
 func (r *Resilience) Retired(k CrashKey) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.retired[k]
+	return r.crashes.tripped(k)
 }
 
 // OnCrash charges one contained isolate crash to its fingerprint and to the
@@ -264,13 +266,9 @@ func (r *Resilience) Retired(k CrashKey) bool {
 func (r *Resilience) OnCrash(k CrashKey) CrashVerdict {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.crashes[k]++
-	v := CrashVerdict{Crashes: r.crashes[k]}
-	if r.crashes[k] >= r.pol.RetireAfterCrashes {
-		v.NewlyRetired = !r.retired[k]
-		r.retired[k] = true
-		v.Retired = true
-	}
+	v := CrashVerdict{NewlyRetired: r.crashes.charge(k, r.pol.RetireAfterCrashes)}
+	v.Crashes = r.crashes.count(k)
+	v.Retired = v.Crashes >= r.pol.RetireAfterCrashes
 	v.Ladder = r.fault()
 	return v
 }
@@ -286,15 +284,11 @@ func (r *Resilience) OnFault() LadderChange {
 // fault is the ladder's fault transition (caller holds mu).
 func (r *Resilience) fault() LadderChange {
 	ch := LadderChange{}
-	r.progress = 0
-	if r.probing {
+	r.probation.Progress = 0
+	if r.probation.Probing {
 		// The probe failed: fall back to the proven rung and back off.
-		r.probing = false
 		r.cap = r.proven
-		r.failed++
-		if r.window <= (1 << 40) {
-			r.window *= r.pol.ProbationBackoff
-		}
+		r.probation.fail(r.pol.ProbationBackoff, math.MaxInt)
 		ch.ProbeFailed = true
 		ch.Cap = r.cap
 		return ch
@@ -323,15 +317,12 @@ func (r *Resilience) fault() LadderChange {
 func (r *Resilience) OnSuccess() LadderChange {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ch := LadderChange{Cap: r.cap}
 	if r.shed {
 		r.shed = false
 		r.faults = 0
 		r.completions = 0
-		r.progress = 0
-		ch.ShedCleared = true
-		ch.Cap = r.cap
-		return ch
+		r.probation.Progress = 0
+		return LadderChange{ShedCleared: true, Cap: r.cap}
 	}
 	r.completions++
 	if r.faults > 0 && r.completions >= r.pol.TripWindow {
@@ -339,28 +330,15 @@ func (r *Resilience) OnSuccess() LadderChange {
 		r.faults = 0
 		r.completions = 0
 	}
-	if r.probing {
-		r.progress++
-		if r.progress >= r.window {
-			r.probing = false
-			r.proven = r.cap
-			r.progress = 0
-			ch.Promoted = true
-		}
-		ch.Cap = r.cap
-		return ch
+	var ch LadderChange
+	ch.ProbeStarted, ch.Promoted = r.probation.clean(1, r.cap >= r.ceiling)
+	if ch.Promoted {
+		r.proven = r.cap
 	}
-	if r.cap >= r.ceiling {
-		return ch
-	}
-	r.progress++
-	if r.progress >= r.window {
-		r.probing = true
+	if ch.ProbeStarted {
 		r.cap++
-		r.progress = 0
-		ch.ProbeStarted = true
-		ch.Cap = r.cap
 	}
+	ch.Cap = r.cap
 	return ch
 }
 
@@ -372,75 +350,46 @@ func (r *Resilience) RetryAllowed(attempt int) bool {
 }
 
 // Backoff returns the deterministic randomized retry window (in cycles) for
-// the attempt-th retry of the request identified by key: a seeded-xorshift
-// draw scaled into a doubling envelope, the identical recipe the contention
-// governor applies to conflict retries.
+// the attempt-th retry of the request identified by key.
 func (r *Resilience) Backoff(key string, attempt int) int64 {
-	if attempt < 1 {
-		attempt = 1
-	}
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	x := xorshift64(uint64(r.pol.Seed)*0x9E3779B97F4A7C15 + h.Sum64() + uint64(attempt)*0xBF58476D1CE4E5B9)
-	envelope := r.pol.BackoffBase
-	for i := 1; i < attempt && envelope < r.pol.BackoffCap; i++ {
-		envelope <<= 1
-	}
-	if envelope > r.pol.BackoffCap {
-		envelope = r.pol.BackoffCap
-	}
-	return 1 + int64(x%uint64(envelope))
-}
-
-// CrashSnap is one fingerprint's quarantine ledger in a snapshot or report.
-type CrashSnap struct {
-	Key     CrashKey
-	Crashes int64
-	Retired bool
+	attempt = max(attempt, 1)
+	return backoffWindow(r.pol.Seed, key, uint64(attempt), attempt, r.pol.BackoffBase, r.pol.BackoffCap)
 }
 
 // ResilienceSnap is the recovery state machine's exported state,
-// deterministically ordered. Like the abort-recovery governor's Snapshot it
-// is portable plain data: a fleet restart can restore it so learned
-// retirements and the converged ladder level survive process boundaries.
+// deterministically ordered; it is also the diagnostic report (pool
+// Stats.Health). Like the abort-recovery governor's Snapshot it is portable
+// plain data: a fleet restart can restore it so learned retirements and the
+// converged ladder level survive process boundaries. Crashes rows carry the
+// fingerprint's lifetime charges in N, On when retired.
 type ResilienceSnap struct {
-	Cap         profile.Tier
-	Proven      profile.Tier
-	Probing     bool
+	Cap    profile.Tier
+	Proven profile.Tier
+	// Ceiling is the configured cap the ladder re-promotes to; Restore keeps
+	// the receiver's own.
+	Ceiling profile.Tier
+	Probation
 	Shed        bool
-	Window      int64
-	Progress    int64
 	Faults      int64
 	Completions int64
-	Failed      int64
 	Admits      int64
-	Crashes     []CrashSnap
+	Crashes     []Ledger[CrashKey]
 }
+
+// Degraded reports the snapshot was taken below the configured ceiling or
+// while shedding.
+func (s ResilienceSnap) Degraded() bool { return s.Cap < s.Ceiling || s.Shed }
 
 // Export captures the full recovery state.
 func (r *Resilience) Export() ResilienceSnap {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := ResilienceSnap{
-		Cap: r.cap, Proven: r.proven, Probing: r.probing, Shed: r.shed,
-		Window: r.window, Progress: r.progress,
-		Faults: r.faults, Completions: r.completions,
-		Failed: r.failed, Admits: r.admits,
+	return ResilienceSnap{
+		Cap: r.cap, Proven: r.proven, Ceiling: r.ceiling,
+		Probation: r.probation, Shed: r.shed,
+		Faults: r.faults, Completions: r.completions, Admits: r.admits,
+		Crashes: r.crashes.export(CrashKey.less),
 	}
-	keys := make([]CrashKey, 0, len(r.crashes))
-	for k := range r.crashes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Program != keys[j].Program {
-			return keys[i].Program < keys[j].Program
-		}
-		return keys[i].Site < keys[j].Site
-	})
-	for _, k := range keys {
-		s.Crashes = append(s.Crashes, CrashSnap{Key: k, Crashes: r.crashes[k], Retired: r.retired[k]})
-	}
-	return s
 }
 
 // Restore replaces the recovery state with the snapshot's, keeping the
@@ -449,51 +398,10 @@ func (r *Resilience) Export() ResilienceSnap {
 func (r *Resilience) Restore(s ResilienceSnap) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.cap, r.proven, r.probing, r.shed = s.Cap, s.Proven, s.Probing, s.Shed
-	r.window, r.progress = s.Window, s.Progress
-	if r.window <= 0 {
-		r.window = r.pol.RepromoteWindow
+	r.cap, r.proven, r.probation, r.shed = s.Cap, s.Proven, s.Probation, s.Shed
+	if r.probation.Window <= 0 {
+		r.probation.Window = r.pol.RepromoteWindow
 	}
-	r.faults, r.completions = s.Faults, s.Completions
-	r.failed, r.admits = s.Failed, s.Admits
-	r.crashes = make(map[CrashKey]int64, len(s.Crashes))
-	r.retired = make(map[CrashKey]bool)
-	for _, c := range s.Crashes {
-		r.crashes[c.Key] = c.Crashes
-		if c.Retired {
-			r.retired[c.Key] = true
-		}
-	}
-}
-
-// ResilienceReport is the state machine's diagnostic view.
-type ResilienceReport struct {
-	Cap          profile.Tier
-	Ceiling      profile.Tier
-	Degraded     bool
-	Probing      bool
-	Shedding     bool
-	Window       int64
-	Progress     int64
-	FailedProbes int64
-	Crashes      []CrashSnap
-}
-
-// Report renders the current state, deterministically ordered.
-func (r *Resilience) Report() ResilienceReport {
-	snap := r.Export()
-	r.mu.Lock()
-	ceiling := r.ceiling
-	r.mu.Unlock()
-	return ResilienceReport{
-		Cap:          snap.Cap,
-		Ceiling:      ceiling,
-		Degraded:     snap.Cap < ceiling || snap.Shed,
-		Probing:      snap.Probing,
-		Shedding:     snap.Shed,
-		Window:       snap.Window,
-		Progress:     snap.Progress,
-		FailedProbes: snap.Failed,
-		Crashes:      snap.Crashes,
-	}
+	r.faults, r.completions, r.admits = s.Faults, s.Completions, s.Admits
+	r.crashes.restore(s.Crashes)
 }

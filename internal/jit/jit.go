@@ -260,40 +260,10 @@ func (b *Backend) Execute(v *vm.VM, fn *value.Function, prof *profile.FunctionPr
 	if err != nil {
 		return value.Undefined(), true, err
 	}
+	b.settle(key, prof, tier, deopt, ctrs.TxCommits-commitsBefore)
 	if deopt == nil {
-		if tier == profile.TierFTL {
-			// Clean-run progress feeds ledger decay and probationary
-			// re-promotion; a started probe drops the cached code so the
-			// next call compiles one level higher.
-			dec := b.gov.OnClean(bcFn.Name, ctrs.TxCommits-commitsBefore)
-			b.apply(dec, nil)
-		}
 		return res, true, nil
 	}
-
-	// Recovery. The governor owns all post-transfer policy for FTL code;
-	// DFG deopts keep the legacy semantics (charge the budget, recompile
-	// with refreshed feedback) since no transactions are involved.
-	if tier == profile.TierFTL {
-		dec := b.gov.OnTransfer(governor.Transfer{
-			Fn:       bcFn.Name,
-			Aborted:  deopt.Aborted,
-			Cause:    deopt.Cause,
-			Class:    deopt.CheckClass,
-			SiteFn:   deopt.SiteFn,
-			SitePC:   deopt.SitePC,
-			SitePath: deopt.SitePath,
-			Shape:    deopt.SiteShape,
-			Dispatch: deopt.SiteDispatch,
-			HadCalls: deopt.HadCalls,
-		})
-		b.emitDemote(dec, bcFn.Name, deopt)
-		b.apply(dec, prof)
-	} else {
-		prof.Deopts++
-		delete(b.code, key)
-	}
-
 	out, err := resumeChain(v, deopt.Frame, func() *value.Environment {
 		return value.NewEnvironment(fn.Env, bcFn.NumCells)
 	})
@@ -372,34 +342,9 @@ func (b *Backend) ExecuteOSR(v *vm.VM, fr *frame.Frame, prof *profile.FunctionPr
 	if err != nil {
 		return value.Undefined(), true, err
 	}
+	b.settle(key, prof, tier, deopt, ctrs.TxCommits-commitsBefore)
 	if deopt == nil {
-		if tier == profile.TierFTL {
-			dec := b.gov.OnClean(bcFn.Name, ctrs.TxCommits-commitsBefore)
-			b.apply(dec, nil)
-		}
 		return res, true, nil
-	}
-
-	if tier == profile.TierFTL {
-		dec := b.gov.OnTransfer(governor.Transfer{
-			Fn:       bcFn.Name,
-			Aborted:  deopt.Aborted,
-			Cause:    deopt.Cause,
-			Class:    deopt.CheckClass,
-			SiteFn:   deopt.SiteFn,
-			SitePC:   deopt.SitePC,
-			SitePath: deopt.SitePath,
-			Shape:    deopt.SiteShape,
-			Dispatch: deopt.SiteDispatch,
-			HadCalls: deopt.HadCalls,
-			OSR:      true,
-			OSRPC:    fr.PC,
-		})
-		b.emitDemote(dec, bcFn.Name, deopt)
-		b.apply(dec, prof)
-	} else {
-		prof.Deopts++
-		delete(b.code, key)
 	}
 
 	// The root recovery frame inherited fr's environment in the machine's
@@ -416,11 +361,42 @@ func (b *Backend) emitFills(fn string, f *ir.Func) {
 	}
 }
 
-// emitDemote records the megamorphic-demotion event when a transfer pushed a
-// dispatch site over its miss budget.
-func (b *Backend) emitDemote(dec governor.Decision, fn string, deopt *machine.Deopt) {
-	if dec.DemotedDispatch {
-		b.mach.Emit(machine.Event{Kind: machine.EventICDemote, Fn: fn, PC: deopt.SitePC, Inline: deopt.SitePath})
+// settle feeds one finished run of the artifact cached under key to the
+// recovery policy. The governor owns all post-run policy for FTL code: clean
+// runs feed ledger decay and probationary re-promotion (a started probe drops
+// the cached code so the next call compiles one level higher), transfers are
+// judged site by site, and a transfer out of an OSR artifact also charges its
+// loop header. DFG deopts keep the legacy semantics (charge the budget,
+// recompile with refreshed feedback) since no transactions are involved.
+func (b *Backend) settle(key codeKey, prof *profile.FunctionProfile, tier profile.Tier, deopt *machine.Deopt, commits int64) {
+	name := key.fn.Name
+	switch {
+	case tier != profile.TierFTL:
+		if deopt != nil {
+			prof.Deopts++
+			delete(b.code, key)
+		}
+	case deopt == nil:
+		b.apply(b.gov.OnClean(name, commits), nil)
+	default:
+		dec := b.gov.OnTransfer(governor.Transfer{
+			Fn:       name,
+			Aborted:  deopt.Aborted,
+			Cause:    deopt.Cause,
+			Class:    deopt.CheckClass,
+			SiteFn:   deopt.SiteFn,
+			SitePC:   deopt.SitePC,
+			SitePath: deopt.SitePath,
+			Shape:    deopt.SiteShape,
+			Dispatch: deopt.SiteDispatch,
+			HadCalls: deopt.HadCalls,
+			OSR:      key.osr >= 0,
+			OSRPC:    key.osr,
+		})
+		if dec.DemotedDispatch {
+			b.mach.Emit(machine.Event{Kind: machine.EventICDemote, Fn: name, PC: deopt.SitePC, Inline: deopt.SitePath})
+		}
+		b.apply(dec, prof)
 	}
 }
 

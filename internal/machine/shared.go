@@ -754,14 +754,6 @@ func (r *SharedRun) result(steps int64) *SharedResult {
 	return res
 }
 
-// xorshift is the scheduler's deterministic RNG.
-func xorshift(x uint64) uint64 {
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	return x
-}
-
 // RunScheduled executes the workload under a deterministic seeded scheduler:
 // one goroutine, one worker step per tick, the seed fully determining the
 // interleaving. Two calls with equal (workload, arch, seed, options) produce
@@ -785,7 +777,7 @@ func RunScheduled(wl *SharedWorkload, arch vm.Arch, seed int64, opt SharedOption
 			return nil, fmt.Errorf("%s/%v: no progress after %d scheduled steps (livelocked script?)",
 				wl.Name, arch, maxSteps)
 		}
-		rng = xorshift(rng)
+		rng = governor.XorShift64(rng)
 		i := int(rng % uint64(len(live)))
 		more, err := r.StepLocked(live[i])
 		if err != nil {

@@ -225,7 +225,7 @@ func chaosSerial(arch vm.Arch, seed int64, async bool, want []string, ar *ChaosA
 		fail("error-class", "crashes=%d replacements=%d retries=%d snapshotRejects=%d, want 1/1/1/1",
 			st.Crashes, st.Replacements, st.Retries, st.SnapshotRejects)
 	}
-	if st.Health.Degraded || st.Health.Shedding {
+	if st.Health.Degraded() {
 		fail("not-healthy", "fleet degraded after serial phase: %+v", st.Health)
 	}
 	return fails
@@ -331,11 +331,11 @@ func chaosLoad(arch vm.Arch, seed int64, workers int, async bool, want []string,
 	if !plan.Exhausted() {
 		fail("load", "fault-unfired", "plan not exhausted: %s", plan)
 	}
-	if st.Health.Degraded || st.Health.Shedding {
+	if st.Health.Degraded() {
 		fail("converge", "not-healthy", "fleet not recovered: %+v (degradeSteps=%d repromotions=%d)",
 			st.Health, st.DegradeSteps, st.Repromotions)
 	}
-	ar.Recovered = !st.Health.Degraded && !st.Health.Shedding
+	ar.Recovered = !st.Health.Degraded()
 	// The books must balance exactly: every accepted request produced one
 	// response.
 	if st.Accepted != st.Completed+st.Failed {

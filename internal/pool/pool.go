@@ -311,7 +311,7 @@ type Stats struct {
 	// P99Latency is the sliding-window request p99 (the admission signal).
 	P99Latency time.Duration
 	// Health is the recovery state machine's current view.
-	Health governor.ResilienceReport
+	Health governor.ResilienceSnap
 	// Counters merges the per-isolate counters of error-free responses.
 	Counters stats.Counters
 	// Cache is the shared code cache's activity.
@@ -470,7 +470,7 @@ func (p *Pool) Stats() Stats {
 	s.Counters = p.merged
 	p.mergedMu.Unlock()
 	s.P99Latency = p.latencyP99()
-	s.Health = p.res.Report()
+	s.Health = p.res.Export()
 	if p.cache != nil {
 		s.Cache = p.cache.Stats()
 	}

@@ -199,7 +199,7 @@ func TestDegradationLadderAndRepromotion(t *testing.T) {
 		}
 	}
 	st := p.Stats()
-	if st.Health.Cap != st.Health.Ceiling || st.Health.Degraded {
+	if st.Health.Cap != st.Health.Ceiling || st.Health.Degraded() {
 		t.Errorf("fleet not re-promoted: %+v", st.Health)
 	}
 	if st.DegradeSteps != 1 || st.Repromotions != 1 {

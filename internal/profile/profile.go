@@ -5,6 +5,8 @@
 package profile
 
 import (
+	"strings"
+
 	"nomap/internal/bytecode"
 	"nomap/internal/value"
 )
@@ -32,6 +34,20 @@ func (t Tier) String() string {
 		return "FTL"
 	}
 	return "Tier(?)"
+}
+
+// ParseTier resolves a tier by name, case-insensitively ("FTL", "ftl"), with
+// "interp" accepted for the interpreter.
+func ParseTier(name string) (Tier, bool) {
+	if strings.EqualFold(name, "interp") {
+		return TierInterp, true
+	}
+	for t := TierInterp; t <= TierFTL; t++ {
+		if strings.EqualFold(t.String(), name) {
+			return t, true
+		}
+	}
+	return 0, false
 }
 
 // ArithFeedback records the operand representations seen at an arithmetic or

@@ -7,6 +7,23 @@ import (
 	"nomap/internal/value"
 )
 
+func TestParseTier(t *testing.T) {
+	want := map[string]Tier{
+		"interp": TierInterp, "Interpreter": TierInterp, "baseline": TierBaseline,
+		"Baseline": TierBaseline, "dfg": TierDFG, "DFG": TierDFG, "ftl": TierFTL, "FTL": TierFTL,
+	}
+	for name, tier := range want {
+		if got, ok := ParseTier(name); !ok || got != tier {
+			t.Errorf("ParseTier(%q) = %v, %v; want %v", name, got, ok, tier)
+		}
+	}
+	for _, name := range []string{"", "jit", "Tier(?)"} {
+		if got, ok := ParseTier(name); ok {
+			t.Errorf("ParseTier(%q) accepted as %v", name, got)
+		}
+	}
+}
+
 func TestArithFeedbackLattice(t *testing.T) {
 	var f ArithFeedback
 	f.Observe(value.Int(1), value.Int(2))

@@ -1,5 +1,7 @@
 package vm
 
+import "strings"
+
 // Arch selects the architecture configuration evaluated in the paper
 // (Table II). It controls how the FTL tier forms transactions and which
 // check optimizations run.
@@ -47,6 +49,17 @@ func (a Arch) String() string {
 
 // AllArchs lists the six evaluated configurations in the paper's bar order.
 var AllArchs = []Arch{ArchBase, ArchNoMapS, ArchNoMapB, ArchNoMap, ArchNoMapBC, ArchNoMapRTM}
+
+// ParseArch resolves a configuration by its paper name, case-insensitively
+// ("NoMap_RTM", "nomap_rtm").
+func ParseArch(name string) (Arch, bool) {
+	for _, a := range AllArchs {
+		if strings.EqualFold(a.String(), name) {
+			return a, true
+		}
+	}
+	return 0, false
+}
 
 // UsesTransactions reports whether the configuration wraps hot FTL loops in
 // hardware transactions.

@@ -1,6 +1,9 @@
 package vm
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // The six configurations are the paper's Table II; their names, bar order,
 // and predicate matrix are load-bearing for every figure reproduction, so
@@ -22,6 +25,23 @@ func TestArchNames(t *testing.T) {
 	}
 	if got := Arch(99).String(); got != "Arch(?)" {
 		t.Errorf("out-of-range arch renders %q", got)
+	}
+}
+
+// Both spellings the commands have accepted (the paper's and lower case)
+// resolve; anything else is refused rather than defaulting to Base.
+func TestParseArch(t *testing.T) {
+	for _, a := range AllArchs {
+		for _, name := range []string{a.String(), strings.ToLower(a.String()), strings.ToUpper(a.String())} {
+			if got, ok := ParseArch(name); !ok || got != a {
+				t.Errorf("ParseArch(%q) = %v, %v; want %v", name, got, ok, a)
+			}
+		}
+	}
+	for _, name := range []string{"", "nomap_", "NoMap RTM", "Arch(?)"} {
+		if got, ok := ParseArch(name); ok {
+			t.Errorf("ParseArch(%q) accepted as %v", name, got)
+		}
 	}
 }
 

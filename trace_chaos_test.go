@@ -104,7 +104,7 @@ function run(n) { acc = acc + n; return acc; }
 		t.Fatalf("plan %v did not fire every scheduled fault", plan)
 	}
 	st := p.Stats()
-	if st.Health.Degraded || st.Health.Cap != st.Health.Ceiling {
+	if st.Health.Degraded() || st.Health.Cap != st.Health.Ceiling {
 		t.Fatalf("fleet did not recover: %+v", st.Health)
 	}
 	if st.Crashes != 3 || st.Replacements != 3 || st.Retries != 1 || st.SnapshotRejects != 1 {
