@@ -11,41 +11,24 @@ import (
 	"nomap/internal/profile"
 )
 
-// Compile builds DFG-tier code for fn.
-func Compile(fn *bytecode.Function, prof *profile.FunctionProfile) (*ir.Func, error) {
-	return CompileInlining(fn, prof, nil, nil)
-}
-
-// CompileInlining builds DFG-tier code for fn with speculative call inlining
-// steered by the callee-profile resolver (nil disables inlining, reproducing
-// Compile). demote, when non-nil, selects dispatch sites whose plans are
-// dropped to the generic path (the JIT threads the VM's DisableIC switch
-// through here; the governor's demote set only applies at the FTL tier).
-func CompileInlining(fn *bytecode.Function, prof *profile.FunctionProfile, profiles func(*bytecode.Function) *profile.FunctionProfile, demote func(pc int, path string) bool) (*ir.Func, error) {
-	f, err := ir.Build(fn, prof)
+// Compile builds DFG-tier code for fn. osrPC selects the entry: -1 is the
+// invocation entry, anything else the loop header an OSR artifact enters at,
+// with live state bound from the OSR frame's locals. profiles is the
+// callee-profile resolver steering speculative call inlining (nil disables
+// it). demote, when non-nil, selects dispatch sites whose plans are dropped
+// to the generic path (the JIT threads the VM's DisableIC switch through
+// here; the governor's demote set only applies at the FTL tier).
+func Compile(fn *bytecode.Function, prof *profile.FunctionProfile, osrPC int, profiles func(*bytecode.Function) *profile.FunctionProfile, demote func(pc int, path string) bool) (*ir.Func, error) {
+	var f *ir.Func
+	var err error
+	if osrPC >= 0 {
+		f, err = ir.BuildOSR(fn, prof, osrPC)
+	} else {
+		f, err = ir.Build(fn, prof)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return finish(f, profiles, demote), nil
-}
-
-// CompileOSR builds a DFG-tier OSR-entry artifact entering at loop header
-// entryPC, with live state bound from the OSR frame's locals.
-func CompileOSR(fn *bytecode.Function, prof *profile.FunctionProfile, entryPC int) (*ir.Func, error) {
-	return CompileOSRInlining(fn, prof, entryPC, nil, nil)
-}
-
-// CompileOSRInlining is CompileOSR with speculative call inlining and
-// dispatch demotion (see CompileInlining).
-func CompileOSRInlining(fn *bytecode.Function, prof *profile.FunctionProfile, entryPC int, profiles func(*bytecode.Function) *profile.FunctionProfile, demote func(pc int, path string) bool) (*ir.Func, error) {
-	f, err := ir.BuildOSR(fn, prof, entryPC)
-	if err != nil {
-		return nil, err
-	}
-	return finish(f, profiles, demote), nil
-}
-
-func finish(f *ir.Func, profiles func(*bytecode.Function) *profile.FunctionProfile, demote func(pc int, path string) bool) *ir.Func {
 	// Lower polymorphic dispatch plans before everything else. The DFG tier
 	// has no governor demote set of its own (a megamorphic site never grows
 	// a plan, and persistent dispatch misses surface after promotion to
@@ -63,5 +46,5 @@ func finish(f *ir.Func, profiles func(*bytecode.Function) *profile.FunctionProfi
 	opt.HoistTypeChecks(f)
 	opt.GVN(f)
 	opt.DCE(f)
-	return f
+	return f, nil
 }

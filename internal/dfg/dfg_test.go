@@ -129,7 +129,7 @@ func TestCompileDirect(t *testing.T) {
 	if runFn == nil {
 		t.Fatal("run not found in compiled unit")
 	}
-	f, err := dfg.Compile(runFn, profile.New(runFn))
+	f, err := dfg.Compile(runFn, profile.New(runFn), -1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

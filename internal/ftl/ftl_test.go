@@ -99,7 +99,7 @@ func TestPipelineFuzzVerify(t *testing.T) {
 				t.Fatalf("seed %d %+v: %v\nprogram:\n%s\nIR:\n%s", seed, opts, err, src, f)
 			}
 		}
-		g, err := dfg.Compile(bcFn, prof)
+		g, err := dfg.Compile(bcFn, prof, -1, nil, nil)
 		if err != nil {
 			t.Fatalf("seed %d dfg: %v", seed, err)
 		}

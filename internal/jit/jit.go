@@ -8,7 +8,10 @@
 package jit
 
 import (
+	"cmp"
 	"errors"
+	"slices"
+	"strings"
 
 	"nomap/internal/bytecode"
 	"nomap/internal/codecache"
@@ -75,9 +78,8 @@ type Backend struct {
 }
 
 type unit struct {
-	tier    profile.Tier
-	f       *ir.Func
-	txLevel core.TxLevel
+	tier profile.Tier
+	f    *ir.Func
 }
 
 // mainKey keys the invocation-entry artifact of fn.
@@ -135,29 +137,6 @@ var errDeferred = errors.New("jit: compile deferred to background queue")
 // locally, since no background fill could ever serve them.
 func (b *Backend) SetCompileSink(f func(profile.Tier)) { b.sink = f }
 
-// deferLookup consults the shared cache without ever filling or waiting.
-// Returns the bound artifact on a hit; local=true when the caller must
-// compile on this goroutine (uncacheable or unrelocatable key); errDeferred
-// when the artifact is absent or another isolate is mid-fill.
-func (b *Backend) deferLookup(key codecache.Key, tier profile.Tier, ctrs *stats.Counters) (f *ir.Func, local bool, err error) {
-	f, st := b.cache.Lookup(key, b.realm, ctrs)
-	switch st {
-	case codecache.LookupHit:
-		return f, false, nil
-	case codecache.LookupMiss:
-		b.sink(tier)
-		return nil, false, errDeferred
-	case codecache.LookupInflight:
-		return nil, false, errDeferred
-	}
-	// LookupUncacheable / LookupBindFail: the cache can never serve this
-	// isolate; charge the miss and compile locally like the sync path does.
-	if ctrs != nil {
-		ctrs.CodeCacheMisses++
-	}
-	return nil, true, nil
-}
-
 // Machine exposes the execution engine (for the harness: cache and HTM
 // statistics).
 func (b *Backend) Machine() *machine.Machine { return b.mach }
@@ -198,12 +177,17 @@ func (b *Backend) TxLevelOf(fn *bytecode.Function) core.TxLevel {
 }
 
 // CompiledFunctions returns the currently cached speculative-tier code, for
-// diagnostics (nomap-profile's IR dumps).
+// diagnostics (nomap-profile's IR dumps), ordered by function name and then
+// entry pc so a function's invocation-entry artifact precedes its OSR
+// artifacts and the dump does not vary from run to run.
 func (b *Backend) CompiledFunctions() []*ir.Func {
-	var out []*ir.Func
+	out := make([]*ir.Func, 0, len(b.code))
 	for _, u := range b.code {
 		out = append(out, u.f)
 	}
+	slices.SortFunc(out, func(x, y *ir.Func) int {
+		return cmp.Or(strings.Compare(x.Name, y.Name), cmp.Compare(x.OSREntryPC, y.OSREntryPC))
+	})
 	return out
 }
 
@@ -223,35 +207,24 @@ func (b *Backend) Execute(v *vm.VM, fn *value.Function, prof *profile.FunctionPr
 		return value.Undefined(), false, nil
 	}
 	key := mainKey(bcFn)
-	u := b.code[key]
-	if u == nil || u.tier != tier {
-		u2, compiled, err := b.compile(bcFn, prof, tier, v.Counters())
-		if err != nil {
-			// A deferred compile is not a failure: the background queue will
-			// fill the cache, and until then the current-best tier serves.
-			if err == errDeferred {
-				return value.Undefined(), false, nil
-			}
-			// Deterministic unsupported-function errors pin the function to
-			// Baseline; anything else is treated as transient and only pins
-			// after a bounded number of failures.
-			if ir.IsUnsupported(err) {
+	u, err := b.codeFor(v, key, prof, tier)
+	if err != nil {
+		// A deferred compile is not a failure: the background queue will
+		// fill the cache, and until then the current-best tier serves.
+		// Deterministic unsupported-function errors pin the function to
+		// Baseline; anything else is treated as transient and only pins
+		// after a bounded number of failures.
+		switch {
+		case err == errDeferred:
+		case ir.IsUnsupported(err):
+			prof.JITUnsupported = true
+		default:
+			prof.CompileFailures++
+			if prof.CompileFailures >= profile.MaxTransientCompileFailures {
 				prof.JITUnsupported = true
-			} else {
-				prof.CompileFailures++
-				if prof.CompileFailures >= profile.MaxTransientCompileFailures {
-					prof.JITUnsupported = true
-				}
 			}
-			return value.Undefined(), false, nil
 		}
-		u = u2
-		b.code[key] = u
-		if compiled {
-			v.Counters().Compilations[tier]++
-			b.mach.Emit(machine.Event{Kind: machine.EventCompile, Fn: bcFn.Name, Tier: tier})
-			b.emitFills(bcFn.Name, u.f)
-		}
+		return value.Undefined(), false, nil
 	}
 
 	ctrs := v.Counters()
@@ -316,24 +289,14 @@ func (b *Backend) ExecuteOSR(v *vm.VM, fr *frame.Frame, prof *profile.FunctionPr
 	if b.osrFailed[key] {
 		return value.Undefined(), false, nil
 	}
-	u := b.code[key]
-	if u == nil || u.tier != tier {
-		u2, compiled, err := b.compileOSR(bcFn, prof, tier, fr.PC, v.Counters())
-		if err != nil {
-			// Deferred is transient — the loop stays on its bytecode tier
-			// this pass and OSR retries once the background fill lands.
-			if err != errDeferred {
-				b.osrFailed[key] = true
-			}
-			return value.Undefined(), false, nil
+	u, err := b.codeFor(v, key, prof, tier)
+	if err != nil {
+		// Deferred is transient — the loop stays on its bytecode tier this
+		// pass and OSR retries once the background fill lands.
+		if err != errDeferred {
+			b.osrFailed[key] = true
 		}
-		u = u2
-		b.code[key] = u
-		if compiled {
-			v.Counters().Compilations[tier]++
-			b.mach.Emit(machine.Event{Kind: machine.EventCompile, Fn: bcFn.Name, Tier: tier})
-			b.emitFills(bcFn.Name, u.f)
-		}
+		return value.Undefined(), false, nil
 	}
 
 	ctrs := v.Counters()
@@ -351,6 +314,27 @@ func (b *Backend) ExecuteOSR(v *vm.VM, fr *frame.Frame, prof *profile.FunctionPr
 	// materialization; inline frames allocate theirs in the resume loop.
 	out, err := resumeChain(v, deopt.Frame, nil)
 	return out, true, err
+}
+
+// codeFor returns the artifact for key at tier: the installed one when it is
+// current, otherwise a fresh compile (or shared-cache bind) that it installs.
+// Only a compilation that actually ran for this isolate is charged and
+// traced; what a compile error means is the caller's policy.
+func (b *Backend) codeFor(v *vm.VM, key codeKey, prof *profile.FunctionProfile, tier profile.Tier) (*unit, error) {
+	if u := b.code[key]; u != nil && u.tier == tier {
+		return u, nil
+	}
+	u, compiled, err := b.compile(key, prof, tier, v.Counters())
+	if err != nil {
+		return nil, err
+	}
+	b.code[key] = u
+	if compiled {
+		v.Counters().Compilations[tier]++
+		b.mach.Emit(machine.Event{Kind: machine.EventCompile, Fn: key.fn.Name, Tier: tier})
+		b.emitFills(key.fn.Name, u.f)
+	}
+	return u, nil
 }
 
 // emitFills records one EventICFill per dispatch tree the compile
@@ -401,12 +385,17 @@ func (b *Backend) settle(key codeKey, prof *profile.FunctionProfile, tier profil
 }
 
 // demoteFor returns the predicate the compilers use to drop dispatch plans
-// (the VM-level DisableIC switch, or the governor's demote set), plus its
-// cache-key fingerprint ("" in the common case, keeping pre-IC keys
-// byte-identical; "*" for the everything-demoted switch).
-func (b *Backend) demoteFor(name string) (func(pc int, path string) bool, string) {
+// plus its cache-key fingerprint ("" in the common case, keeping pre-IC keys
+// byte-identical): the VM-level DisableIC switch demotes everything ("*") in
+// both tiers; the governor's per-site demote set is an FTL recovery mechanism
+// (a megamorphic site never grows a plan, and persistent dispatch misses
+// surface after promotion to FTL).
+func (b *Backend) demoteFor(name string, tier profile.Tier) (func(pc int, path string) bool, string) {
 	if b.noIC {
 		return func(int, string) bool { return true }, "*"
+	}
+	if tier == profile.TierDFG {
+		return nil, ""
 	}
 	set := b.gov.DemoteSet(name)
 	if len(set) == 0 {
@@ -443,223 +432,98 @@ func (b *Backend) inlineFP(bcFn *bytecode.Function) uint64 {
 	return codecache.InlineFingerprint(bcFn, b.profiles, b.realm, ir.DefaultInlineOptions(nil).MaxDepth)
 }
 
-// dfgProfiles returns the callee-profile resolver steering DFG inlining, or
-// nil when inlining is off.
-func (b *Backend) dfgProfiles() func(*bytecode.Function) *profile.FunctionProfile {
-	if !b.inline {
-		return nil
-	}
-	return b.profiles
-}
-
-// dfgDemote returns the DFG tier's dispatch-demotion predicate: only the
-// VM-level DisableIC switch (the governor's per-site demote set is an FTL
-// recovery mechanism).
-func (b *Backend) dfgDemote() func(pc int, path string) bool {
-	if !b.noIC {
-		return nil
-	}
-	return func(int, string) bool { return true }
-}
-
 // compile produces (or, through the shared code cache, obtains) code for
-// bcFn at tier. The returned bool reports whether a compilation actually ran
-// on behalf of this isolate — false means a cached artifact was bound — so
-// Execute can charge Compilations honestly.
-func (b *Backend) compile(bcFn *bytecode.Function, prof *profile.FunctionProfile, tier profile.Tier, ctrs *stats.Counters) (*unit, bool, error) {
-	useCache := b.cache != nil && b.passHook == nil
-	if tier == profile.TierDFG {
-		if useCache {
-			key := codecache.Key{
-				Code:     bcFn,
-				Tier:     tier,
-				Arch:     uint8(b.arch),
-				Level:    core.TxOff,
-				Policy:   b.policy,
-				ProfFP:   codecache.FingerprintProfile(prof, b.realm),
-				InlineFP: b.inlineFP(bcFn),
-				OSR:      -1,
-			}
-			if b.sink != nil {
-				f, local, err := b.deferLookup(key, tier, ctrs)
-				if err != nil {
-					return nil, false, err
-				}
-				if !local {
-					return &unit{tier: tier, f: f}, false, nil
-				}
-				f, err = dfg.CompileInlining(bcFn, prof, b.dfgProfiles(), b.dfgDemote())
-				if err != nil {
-					return nil, true, err
-				}
-				return &unit{tier: tier, f: f}, true, nil
-			}
-			f, compiled, err := b.cache.Compile(key, b.realm, ctrs, func() (*ir.Func, error) {
-				return dfg.CompileInlining(bcFn, prof, b.dfgProfiles(), b.dfgDemote())
-			})
-			if err != nil {
-				return nil, compiled, err
-			}
-			return &unit{tier: tier, f: f}, compiled, nil
-		}
-		f, err := dfg.CompileInlining(bcFn, prof, b.dfgProfiles(), b.dfgDemote())
-		if err != nil {
-			return nil, true, err
-		}
-		if b.passHook != nil {
-			b.passHook("dfg", f)
-		}
-		return &unit{tier: tier, f: f}, true, nil
+// key.fn at tier, entering at key.osr: -1 is the invocation entry, anything
+// else the loop header an OSR artifact enters at — the cache key carries it,
+// so a function's invocation-entry artifact and its OSR artifacts coexist.
+// The returned bool reports whether a compilation actually ran on behalf of
+// this isolate — false means a cached artifact was bound — so codeFor can
+// charge Compilations honestly.
+func (b *Backend) compile(key codeKey, prof *profile.FunctionProfile, tier profile.Tier, ctrs *stats.Counters) (*unit, bool, error) {
+	// Every input that steers code generation is gathered here once and feeds
+	// both the fill closure and the cache key below, so an option cannot reach
+	// the compiler without also partitioning the cache.
+	fn := key.fn
+	level, keep := core.TxOff, core.KeepSet(nil)
+	if tier != profile.TierDFG {
+		// Transaction placement and kept SMPs are FTL-only (the DFG tier forms
+		// no transactions).
+		level, keep = b.gov.LevelFor(fn.Name), b.gov.KeepSet(fn.Name)
 	}
-	level := b.gov.LevelFor(bcFn.Name)
-	opts := optionsFor(b.arch, level)
-	opts.KeepSMP = b.gov.KeepSet(bcFn.Name)
-	opts.Inline = b.inline
-	opts.Profiles = b.profiles
-	demote, demoteFP := b.demoteFor(bcFn.Name)
-	opts.Demote = demote
-	if useCache {
-		key := codecache.Key{
-			Code:     bcFn,
-			Tier:     tier,
-			Arch:     uint8(b.arch),
-			Level:    level,
-			Policy:   b.policy,
-			KeepFP:   codecache.KeepFingerprint(opts.KeepSMP),
-			DemoteFP: demoteFP,
-			ProfFP:   codecache.FingerprintProfile(prof, b.realm),
-			InlineFP: b.inlineFP(bcFn),
-			OSR:      -1,
-		}
-		if b.sink != nil {
-			f, local, err := b.deferLookup(key, tier, ctrs)
-			if err != nil {
-				return nil, false, err
-			}
-			if !local {
-				return &unit{tier: tier, f: f, txLevel: level}, false, nil
-			}
-			f, err = ftl.Compile(bcFn, prof, opts)
-			if err != nil {
-				return nil, true, err
-			}
-			return &unit{tier: tier, f: f, txLevel: level}, true, nil
-		}
-		f, compiled, err := b.cache.Compile(key, b.realm, ctrs, func() (*ir.Func, error) {
-			return ftl.Compile(bcFn, prof, opts)
-		})
-		if err != nil {
-			return nil, compiled, err
-		}
-		return &unit{tier: tier, f: f, txLevel: level}, compiled, nil
+	demote, demoteFP := b.demoteFor(fn.Name, tier)
+	// The callee-profile resolver steering the inliner; nil when inlining is
+	// off.
+	var profiles func(*bytecode.Function) *profile.FunctionProfile
+	if b.inline {
+		profiles = b.profiles
 	}
-	opts.PassHook = b.passHook
-	f, err := ftl.Compile(bcFn, prof, opts)
-	if err != nil {
-		return nil, true, err
-	}
-	return &unit{tier: tier, f: f, txLevel: level}, true, nil
-}
 
-// compileOSR produces (or obtains from the shared cache) an OSR-entry
-// artifact for bcFn at tier, entering at loop header entryPC. The codecache
-// key carries the header pc, so OSR artifacts and the invocation-entry
-// artifact of the same function coexist and never collide.
-func (b *Backend) compileOSR(bcFn *bytecode.Function, prof *profile.FunctionProfile, tier profile.Tier, entryPC int, ctrs *stats.Counters) (*unit, bool, error) {
-	useCache := b.cache != nil && b.passHook == nil
+	var fill func() (*ir.Func, error)
 	if tier == profile.TierDFG {
-		if useCache {
-			key := codecache.Key{
-				Code:     bcFn,
-				Tier:     tier,
-				Arch:     uint8(b.arch),
-				Level:    core.TxOff,
-				Policy:   b.policy,
-				ProfFP:   codecache.FingerprintProfile(prof, b.realm),
-				InlineFP: b.inlineFP(bcFn),
-				OSR:      entryPC,
-			}
-			if b.sink != nil {
-				f, local, err := b.deferLookup(key, tier, ctrs)
-				if err != nil {
-					return nil, false, err
+		fill = func() (*ir.Func, error) {
+			f, err := dfg.Compile(fn, prof, key.osr, profiles, demote)
+			if err == nil && b.passHook != nil {
+				pass := "dfg"
+				if key.osr >= 0 {
+					pass = "dfg-osr"
 				}
-				if !local {
-					return &unit{tier: tier, f: f}, false, nil
-				}
-				f, err = dfg.CompileOSRInlining(bcFn, prof, entryPC, b.dfgProfiles(), b.dfgDemote())
-				if err != nil {
-					return nil, true, err
-				}
-				return &unit{tier: tier, f: f}, true, nil
+				b.passHook(pass, f)
 			}
-			f, compiled, err := b.cache.Compile(key, b.realm, ctrs, func() (*ir.Func, error) {
-				return dfg.CompileOSRInlining(bcFn, prof, entryPC, b.dfgProfiles(), b.dfgDemote())
-			})
-			if err != nil {
-				return nil, compiled, err
-			}
-			return &unit{tier: tier, f: f}, compiled, nil
+			return f, err
 		}
-		f, err := dfg.CompileOSRInlining(bcFn, prof, entryPC, b.dfgProfiles(), b.dfgDemote())
-		if err != nil {
-			return nil, true, err
-		}
-		if b.passHook != nil {
-			b.passHook("dfg-osr", f)
-		}
-		return &unit{tier: tier, f: f}, true, nil
+	} else {
+		opts := optionsFor(b.arch, level)
+		opts.KeepSMP = keep
+		opts.Inline = b.inline
+		opts.Profiles = profiles
+		opts.Demote = demote
+		opts.OSR = key.osr >= 0
+		opts.OSREntryPC = key.osr
+		opts.PassHook = b.passHook
+		fill = func() (*ir.Func, error) { return ftl.Compile(fn, prof, opts) }
 	}
-	level := b.gov.LevelFor(bcFn.Name)
-	opts := optionsFor(b.arch, level)
-	opts.KeepSMP = b.gov.KeepSet(bcFn.Name)
-	opts.Inline = b.inline
-	opts.Profiles = b.profiles
-	opts.OSR = true
-	opts.OSREntryPC = entryPC
-	demote, demoteFP := b.demoteFor(bcFn.Name)
-	opts.Demote = demote
-	if useCache {
-		key := codecache.Key{
-			Code:     bcFn,
-			Tier:     tier,
-			Arch:     uint8(b.arch),
-			Level:    level,
-			Policy:   b.policy,
-			KeepFP:   codecache.KeepFingerprint(opts.KeepSMP),
-			DemoteFP: demoteFP,
-			ProfFP:   codecache.FingerprintProfile(prof, b.realm),
-			InlineFP: b.inlineFP(bcFn),
-			OSR:      entryPC,
-		}
-		if b.sink != nil {
-			f, local, err := b.deferLookup(key, tier, ctrs)
-			if err != nil {
-				return nil, false, err
-			}
-			if !local {
-				return &unit{tier: tier, f: f, txLevel: level}, false, nil
-			}
-			f, err = ftl.Compile(bcFn, prof, opts)
-			if err != nil {
-				return nil, true, err
-			}
-			return &unit{tier: tier, f: f, txLevel: level}, true, nil
-		}
-		f, compiled, err := b.cache.Compile(key, b.realm, ctrs, func() (*ir.Func, error) {
-			return ftl.Compile(bcFn, prof, opts)
-		})
-		if err != nil {
-			return nil, compiled, err
-		}
-		return &unit{tier: tier, f: f, txLevel: level}, compiled, nil
+
+	// A pass hook observes compilation itself and a bound artifact never
+	// compiles, so an installed hook bypasses the cache like having none.
+	if b.cache == nil || b.passHook != nil {
+		f, err := fill()
+		return &unit{tier: tier, f: f}, true, err
 	}
-	opts.PassHook = b.passHook
-	f, err := ftl.Compile(bcFn, prof, opts)
-	if err != nil {
-		return nil, true, err
+	// The fingerprints walk the whole profile; they are computed only here,
+	// where the shared cache is actually consulted.
+	ckey := codecache.Key{
+		Code:     fn,
+		Tier:     tier,
+		Arch:     uint8(b.arch),
+		Level:    level,
+		Policy:   b.policy,
+		KeepFP:   codecache.KeepFingerprint(keep),
+		DemoteFP: demoteFP,
+		ProfFP:   codecache.FingerprintProfile(prof, b.realm),
+		InlineFP: b.inlineFP(fn),
+		OSR:      key.osr,
 	}
-	return &unit{tier: tier, f: f, txLevel: level}, true, nil
+	if b.sink != nil {
+		// Deferred compilation: consult the cache without ever filling or
+		// waiting. An absent artifact is offered to the sink, one mid-fill
+		// elsewhere will appear on its own; either way execution declines.
+		f, st := b.cache.Lookup(ckey, b.realm, ctrs)
+		switch st {
+		case codecache.LookupHit:
+			return &unit{tier: tier, f: f}, false, nil
+		case codecache.LookupMiss:
+			b.sink(tier)
+			return nil, false, errDeferred
+		case codecache.LookupInflight:
+			return nil, false, errDeferred
+		}
+		// LookupUncacheable / LookupBindFail: no background fill could ever
+		// serve this isolate, so it compiles on this goroutine — through
+		// Compile, whose local-fill branch keeps the process-wide accounting
+		// and the fault probe the same with and without a sink.
+	}
+	f, compiled, err := b.cache.Compile(ckey, b.realm, ctrs, fill)
+	return &unit{tier: tier, f: f}, compiled, err
 }
 
 func optionsFor(arch vm.Arch, level core.TxLevel) ftl.Options {

@@ -1,6 +1,7 @@
 package jit_test
 
 import (
+	"slices"
 	"testing"
 
 	"nomap/internal/bytecode"
@@ -11,10 +12,13 @@ import (
 	"nomap/internal/vm"
 )
 
+// testPolicy tiers up within a few dozen calls.
+var testPolicy = profile.Policy{BaselineThreshold: 2, DFGThreshold: 8, FTLThreshold: 40, MaxDeopts: 16}
+
 func newEngine(arch vm.Arch) (*vm.VM, *jit.Backend) {
 	cfg := vm.DefaultConfig()
 	cfg.Arch = arch
-	cfg.Policy = profile.Policy{BaselineThreshold: 2, DFGThreshold: 8, FTLThreshold: 40, MaxDeopts: 16}
+	cfg.Policy = testPolicy
 	v := vm.New(cfg)
 	b := jit.Attach(v)
 	return v, b
@@ -26,7 +30,7 @@ func newEngine(arch vm.Arch) (*vm.VM, *jit.Backend) {
 func newEngineNoInline(arch vm.Arch) (*vm.VM, *jit.Backend) {
 	cfg := vm.DefaultConfig()
 	cfg.Arch = arch
-	cfg.Policy = profile.Policy{BaselineThreshold: 2, DFGThreshold: 8, FTLThreshold: 40, MaxDeopts: 16}
+	cfg.Policy = testPolicy
 	cfg.DisableInlining = true
 	v := vm.New(cfg)
 	b := jit.Attach(v)
@@ -98,22 +102,48 @@ func TestDeoptInvalidatesAndRecompiles(t *testing.T) {
 
 func TestCompiledFunctionsExposed(t *testing.T) {
 	v, b := newEngine(vm.ArchNoMap)
-	if _, err := v.Run(hotSrc); err != nil {
+	// One long call first, so run() holds an OSR artifact next to the
+	// invocation-entry artifact the later calls compile; zed() adds a second
+	// function.
+	if _, err := v.Run(hotSrc + `
+function zed(x) { return x + 1; }
+function long(n) {
+  var s = 0;
+  for (var i = 0; i < n; i++) s += arr[i & 31];
+  return zed(s);
+}
+`); err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := v.CallGlobal("long", value.Int(2000)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	drive(t, v, 100)
 	fns := b.CompiledFunctions()
-	if len(fns) == 0 {
-		t.Fatal("no compiled functions exposed")
-	}
-	foundTx := false
-	for _, f := range fns {
-		if f.TxAware {
-			foundTx = true
+	foundTx, foundOSR := false, false
+	for i, f := range fns {
+		foundTx = foundTx || f.TxAware
+		foundOSR = foundOSR || f.OSREntryPC >= 0
+		if i == 0 {
+			continue
 		}
+		if p := fns[i-1]; p.Name > f.Name || (p.Name == f.Name && p.OSREntryPC >= f.OSREntryPC) {
+			t.Errorf("entry %d (%s@%d) sorts before entry %d (%s@%d)", i, f.Name, f.OSREntryPC, i-1, p.Name, p.OSREntryPC)
+		}
+	}
+	if len(fns) < 4 || !foundOSR {
+		t.Fatalf("want long (invocation + OSR), run and zed compiled, got %d artifacts (OSR seen: %v)", len(fns), foundOSR)
 	}
 	if !foundTx {
 		t.Error("NoMap-compiled hot function should be transaction-aware")
+	}
+	// The order is a function of the cached code, not of map iteration.
+	for i := 0; i < 20; i++ {
+		if again := b.CompiledFunctions(); !slices.Equal(again, fns) {
+			t.Fatalf("call %d returned a different order", i)
+		}
 	}
 }
 

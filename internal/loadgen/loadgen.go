@@ -19,6 +19,7 @@ import (
 	"container/heap"
 	"math"
 
+	"nomap/internal/governor"
 	"nomap/internal/stats"
 )
 
@@ -51,9 +52,7 @@ func NewRand(seed uint64) *Rand {
 
 // Next returns the next 64-bit value.
 func (r *Rand) Next() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
+	r.s = governor.XorShift64(r.s)
 	return r.s
 }
 

@@ -51,7 +51,6 @@ func TestChaosSweepSingleArch(t *testing.T) {
 // bookkeeping included — must hold with the request path never compiling.
 func TestChaosSweepAsyncCompile(t *testing.T) {
 	cfg := DefaultChaosConfig()
-	cfg.Archs = []vm.Arch{vm.ArchNoMap, vm.ArchBase}
 	cfg.AsyncCompile = true
 	rep := ChaosSweep(cfg)
 	for _, f := range rep.Failures {

@@ -591,6 +591,12 @@ func (p *Pool) take(s spec) *isolate.Isolate {
 		return iso
 	}
 	p.mu.Unlock()
+	return p.newIsolate(s)
+}
+
+// newIsolate constructs a fresh isolate for s, connected to the pool's shared
+// code cache.
+func (p *Pool) newIsolate(s spec) *isolate.Isolate {
 	cfg := p.cfg.VM
 	cfg.Arch = s.arch
 	cfg.MaxTier = s.maxTier
@@ -601,17 +607,21 @@ func (p *Pool) take(s spec) *isolate.Isolate {
 	return iso
 }
 
-func (p *Pool) put(iso *isolate.Isolate) {
-	iso.Reset()
-	cfg := iso.Config()
-	s := spec{arch: cfg.Arch, maxTier: cfg.MaxTier}
+// park pushes a clean isolate onto s's free list. The list is bounded:
+// beyond 2× workers per spec the isolate is simply dropped (it holds no
+// shared state).
+func (p *Pool) park(s spec, iso *isolate.Isolate) {
 	p.mu.Lock()
-	// Bound the free list: beyond 2× workers per spec the isolate is
-	// simply dropped (it holds no shared state).
 	if len(p.idle[s]) < 2*p.cfg.Workers {
 		p.idle[s] = append(p.idle[s], iso)
 	}
 	p.mu.Unlock()
+}
+
+func (p *Pool) put(iso *isolate.Isolate) {
+	iso.Reset()
+	cfg := iso.Config()
+	p.park(spec{arch: cfg.Arch, maxTier: cfg.MaxTier}, iso)
 }
 
 // replace discards a crashed isolate (its heap may be torn mid-bytecode, so
@@ -619,19 +629,8 @@ func (p *Pool) put(iso *isolate.Isolate) {
 // which warm-starts from the snapshot store on its first serve. The caller
 // emits the EventReplace trace so it lands after the quarantine events.
 func (p *Pool) replace(s spec) {
-	cfg := p.cfg.VM
-	cfg.Arch = s.arch
-	cfg.MaxTier = s.maxTier
-	iso := isolate.New(cfg)
-	if p.cache != nil {
-		iso.UseCache(p.cache)
-	}
 	p.replacements.Add(1)
-	p.mu.Lock()
-	if len(p.idle[s]) < 2*p.cfg.Workers {
-		p.idle[s] = append(p.idle[s], iso)
-	}
-	p.mu.Unlock()
+	p.park(s, p.newIsolate(s))
 }
 
 // crashSite renders a recovered panic value as a stable (program, site)
