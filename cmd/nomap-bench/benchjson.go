@@ -33,6 +33,9 @@ type benchEntry struct {
 	Result       string `json:"result"`
 }
 
+// benchSchema is the BENCH_<n>.json schema version measureBench writes.
+const benchSchema = 1
+
 // benchFile is the BENCH_<n>.json schema: one record per PR so the perf
 // trajectory of the repo is recorded alongside the code.
 type benchFile struct {
@@ -63,7 +66,7 @@ func emitBenchJSON(path string, cfg harness.Config) error {
 // (OSREntries > 0 in the snapshot proves the single call reached optimized
 // code).
 func measureBench(cfg harness.Config) (benchFile, error) {
-	out := benchFile{Schema: 1, Arch: vm.ArchNoMap.String(), Warmup: cfg.Warmup, Measure: cfg.Measure}
+	out := benchFile{Schema: benchSchema, Arch: vm.ArchNoMap.String(), Warmup: cfg.Warmup, Measure: cfg.Measure}
 
 	var steady []workloads.Workload
 	steady = append(steady, workloads.SunSpider()...)

@@ -8,7 +8,20 @@ import (
 	"sort"
 
 	"nomap/internal/harness"
+	"nomap/internal/vm"
 )
+
+// baselineProtocol returns cfg under the protocol old records: cycles are
+// totals over Measure calls after Warmup calls, so only a snapshot repeating
+// both is comparable — and none this binary takes is, across schema or arch.
+func baselineProtocol(old benchFile, cfg harness.Config) (harness.Config, error) {
+	if old.Schema != benchSchema || old.Arch != vm.ArchNoMap.String() {
+		return cfg, fmt.Errorf("baseline is schema %d under arch %q, this binary measures schema %d under %v",
+			old.Schema, old.Arch, benchSchema, vm.ArchNoMap)
+	}
+	cfg.Warmup, cfg.Measure = old.Warmup, old.Measure
+	return cfg, nil
+}
 
 // compareBench measures a fresh snapshot with the current engine, diffs its
 // simulated cycles against a committed baseline file, and fails (non-nil
@@ -17,7 +30,7 @@ import (
 // drifted from the baseline is an error regardless of its cycle count, so a
 // "speedup" can never be bought with a wrong answer. Workloads present on
 // only one side (suite additions or removals) are reported but excluded from
-// the geomean.
+// the geomean. -warmup/-measure do not apply: the baseline's protocol does.
 func compareBench(oldPath, jsonOut string, maxRegress float64, cfg harness.Config) error {
 	data, err := os.ReadFile(oldPath)
 	if err != nil {
@@ -25,6 +38,9 @@ func compareBench(oldPath, jsonOut string, maxRegress float64, cfg harness.Confi
 	}
 	var old benchFile
 	if err := json.Unmarshal(data, &old); err != nil {
+		return fmt.Errorf("%s: %w", oldPath, err)
+	}
+	if cfg, err = baselineProtocol(old, cfg); err != nil {
 		return fmt.Errorf("%s: %w", oldPath, err)
 	}
 	cur, err := measureBench(cfg)
@@ -55,7 +71,7 @@ func compareBench(oldPath, jsonOut string, maxRegress float64, cfg harness.Confi
 	total := suiteAcc{}
 	var resultDrift []string
 
-	fmt.Printf("cycle deltas vs %s (negative = faster):\n", oldPath)
+	fmt.Printf("cycle deltas vs %s at its protocol, warmup %d measure %d (negative = faster):\n", oldPath, cfg.Warmup, cfg.Measure)
 	for _, e := range cur.Workloads {
 		o, ok := oldByID[e.ID]
 		delete(oldByID, e.ID)

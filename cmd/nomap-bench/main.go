@@ -34,8 +34,8 @@ func main() {
 			"under Arch=NoMap, plus cold single-call OSR workloads) to this path instead of running experiments")
 	compare := flag.String("compare", "",
 		"measure a fresh snapshot and print per-workload, per-suite, and overall geomean cycle "+
-			"deltas against this baseline BENCH_<n>.json; combine with -json to also write the "+
-			"fresh snapshot; exits non-zero past -max-regress")
+			"deltas against this baseline BENCH_<n>.json, under its own warmup/measure (the flags "+
+			"are ignored); -json also writes the fresh snapshot; exits non-zero past -max-regress")
 	maxRegress := flag.Float64("max-regress", 2.0,
 		"with -compare: fail when the overall cycle geomean regresses by more than this percent")
 	verbose := flag.Bool("v", false, "print per-measurement progress")

@@ -7,7 +7,6 @@
 //
 //	nomap-governor -workload A01                 # abort storm, NoMap config
 //	nomap-governor -workload A03 -arch NoMap_RTM -calls 300
-//	nomap-governor -workload A01 -legacy         # pre-governor A/B baseline
 //	nomap-governor -workload A01 -max-squashed 40000   # CI ceiling (exit 1)
 package main
 
@@ -16,7 +15,7 @@ import (
 	"fmt"
 	"os"
 
-	"nomap/internal/governor"
+	"nomap/internal/harness"
 	"nomap/internal/jit"
 	"nomap/internal/profile"
 	"nomap/internal/vm"
@@ -27,8 +26,7 @@ func main() {
 	workload := flag.String("workload", "A01", "workload ID (A01..A04, S01.., K01..)")
 	archName := flag.String("arch", "NoMap", "architecture configuration")
 	calls := flag.Int("calls", 200, "number of run() calls")
-	legacy := flag.Bool("legacy", false, "use the pre-governor recovery policy (A/B baseline)")
-	maxDeopts := flag.Int64("max-deopts", 200, "whole-function deopt budget (high so the legacy policy is visible, not capped)")
+	maxDeopts := flag.Int64("max-deopts", 200, "whole-function deopt budget (high so a storm is visible, not capped by a tier ban)")
 	maxSquashed := flag.Int64("max-squashed", -1, "exit 1 if CyclesSquashed exceeds this ceiling (-1 disables)")
 	flag.Parse()
 
@@ -46,14 +44,10 @@ func main() {
 	cfg := vm.DefaultConfig()
 	cfg.Arch = arch
 	cfg.MaxTier = profile.TierFTL
-	cfg.Policy = profile.Policy{BaselineThreshold: 2, DFGThreshold: 8, FTLThreshold: 40, MaxDeopts: *maxDeopts}
+	cfg.Policy = harness.FastPolicy()
+	cfg.Policy.MaxDeopts = *maxDeopts
 	v := vm.New(cfg)
 	b := jit.Attach(v)
-	if *legacy {
-		pol := governor.DefaultPolicy(!arch.HeavyweightHTM())
-		pol.Legacy = true
-		b.SetGovernorPolicy(pol)
-	}
 
 	if _, err := v.Run(w.Source); err != nil {
 		fmt.Fprintf(os.Stderr, "nomap-governor: %s setup: %v\n", w.ID, err)
@@ -70,7 +64,7 @@ func main() {
 	}
 
 	c := v.Counters()
-	fmt.Printf("%s (%s) under %v, %d calls, policy=%s\n", w.ID, w.Name, arch, *calls, policyName(*legacy))
+	fmt.Printf("%s (%s) under %v, %d calls\n", w.ID, w.Name, arch, *calls)
 	fmt.Printf("  result            %s\n", last)
 	fmt.Printf("  FTL calls         %d (compiles: baseline=%d dfg=%d ftl=%d)\n",
 		c.FTLCalls, c.Compilations[profile.TierBaseline], c.Compilations[profile.TierDFG], c.Compilations[profile.TierFTL])
@@ -106,11 +100,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nomap-governor: CyclesSquashed %d exceeds ceiling %d\n", c.CyclesSquashed, *maxSquashed)
 		os.Exit(1)
 	}
-}
-
-func policyName(legacy bool) string {
-	if legacy {
-		return "legacy"
-	}
-	return "governor"
 }

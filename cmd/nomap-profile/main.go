@@ -81,7 +81,7 @@ func main() {
 	if *dumpIR {
 		cfg := vm.DefaultConfig()
 		cfg.Arch = arch
-		cfg.Policy = profile.Policy{BaselineThreshold: 2, DFGThreshold: 8, FTLThreshold: 40, MaxDeopts: 16}
+		cfg.Policy = harness.FastPolicy()
 		v := vm.New(cfg)
 		backend := jit.Attach(v)
 		if _, err := v.Run(src); err != nil {

@@ -51,6 +51,9 @@ type serveScenario struct {
 	Result loadgen.SimResult    `json:"result"`
 }
 
+// serveBenchSchema is the BENCH_SERVE.json version measureServeBench writes.
+const serveBenchSchema = 1
+
 // serveBenchFile is the BENCH_SERVE.json schema.
 type serveBenchFile struct {
 	Schema    int             `json:"schema"`
@@ -72,7 +75,7 @@ func scenarioQPS(workers int, serviceCycles int64) int64 {
 
 // measureServeBench measures every scenario with the current engine.
 func measureServeBench(cfg vm.Config) (serveBenchFile, error) {
-	out := serveBenchFile{Schema: 1, Arch: cfg.Arch.String()}
+	out := serveBenchFile{Schema: serveBenchSchema, Arch: cfg.Arch.String()}
 
 	var steadyKeys []loadgen.KeyProfile
 	var warmSum int64
@@ -160,6 +163,17 @@ func emitServeBench(path string, cfg vm.Config) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// comparableWith refuses a baseline of another schema, or one whose service
+// costs were measured under another architecture: the difference would read
+// as a regression, or a win, that is neither.
+func (old serveBenchFile) comparableWith(arch vm.Arch) error {
+	if old.Schema != serveBenchSchema || old.Arch != arch.String() {
+		return fmt.Errorf("baseline is schema %d under arch %q, this run measures schema %d under %v",
+			old.Schema, old.Arch, serveBenchSchema, arch)
+	}
+	return nil
+}
+
 // compareServe re-measures the scenarios and diffs them against a committed
 // baseline. Gates: a workload result pinned in any key profile must not
 // drift (a throughput win can never be bought with a wrong answer), and per
@@ -173,6 +187,9 @@ func compareServe(oldPath, jsonOut string, maxRegress float64, cfg vm.Config) er
 	}
 	var old serveBenchFile
 	if err := json.Unmarshal(data, &old); err != nil {
+		return fmt.Errorf("%s: %w", oldPath, err)
+	}
+	if err := old.comparableWith(cfg.Arch); err != nil {
 		return fmt.Errorf("%s: %w", oldPath, err)
 	}
 	cur, err := measureServeBench(cfg)

@@ -22,8 +22,8 @@ func Compile(prog *ast.Program) (*Function, error) {
 }
 
 // CompileNoFuse compiles without the peephole fusion pass: the exact
-// one-op-per-step codegen output. It is the DisableBoxing A/B baseline and a
-// reference semantics for differential tests.
+// one-op-per-step codegen output, the reference semantics the peephole pass
+// is checked against in differential tests.
 func CompileNoFuse(prog *ast.Program) (*Function, error) {
 	return compileProg(prog)
 }

@@ -39,12 +39,40 @@ func (a CheckSite) Compare(b CheckSite) int {
 // Less reports whether a sorts before b in the canonical order.
 func (a CheckSite) Less(b CheckSite) bool { return a.Compare(b) < 0 }
 
+// Family is the site's dispatch family — pc and inline path, no class or
+// shape: every guard of one dispatch tree shares it, and demote sets are
+// keyed by it.
+func (a CheckSite) Family() CheckSite { return CheckSite{PC: a.PC, Path: a.Path} }
+
+// Site is one failing site as it travels from the machine to the governor's
+// ledgers: the function whose compiled code holds it (a callee, when the
+// failure unwound to a caller's transaction), its recompilation-stable
+// identity, whether it guards a dispatch tree, and the IR value id — the
+// last diagnostic only, as value numbering does not survive recompilation.
+type Site struct {
+	Fn string
+	CheckSite
+	Dispatch bool
+	ValueID  int
+}
+
+// SiteOf names the site of v in fn's compiled code. class is the failing
+// check's class, or stats.CheckOther when v is not a check (an overflowing
+// write, a transaction boundary, the call whose callee was irrevocable).
+func SiteOf(fn string, v *ir.Value, class stats.CheckClass) Site {
+	return Site{Fn: fn, Dispatch: v.Dispatch, ValueID: v.ID,
+		CheckSite: CheckSite{PC: v.BCPos, Class: class, Path: v.InlinePath(), Shape: v.DispatchShape()}}
+}
+
 // KeepSet selects check sites whose Stack Map Points must be preserved when
 // the site sits inside a transaction — the abort-recovery governor's surgical
 // SMP restoration: a site that aborts persistently deopts through its SMP
 // instead of aborting the whole transaction, while every other check in the
 // transaction keeps its NoMap treatment.
 type KeepSet map[CheckSite]bool
+
+// HasFamily reports whether the dispatch family at (pc, path) is in the set.
+func (k KeepSet) HasFamily(pc int, path string) bool { return k[CheckSite{PC: pc, Path: path}] }
 
 // TxLevel is the transaction placement policy for one function (§V-C): by
 // default transactions wrap top-level loop nests (with tile commits at back
@@ -206,7 +234,7 @@ func wrapLoop(f *ir.Func, l *ir.Loop, tiled bool, keep KeepSet) bool {
 	// aborters and routes their failures through deoptimization instead.
 	for _, b := range l.BlockList() {
 		for _, v := range b.Values {
-			if v.Op.IsCheck() && !keep[CheckSite{PC: v.BCPos, Class: v.Check, Path: v.InlinePath(), Shape: v.DispatchShape()}] {
+			if v.Op.IsCheck() && !keep[SiteOf(f.Name, v, v.Check).CheckSite] {
 				v.Deopt = nil
 			}
 		}

@@ -32,7 +32,6 @@ import (
 
 	"nomap/internal/core"
 	"nomap/internal/htm"
-	"nomap/internal/stats"
 )
 
 // Policy holds the governor's deterministic tuning constants.
@@ -56,10 +55,6 @@ type Policy struct {
 	// AllowTiling mirrors the §V-C ladder shape: lightweight ROT retreats
 	// through TxTiled, heavyweight RTM skips it.
 	AllowTiling bool
-	// Legacy reproduces the pre-governor policy for A/B comparison: one-way
-	// §V-C retreat on capacity aborts, every other transfer charged to the
-	// whole-function deopt budget, no SMP restoration, no re-promotion.
-	Legacy bool
 }
 
 // DefaultPolicy returns the tuning used by the runtime.
@@ -82,25 +77,14 @@ type Transfer struct {
 	Fn      string
 	Aborted bool
 	Cause   htm.AbortCause
-	Class   stats.CheckClass
-	// SiteFn/SitePC identify the failing site, which may sit in a callee
-	// executing inside Fn's transaction; ledger policy applies to it.
-	SiteFn string
-	SitePC int
-	// SitePath is the inline path of the failing site when the inliner
-	// flattened it into SiteFn's compiled code ("" for sites in SiteFn's own
-	// code): the same callee inlined at two call sites aborts as two distinct
-	// ledger entries.
-	SitePath string
-	// Shape names the per-shape dispatch variant when the failing site
-	// belongs to a polymorphic dispatch tree ("" otherwise): ledgers become
-	// per-shape, so one hot wrong-shape receiver is distinguishable from a
-	// megamorphic storm spread across many.
-	Shape string
-	// Dispatch marks the failing site as a dispatch-tree guard. Dispatch
-	// misses feed the site's demotion budget instead of SMP restoration or
-	// the whole-function deopt budget.
-	Dispatch bool
+	// Site is the failing site; ledger policy applies to it. Site.Fn may be
+	// a callee executing inside Fn's transaction ("" means Fn). An inline
+	// path keeps the same callee inlined at two call sites two ledger
+	// entries; a dispatch-tree guard's Shape makes ledgers per-shape, so one
+	// hot wrong-shape receiver is distinguishable from a megamorphic storm.
+	// Dispatch misses feed the site's demotion budget instead of SMP
+	// restoration or the whole-function deopt budget.
+	Site core.Site
 	// HadCalls reports whether the aborted transaction's function contained
 	// calls (§V-C: the callee is blamed for the overflow).
 	HadCalls bool
@@ -206,12 +190,11 @@ func (g *Governor) DemoteSet(fn string) core.KeepSet {
 // but never charge the whole-function deopt budget: demotion must win before
 // Baseline pinning.
 func (g *Governor) noteDispatchMiss(ss *funcState, t Transfer) Decision {
-	fam := core.CheckSite{PC: t.SitePC, Path: t.SitePath}
 	drop := []string{t.Fn}
-	if t.SiteFn != "" && t.SiteFn != t.Fn {
-		drop = append(drop, t.SiteFn)
+	if t.Site.Fn != t.Fn {
+		drop = append(drop, t.Site.Fn)
 	}
-	return Decision{Recompile: true, DemotedDispatch: ss.dispatch.charge(fam, g.pol.CheckAbortBudget), Drop: drop}
+	return Decision{Recompile: true, DemotedDispatch: ss.dispatch.charge(t.Site.Family(), g.pol.CheckAbortBudget), Drop: drop}
 }
 
 // LevelFor returns the transaction placement level fn must compile at.
@@ -258,6 +241,9 @@ func (g *Governor) OSRAllowed(fn string, pc int) bool {
 
 // OnTransfer reacts to one abort or OSR exit surfacing in fn's frame.
 func (g *Governor) OnTransfer(t Transfer) Decision {
+	if t.Site.Fn == "" {
+		t.Site.Fn = t.Fn
+	}
 	dec := g.transferDecision(t)
 	// OSR-entry sites are first-class abort sites: every transfer out of an
 	// OSR artifact — abort or plain deopt — charges its header's ledger. Past
@@ -275,24 +261,11 @@ func (g *Governor) OnTransfer(t Transfer) Decision {
 
 func (g *Governor) transferDecision(t Transfer) Decision {
 	st := g.state(t.Fn)
-	if g.pol.Legacy {
-		if t.Aborted && t.Cause == htm.AbortCapacity {
-			st.level = st.level.Lower(t.HadCalls, g.pol.AllowTiling)
-			st.proven = st.level
-			return Decision{Recompile: true, Drop: []string{t.Fn}}
-		}
-		return Decision{Recompile: true, ChargeDeopt: true, Drop: []string{t.Fn}}
-	}
-
-	siteFn := t.SiteFn
-	if siteFn == "" {
-		siteFn = t.Fn
-	}
-	site := core.CheckSite{PC: t.SitePC, Class: t.Class, Path: t.SitePath, Shape: t.Shape}
+	site := t.Site.CheckSite
 
 	if !t.Aborted {
-		ss := g.state(siteFn)
-		if t.Dispatch {
+		ss := g.state(t.Site.Fn)
+		if t.Site.Dispatch {
 			// A dispatch-guard miss outside a transaction: the receiver
 			// matched no speculated way. Per-shape ledger plus family
 			// demotion budget; never the whole-function deopt budget.
@@ -302,7 +275,7 @@ func (g *Governor) transferDecision(t Transfer) Decision {
 		// Plain OSR exit. A restored-SMP site deopting is the governed
 		// steady state: the tail of the call re-runs in Baseline, the
 		// cached code stays, and the budget is untouched. Any other exit
-		// keeps the legacy semantics — charge the budget and recompile
+		// keeps the plain budget semantics — charge it and recompile
 		// with refreshed feedback, which is how type storms self-heal.
 		if ss.sites.tripped(site) {
 			ss.sites.bump(site, 0, 1)
@@ -343,8 +316,8 @@ func (g *Governor) transferDecision(t Transfer) Decision {
 		return Decision{Recompile: true, Drop: []string{t.Fn}}
 
 	default: // AbortCheck, AbortSOF
-		ss := g.state(siteFn)
-		if t.Dispatch {
+		ss := g.state(t.Site.Fn)
+		if t.Site.Dispatch {
 			// In-transaction dispatch miss (the tail guard aborted): same
 			// demotion ledger as the deopt path — dispatch guards demote to
 			// the generic path rather than earning restored SMPs.
@@ -356,8 +329,8 @@ func (g *Governor) transferDecision(t Transfer) Decision {
 		// a transactional abort. At budget: restore the site's SMP.
 		restored := ss.sites.charge(site, g.pol.CheckAbortBudget)
 		drop := []string{t.Fn}
-		if restored && siteFn != t.Fn {
-			drop = append(drop, siteFn)
+		if restored && t.Site.Fn != t.Fn {
+			drop = append(drop, t.Site.Fn)
 		}
 		return Decision{Recompile: true, RestoredSMP: restored, Drop: drop}
 	}
@@ -383,9 +356,6 @@ func (g *Governor) OnClean(fn string, commits int64) Decision {
 		st.osr.decay(false)
 	}
 
-	if g.pol.Legacy {
-		return Decision{}
-	}
 	start, confirmed := st.clean(units, st.level == core.TxLoopNest)
 	if confirmed {
 		// Probe survived a full window: the higher level is proven.

@@ -8,9 +8,13 @@ import (
 	"nomap/internal/stats"
 )
 
+// at names a failing site the way the machine reports it.
+func at(fn string, pc int, class stats.CheckClass, path string) core.Site {
+	return core.Site{Fn: fn, CheckSite: core.CheckSite{PC: pc, Class: class, Path: path}}
+}
+
 func checkAbort(fn string, pc int) Transfer {
-	return Transfer{Fn: fn, Aborted: true, Cause: htm.AbortCheck,
-		Class: stats.CheckBounds, SiteFn: fn, SitePC: pc}
+	return Transfer{Fn: fn, Aborted: true, Cause: htm.AbortCheck, Site: at(fn, pc, stats.CheckBounds, "")}
 }
 
 func capacityAbort(fn string, hadCalls bool) Transfer {
@@ -55,12 +59,12 @@ func TestKeptSiteDeoptIsFree(t *testing.T) {
 	for i := int64(0); i < g.Policy().CheckAbortBudget; i++ {
 		g.OnTransfer(checkAbort("f", 7))
 	}
-	dec := g.OnTransfer(Transfer{Fn: "f", SiteFn: "f", SitePC: 7, Class: stats.CheckBounds})
+	dec := g.OnTransfer(Transfer{Fn: "f", Site: at("f", 7, stats.CheckBounds, "")})
 	if dec.Recompile || dec.ChargeDeopt || len(dec.Drop) != 0 {
 		t.Fatalf("kept-site deopt: got %+v, want no-op decision", dec)
 	}
 	// An exit at a different, un-restored site keeps the legacy semantics.
-	dec = g.OnTransfer(Transfer{Fn: "f", SiteFn: "f", SitePC: 9, Class: stats.CheckType})
+	dec = g.OnTransfer(Transfer{Fn: "f", Site: at("f", 9, stats.CheckType, "")})
 	if !dec.Recompile || !dec.ChargeDeopt {
 		t.Fatalf("plain deopt: got %+v, want charge+recompile", dec)
 	}
@@ -71,8 +75,7 @@ func TestKeptSiteDeoptIsFree(t *testing.T) {
 // functions' code when the SMP is restored.
 func TestCalleeSiteAbort(t *testing.T) {
 	g := New(DefaultPolicy(true))
-	tr := Transfer{Fn: "caller", Aborted: true, Cause: htm.AbortCheck,
-		Class: stats.CheckBounds, SiteFn: "callee", SitePC: 3}
+	tr := Transfer{Fn: "caller", Aborted: true, Cause: htm.AbortCheck, Site: at("callee", 3, stats.CheckBounds, "")}
 	var dec Decision
 	for i := int64(0); i < g.Policy().CheckAbortBudget; i++ {
 		dec = g.OnTransfer(tr)
@@ -141,8 +144,7 @@ func TestHadCallsPins(t *testing.T) {
 // as a root-code site could have, but carrying the inline path that names
 // which flattened activation the failing check came from.
 func pathAbort(fn string, pc int, path string) Transfer {
-	return Transfer{Fn: fn, Aborted: true, Cause: htm.AbortCheck,
-		Class: stats.CheckBounds, SiteFn: fn, SitePC: pc, SitePath: path}
+	return Transfer{Fn: fn, Aborted: true, Cause: htm.AbortCheck, Site: at(fn, pc, stats.CheckBounds, path)}
 }
 
 // TestInlinePathSiteLedgers: sites that differ only in inline path are
@@ -182,8 +184,8 @@ func TestInlinePathSiteLedgers(t *testing.T) {
 	if len(fk) != 1 || !fk[site] {
 		t.Fatalf("restored keep set = %v, want exactly %v", fk, site)
 	}
-	d1 := g.OnTransfer(Transfer{Fn: "f", SiteFn: "f", SitePC: 7, Class: stats.CheckBounds, SitePath: "g@5"})
-	d2 := fresh.OnTransfer(Transfer{Fn: "f", SiteFn: "f", SitePC: 7, Class: stats.CheckBounds, SitePath: "g@5"})
+	d1 := g.OnTransfer(Transfer{Fn: "f", Site: at("f", 7, stats.CheckBounds, "g@5")})
+	d2 := fresh.OnTransfer(Transfer{Fn: "f", Site: at("f", 7, stats.CheckBounds, "g@5")})
 	if d1.Recompile || d1.ChargeDeopt || d2.Recompile || d2.ChargeDeopt {
 		t.Fatalf("kept inlined site's deopt not free: donor %+v, restored %+v", d1, d2)
 	}
@@ -414,35 +416,6 @@ func TestLedgerDecay(t *testing.T) {
 	}
 	if len(g.KeepSet("f")) != 1 {
 		t.Fatal("restored SMP lost to ledger decay")
-	}
-}
-
-// TestLegacyPolicy reproduces the pre-governor behaviour: capacity aborts
-// walk the one-way §V-C ladder, everything else charges the budget, and no
-// probation ever starts.
-func TestLegacyPolicy(t *testing.T) {
-	pol := DefaultPolicy(true)
-	pol.Legacy = true
-	g := New(pol)
-	dec := g.OnTransfer(capacityAbort("f", false))
-	if !dec.Recompile || dec.ChargeDeopt {
-		t.Fatalf("legacy capacity: got %+v, want uncharged recompile", dec)
-	}
-	if g.LevelFor("f") != core.TxInnermost {
-		t.Fatalf("legacy level = %v, want innermost", g.LevelFor("f"))
-	}
-	for i := 0; i < 1000; i++ {
-		if dec := g.OnClean("f", 1); dec.Recompile {
-			t.Fatal("legacy policy must never re-promote")
-		}
-	}
-	dec = g.OnTransfer(checkAbort("f", 7))
-	if !dec.Recompile || !dec.ChargeDeopt || dec.RestoredSMP {
-		t.Fatalf("legacy check abort: got %+v, want charged recompile", dec)
-	}
-	dec = g.OnTransfer(Transfer{Fn: "f", Aborted: true, Cause: htm.AbortIrrevocable})
-	if !dec.ChargeDeopt {
-		t.Fatalf("legacy irrevocable: got %+v, want charged", dec)
 	}
 }
 

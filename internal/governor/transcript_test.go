@@ -153,20 +153,22 @@ func governorTranscript(seed uint64, pol Policy) uint64 {
 			abortPct = 55
 		}
 		if r.chance(abortPct) {
+			// Drawn in the order the hashes were recorded under: Aborted, Cause,
+			// Class, site Fn, PC, then Path, Dispatch and Shape.
 			t := Transfer{
 				Fn:      fn,
 				Aborted: r.chance(70),
 				Cause:   pick(&r, htm.AbortCheck, htm.AbortCheck, htm.AbortCheck, htm.AbortCheck, htm.AbortSOF, htm.AbortSOF, htm.AbortCapacity),
-				Class:   pick(&r, stats.CheckBounds, stats.CheckBounds, stats.CheckType),
-				SiteFn:  pick(&r, "", fn, fmt.Sprintf("g%d", epoch)),
-				SitePC:  pick(&r, 3, 7, 7, 7),
 			}
+			t.Site.Class = pick(&r, stats.CheckBounds, stats.CheckBounds, stats.CheckType)
+			t.Site.Fn = pick(&r, "", fn, fmt.Sprintf("g%d", epoch))
+			t.Site.PC = pick(&r, 3, 7, 7, 7)
 			if r.chance(15) {
-				t.SitePath = "g@5"
+				t.Site.Path = "g@5"
 			}
 			if r.chance(20) {
-				t.Dispatch = true
-				t.Shape = pick(&r, "", "s1", "s2")
+				t.Site.Dispatch = true
+				t.Site.Shape = pick(&r, "", "s1", "s2")
 			}
 			if t.Cause == htm.AbortCapacity && r.chance(10) {
 				t.HadCalls = true
@@ -277,8 +279,6 @@ func contentionTranscript(seed uint64, pol ContentionPolicy) uint64 {
 func TestFrozenDecisionTranscript(t *testing.T) {
 	tightLadder := ResiliencePolicy{RetireAfterCrashes: 2, TripThreshold: 2, TripWindow: 8,
 		RepromoteWindow: 4, ProbationBackoff: 3, ProbeEvery: 3, BackoffBase: 10, BackoffCap: 300, Seed: 9}
-	legacy := DefaultPolicy(true)
-	legacy.Legacy = true
 	cases := []struct {
 		name string
 		got  uint64
@@ -286,7 +286,6 @@ func TestFrozenDecisionTranscript(t *testing.T) {
 	}{
 		{"governor/rot", governorTranscript(1, DefaultPolicy(true)), 0x1ac687a16ecfe8ce},
 		{"governor/rtm", governorTranscript(2, DefaultPolicy(false)), 0x5802ebb4997a435c},
-		{"governor/legacy", governorTranscript(7, legacy), 0x6518863c9c6ab4cf},
 		{"resilience/default", resilienceTranscript(3, DefaultResiliencePolicy(42)), 0x91e75c5d59141f3b},
 		{"resilience/tight", resilienceTranscript(4, tightLadder), 0x6af6757de60cb686},
 		{"contention/default", contentionTranscript(5, DefaultContentionPolicy(7)), 0x4f18971801cb11d3},

@@ -12,7 +12,6 @@ package harness
 import (
 	"fmt"
 
-	"nomap/internal/governor"
 	"nomap/internal/jit"
 	"nomap/internal/profile"
 	"nomap/internal/stats"
@@ -29,9 +28,6 @@ type Config struct {
 	// Policy sets tier-up thresholds; the default promotes quickly so
 	// simulation time is spent in steady state, not warm-up.
 	Policy profile.Policy
-	// LegacyRecovery switches the jit backend to the pre-governor recovery
-	// policy (the RecoveryTable experiment's A/B baseline).
-	LegacyRecovery bool
 	// Verbose callbacks (optional): invoked per measurement.
 	Progress func(w workloads.Workload, arch vm.Arch)
 }
@@ -114,12 +110,7 @@ func newVM(arch vm.Arch, maxTier profile.Tier, cfg Config) *vm.VM {
 		vcfg.Policy = cfg.Policy
 	}
 	v := vm.New(vcfg)
-	b := jit.Attach(v)
-	if cfg.LegacyRecovery {
-		pol := governor.DefaultPolicy(!arch.HeavyweightHTM())
-		pol.Legacy = true
-		b.SetGovernorPolicy(pol)
-	}
+	jit.Attach(v)
 	return v
 }
 

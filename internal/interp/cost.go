@@ -22,9 +22,9 @@ func costMove(baseline bool) int64 { return 1 }
 // costArith models the arithmetic paths. Baseline inlines an int32 fast path
 // and calls the runtime for anything else; the interpreter always pays
 // generic operand handling. The boxed fast path (NaN-boxed registers, raw
-// int32 payload arithmetic with no box/unbox round trip) shaves the fat
-// representation's load/store traffic off both tiers; DisableBoxing routes
-// everything through the unboxed costs, reproducing the seed model.
+// int32 payload arithmetic with no box/unbox round trip) shaves the
+// box/unbox load/store traffic off both tiers; int operands on an op the
+// fast path declines (Div, Mod) take the generic fallback at the unboxed cost.
 func costArith(baseline, bothInt, boxed bool) int64 {
 	if baseline {
 		if bothInt {

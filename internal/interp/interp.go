@@ -37,10 +37,6 @@ type Host interface {
 	// Handles returns the isolate's NaN-box handle slab (string/object
 	// indices shared by every tier's register files).
 	Handles() *value.Handles
-	// Boxing reports whether the boxed fast paths (and their cost model) are
-	// enabled; false is the DisableBoxing A/B surface, which routes every op
-	// through the generic unbox path at the seed cost model.
-	Boxing() bool
 	// Call invokes a function value through the tiering machinery.
 	Call(fn *value.Function, this value.Value, args []value.Value) (value.Value, error)
 	// Construct implements `new fn(args)`.
@@ -102,7 +98,6 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 	code := fn.Code
 	regs := fr.Locals
 	hd := h.Handles()
-	boxedFast := h.Boxing()
 	baseline := tier != profile.TierInterp
 	prof := h.ProfileFor(fn)
 	if fr.BackEdges != 0 {
@@ -160,7 +155,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			bytecode.OpGreaterEq, bytecode.OpEq, bytecode.OpNeq,
 			bytecode.OpStrictEq, bytecode.OpStrictNeq:
 			ab, bb := regs[in.B], regs[in.C]
-			if boxedFast && ab.IsInt32() && bb.IsInt32() {
+			if ab.IsInt32() && bb.IsInt32() {
 				if res, ok := intBinFast(in.Op, ab.Int32(), bb.Int32(), baseline, prof, fr.PC); ok {
 					regs[in.A] = res
 					instrs += costArith(baseline, true, true)
@@ -199,7 +194,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			}
 			kv := fn.Consts[in.C]
 			ab := regs[in.B]
-			if boxedFast && ab.IsInt32() && kv.IsInt32() {
+			if ab.IsInt32() && kv.IsInt32() {
 				if res, ok := intBinFast(op, ab.Int32(), kv.Int32(), baseline, prof, fr.PC); ok {
 					regs[in.A] = res
 					instrs += costArith(baseline, true, true) + 1
@@ -222,7 +217,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			// store, the five-instruction ++/-- pattern at one dispatch.
 			delta := in.B
 			x := regs[in.A]
-			if boxedFast && x.IsInt32() {
+			if x.IsInt32() {
 				xi := x.Int32()
 				if baseline {
 					prof.Arith[fr.PC].Observe(value.Int(xi), value.Int(delta))
@@ -267,7 +262,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 				bb = regs[in.B]
 			}
 			var cond bool
-			if boxedFast && ab.IsInt32() && ((konst && kv.IsInt32()) || (!konst && bb.IsInt32())) {
+			if ab.IsInt32() && ((konst && kv.IsInt32()) || (!konst && bb.IsInt32())) {
 				ri := kv.Int32()
 				if !konst {
 					ri = bb.Int32()

@@ -71,29 +71,7 @@ func expandSite(f *Func, b *Block, ci int, v *Value, plan *ic.Plan) {
 
 	// Split b at the placeholder: the tail (with the original terminator)
 	// moves to a continuation block the way bodies rejoin at.
-	cont := f.NewBlock()
-	cont.Kind = b.Kind
-	cont.Control = b.Control
-	cont.BackEdge = b.BackEdge
-	cont.Inline = b.Inline
-	cont.StartPC = b.StartPC
-	cont.Values = append(cont.Values, b.Values[ci+1:]...)
-	for _, w := range cont.Values {
-		w.Block = cont
-	}
-	cont.Succs = b.Succs
-	for _, s := range cont.Succs {
-		for i, p := range s.Preds {
-			if p == b {
-				s.Preds[i] = cont
-			}
-		}
-	}
-	b.Values = b.Values[:ci] // drops the placeholder call
-	b.Kind = BlockPlain
-	b.Control = nil
-	b.Succs = nil
-	b.BackEdge = false
+	cont := splitAt(b, ci)
 
 	// newVal stamps a dispatch-tree value with the site's position.
 	newVal := func(blk *Block, op Op, t Type, args ...*Value) *Value {

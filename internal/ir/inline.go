@@ -245,30 +245,10 @@ func inlineSite(f *Func, b *Block, ci int, opts InlineOptions) bool {
 	}
 
 	// Split the caller block at the call: the tail (with the original
-	// terminator) moves to a continuation block, the head falls through to
-	// the flattened callee, and the callee's returns feed the continuation.
-	cont := f.NewBlock()
-	cont.Kind = b.Kind
-	cont.Control = b.Control
-	cont.BackEdge = b.BackEdge
-	cont.Inline = b.Inline
-	cont.Values = append(cont.Values, b.Values[ci+1:]...)
-	for _, w := range cont.Values {
-		w.Block = cont
-	}
-	cont.Succs = b.Succs
-	for _, s := range cont.Succs {
-		for i, p := range s.Preds {
-			if p == b {
-				s.Preds[i] = cont
-			}
-		}
-	}
-	b.Values = b.Values[:ci] // drops the call; the guard stays
-	b.Kind = BlockPlain
-	b.Control = nil
-	b.Succs = nil
-	b.BackEdge = false
+	// terminator) moves to a continuation block, the head (the guard stays)
+	// falls through to the flattened callee, and the callee's returns feed
+	// the continuation.
+	cont := splitAt(b, ci)
 	AddEdge(b, bmap[cf.Entry])
 
 	var result *Value

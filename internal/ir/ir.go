@@ -318,6 +318,36 @@ func (f *Func) NewBlock() *Block {
 	return b
 }
 
+// splitAt drops b.Values[ci] and moves the values after it, with b's
+// terminator and successor edges, to a new continuation block it returns; b
+// is left plain with no successor, for the caller to wire up. StartPC stays
+// with b: the continuation must never pass for the loop header b may be.
+func splitAt(b *Block, ci int) *Block {
+	cont := b.Fn.NewBlock()
+	cont.Kind = b.Kind
+	cont.Control = b.Control
+	cont.BackEdge = b.BackEdge
+	cont.Inline = b.Inline
+	cont.Values = append(cont.Values, b.Values[ci+1:]...)
+	for _, w := range cont.Values {
+		w.Block = cont
+	}
+	cont.Succs = b.Succs
+	for _, s := range cont.Succs {
+		for i, p := range s.Preds {
+			if p == b {
+				s.Preds[i] = cont
+			}
+		}
+	}
+	b.Values = b.Values[:ci]
+	b.Kind = BlockPlain
+	b.Control = nil
+	b.Succs = nil
+	b.BackEdge = false
+	return cont
+}
+
 // NewValue creates a value in block b.
 func (b *Block) NewValue(op Op, t Type, args ...*Value) *Value {
 	v := &Value{ID: b.Fn.nextValueID, Op: op, Type: t, Args: args, Block: b}

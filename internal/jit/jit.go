@@ -104,11 +104,6 @@ func Attach(v *vm.VM) *Backend {
 		profiles:  v.ProfileFor,
 		noIC:      v.Config().DisableIC,
 	}
-	if v.Config().DisableBoxing {
-		// A/B: the fat two-word value layout doubles the modeled heap stride,
-		// so transactions span more write lines for the same logical writes.
-		b.mach.SetFatValues(true)
-	}
 	v.SetJIT(b)
 	return b
 }
@@ -145,17 +140,13 @@ func (b *Backend) Machine() *machine.Machine { return b.mach }
 func (b *Backend) Governor() *governor.Governor { return b.gov }
 
 // SetGovernorPolicy replaces the governor (and all its ledgers) with a fresh
-// one under the given policy — used by the nomap-governor tool and the
-// harness recovery experiments to A/B the legacy policy. Like Reset, it also
-// returns the simulated hardware to its initial condition: leaving the old
-// policy's cache warmth and HTM counter state in place would attribute them
-// to the new policy's run, skewing every A/B comparison that switches policy
-// on a live backend.
+// one under the given policy. Like Reset, it also returns the simulated
+// hardware to its initial condition: leaving the old policy's cache warmth
+// and HTM counter state in place would attribute them to the new policy's
+// run, skewing any comparison that switches policy on a live backend.
 func (b *Backend) SetGovernorPolicy(p governor.Policy) {
+	b.Reset()
 	b.gov = governor.New(p)
-	b.code = make(map[codeKey]*unit)
-	b.osrFailed = make(map[codeKey]bool)
-	b.mach.ResetState()
 }
 
 // Reset discards all cached code, governor state, and simulated hardware
@@ -350,7 +341,7 @@ func (b *Backend) emitFills(fn string, f *ir.Func) {
 // runs feed ledger decay and probationary re-promotion (a started probe drops
 // the cached code so the next call compiles one level higher), transfers are
 // judged site by site, and a transfer out of an OSR artifact also charges its
-// loop header. DFG deopts keep the legacy semantics (charge the budget,
+// loop header. DFG deopts keep the plain budget semantics (charge the budget,
 // recompile with refreshed feedback) since no transactions are involved.
 func (b *Backend) settle(key codeKey, prof *profile.FunctionProfile, tier profile.Tier, deopt *machine.Deopt, commits int64) {
 	name := key.fn.Name
@@ -367,18 +358,13 @@ func (b *Backend) settle(key codeKey, prof *profile.FunctionProfile, tier profil
 			Fn:       name,
 			Aborted:  deopt.Aborted,
 			Cause:    deopt.Cause,
-			Class:    deopt.CheckClass,
-			SiteFn:   deopt.SiteFn,
-			SitePC:   deopt.SitePC,
-			SitePath: deopt.SitePath,
-			Shape:    deopt.SiteShape,
-			Dispatch: deopt.SiteDispatch,
+			Site:     deopt.Site,
 			HadCalls: deopt.HadCalls,
 			OSR:      key.osr >= 0,
 			OSRPC:    key.osr,
 		})
 		if dec.DemotedDispatch {
-			b.mach.Emit(machine.Event{Kind: machine.EventICDemote, Fn: name, PC: deopt.SitePC, Inline: deopt.SitePath})
+			b.mach.Emit(machine.Event{Kind: machine.EventICDemote, Fn: name, PC: deopt.Site.PC, Inline: deopt.Site.Path})
 		}
 		b.apply(dec, prof)
 	}
@@ -401,9 +387,7 @@ func (b *Backend) demoteFor(name string, tier profile.Tier) (func(pc int, path s
 	if len(set) == 0 {
 		return nil, ""
 	}
-	return func(pc int, path string) bool {
-		return set[core.CheckSite{PC: pc, Path: path}]
-	}, codecache.KeepFingerprint(set)
+	return set.HasFamily, codecache.KeepFingerprint(set)
 }
 
 // apply enacts a governor decision: budget charge and code-cache drops.

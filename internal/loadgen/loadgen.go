@@ -10,9 +10,9 @@
 // is an integer: arrivals come from a quantized inverse-CDF exponential
 // table (rounded once at init, so no cross-platform libm drift), service
 // times are the engine's deterministic modeled cycles measured by
-// MeasureKey, and the event loop advances a virtual clock. Real-time load
-// generation (cmd/nomap-serve -loadgen) remains available for exploratory
-// measurements; the gate runs on virtual time.
+// MeasureKey, and the event loop advances a virtual clock. cmd/nomap-serve
+// -loadgen runs this same simulator at a chosen rate and seed; wall-clock
+// numbers for the real pool come from its trace replay and from bench/.
 package loadgen
 
 import (
@@ -101,9 +101,7 @@ type SimConfig struct {
 	QPS        int64 // open-loop arrival rate (required)
 	Requests   int   // arrivals to generate (required)
 	Seed       uint64
-	Keys       []KeyProfile
-	// Weights biases key selection (len == len(Keys); nil → uniform).
-	Weights []int
+	Keys       []KeyProfile // drawn uniformly per arrival
 	// ColdKeys makes every request its own fresh key (a cold-start burst):
 	// the key index still selects the cost profile, but no request shares
 	// warm state with another.
@@ -197,11 +195,6 @@ func Run(cfg SimConfig) SimResult {
 	rng := NewRand(cfg.Seed)
 	meanGap := CyclesPerSecond / cfg.QPS
 
-	totalW := 0
-	for _, w := range cfg.Weights {
-		totalW += w
-	}
-
 	// Pre-draw every arrival (open loop: the schedule never reacts to
 	// completions).
 	reqs := make([]request, cfg.Requests)
@@ -212,19 +205,7 @@ func Run(cfg SimConfig) SimResult {
 	var t int64
 	for i := range reqs {
 		t += rng.ExpDraw(meanGap)
-		var prof int
-		if totalW > 0 {
-			w := int(rng.Next() % uint64(totalW))
-			for j, wj := range cfg.Weights {
-				if w < wj {
-					prof = j
-					break
-				}
-				w -= wj
-			}
-		} else {
-			prof = int(rng.Next() % uint64(len(cfg.Keys)))
-		}
+		prof := int(rng.Next() % uint64(len(cfg.Keys)))
 		k := prof
 		if cfg.ColdKeys {
 			// A burst of distinct tenants: every request is its own key.

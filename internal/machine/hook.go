@@ -23,25 +23,25 @@ func (h *txHook) record(addr uint64, size int, undo func()) {
 }
 
 func (h *txHook) OnSlotWrite(o *value.Object, off int, old value.Value) {
-	h.record(h.m.Mem.SlotAddr(o, off), h.m.Mem.ValueBytes(), func() { o.RestoreSlot(off, old) })
+	h.record(h.m.Mem.SlotAddr(o, off), valueSize, func() { o.RestoreSlot(off, old) })
 }
 
 func (h *txHook) OnPropAdd(o *value.Object, oldShape *value.Shape) {
-	h.record(h.m.Mem.SlotAddr(o, oldShape.NumSlots), h.m.Mem.ValueBytes(), func() { o.RestoreShape(oldShape) })
+	h.record(h.m.Mem.SlotAddr(o, oldShape.NumSlots), valueSize, func() { o.RestoreShape(oldShape) })
 	// The shape word itself is also written.
 	h.record(h.m.Mem.ShapeAddr(o), 8, func() {})
 }
 
 func (h *txHook) OnElemWrite(o *value.Object, idx int, old value.Value, oldExtent, oldLen int) {
 	if idx < oldExtent {
-		h.record(h.m.Mem.ElemAddr(o, idx), h.m.Mem.ValueBytes(), func() { o.RestoreElement(idx, old) })
+		h.record(h.m.Mem.ElemAddr(o, idx), valueSize, func() { o.RestoreElement(idx, old) })
 		return
 	}
 	// Elongation: the store touches [oldExtent, idx] plus the length word;
 	// rollback shrinks the array back.
 	first := h.m.Mem.ElemAddr(o, oldExtent)
 	last := h.m.Mem.ElemAddr(o, idx)
-	h.record(first, int(last-first)+h.m.Mem.ValueBytes(), func() { o.RestoreExtent(oldExtent, oldLen) })
+	h.record(first, int(last-first)+valueSize, func() { o.RestoreExtent(oldExtent, oldLen) })
 	h.record(h.m.Mem.LengthAddr(o), 8, func() {})
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nomap/internal/htm"
+	"nomap/internal/ir"
 	"nomap/internal/stats"
 )
 
@@ -54,24 +55,58 @@ func (k SiteKind) String() string {
 	return "?"
 }
 
-// Site identifies one injectable point. (Fn, ValueID) is stable across the
-// deterministic re-runs the oracle performs: the same program compiled at the
-// same point in the run produces the same IR value numbering.
-type Site struct {
+// SiteKey is the static identity of one injectable point, comparable so the
+// oracle keys its enumeration by it. It is stable across the deterministic
+// re-runs the oracle performs: the same program compiled at the same point in
+// the run under the same configuration produces the same IR value numbering.
+type SiteKey struct {
 	Kind SiteKind
 	// Fn is the executing function's name.
 	Fn string
-	// ValueID is the IR value id of the site's op.
-	ValueID int
 	// OSR is the artifact's OSR-entry loop-header pc, or -1 for an
 	// invocation-entry artifact. OSR artifacts number their values from a
 	// fresh builder, so (Fn, ValueID) alone would collide with the main
 	// artifact's sites; OSR disambiguates them.
 	OSR int
+	// ValueID is the IR value id of the site's op.
+	ValueID int
 	// Inline is the inline path of the site ("callee@pc" segments, root to
 	// leaf) when the site lives in code the inliner flattened into Fn; ""
-	// for sites in the root function's own code.
+	// for sites in the root function's own code. ValueID already
+	// disambiguates; Inline and Shape let sweep reports name the flattened
+	// activation and the dispatch way a fault was forced on.
 	Inline string
+	// Shape names the per-shape dispatch variant for SiteDispatch sites and
+	// for dispatch-marked tail guards ("" for every other site, so existing
+	// site identity is unchanged when no dispatch trees are in play).
+	Shape string
+}
+
+// siteKey names the injectable point at v in f's compiled code.
+func siteKey(kind SiteKind, f *ir.Func, v *ir.Value) SiteKey {
+	return SiteKey{Kind: kind, Fn: f.Name, OSR: f.OSREntryPC, ValueID: v.ID,
+		Inline: v.InlinePath(), Shape: v.DispatchShape()}
+}
+
+// String renders the key for logs and sweep reports.
+func (k SiteKey) String() string {
+	s := fmt.Sprintf("%s@%s", k.Kind, k.Fn)
+	if k.OSR >= 0 {
+		s += fmt.Sprintf("+osr%d", k.OSR)
+	}
+	if k.Inline != "" {
+		s += fmt.Sprintf("+inl[%s]", k.Inline)
+	}
+	if k.Shape != "" {
+		s += fmt.Sprintf("+shape[%s]", k.Shape)
+	}
+	return fmt.Sprintf("%s:v%d", s, k.ValueID)
+}
+
+// Site is one dynamic visit of an injectable point: its key plus what the
+// machine observed there.
+type Site struct {
+	SiteKey
 	// Check is the check's class (SiteCheck only).
 	Check stats.CheckClass
 	// HasSMP reports the check carries a stack map: failure deopts instead
@@ -82,34 +117,6 @@ type Site struct {
 	// Failed reports the check's real outcome (SiteCheck and SiteDispatch) so
 	// an injector can react to failures it did not itself force.
 	Failed bool
-	// Shape names the per-shape dispatch variant for SiteDispatch sites and
-	// for dispatch-marked tail guards ("" for every other site, so existing
-	// site identity is unchanged when no dispatch trees are in play).
-	Shape string
-}
-
-// String renders the site for logs and sweep reports.
-func (s Site) String() string {
-	osr := ""
-	if s.OSR >= 0 {
-		osr = fmt.Sprintf("+osr%d", s.OSR)
-	}
-	inl := ""
-	if s.Inline != "" {
-		inl = fmt.Sprintf("+inl[%s]", s.Inline)
-	}
-	shp := ""
-	if s.Shape != "" {
-		shp = fmt.Sprintf("+shape[%s]", s.Shape)
-	}
-	if s.Kind == SiteCheck {
-		smp := "abort"
-		if s.HasSMP {
-			smp = "smp"
-		}
-		return fmt.Sprintf("%s/%s[%s]@%s%s%s%s:v%d", s.Kind, s.Check, smp, s.Fn, osr, inl, shp, s.ValueID)
-	}
-	return fmt.Sprintf("%s@%s%s%s%s:v%d", s.Kind, s.Fn, osr, inl, shp, s.ValueID)
 }
 
 // Action is an injector's verdict for one site visit.

@@ -21,6 +21,7 @@ import (
 
 	"nomap/internal/bytecode"
 	"nomap/internal/cache"
+	"nomap/internal/core"
 	"nomap/internal/frame"
 	"nomap/internal/htm"
 	"nomap/internal/ir"
@@ -59,10 +60,6 @@ type Machine struct {
 	inject          Injector
 	frameSeq        int
 	pendingCapacity bool
-	// fatValues models the pre-boxing two-word value layout (DisableBoxing):
-	// heap slots and elements occupy 16 bytes instead of 8, so transactional
-	// writes span more cache lines.
-	fatValues bool
 	// txHadCalls tracks whether user code was invoked inside the currently
 	// open outermost transaction (reset at every outermost begin and tile
 	// re-begin). It feeds Deopt.HadCalls: §V-C blames the callee for a
@@ -94,7 +91,7 @@ func New(host Host, htmCfg htm.Config) *Machine {
 // jit backend's Reset calls it so differential runs on a reused engine see
 // the same address stream and cache behaviour as a fresh one.
 func (m *Machine) ResetState() {
-	m.Mem = NewMemorySized(m.valueBytes())
+	m.Mem = NewMemory()
 	m.Cache = cache.NewHierarchy()
 	m.HTM.Reset()
 	m.pendingCapacity = false
@@ -105,22 +102,6 @@ func (m *Machine) ResetState() {
 
 // InTx reports whether a hardware transaction is open.
 func (m *Machine) InTx() bool { return m.HTM.InTx() }
-
-// SetFatValues selects the modeled value stride: false (default) is the
-// one-word NaN-boxed layout, true the fat two-word layout of the
-// DisableBoxing A/B. Rebuilds the address map, so call it only at reset
-// points.
-func (m *Machine) SetFatValues(fat bool) {
-	m.fatValues = fat
-	m.Mem = NewMemorySized(m.valueBytes())
-}
-
-func (m *Machine) valueBytes() int {
-	if m.fatValues {
-		return fatSize
-	}
-	return valueSize
-}
 
 // Deopt describes a transfer to the Baseline tier.
 type Deopt struct {
@@ -133,47 +114,23 @@ type Deopt struct {
 	// rather than a plain OSR exit.
 	Aborted bool
 	Cause   htm.AbortCause
-	// CheckClass is the failing check's class for check-caused transfers.
-	CheckClass stats.CheckClass
 	// HadCalls reports whether user code was actually invoked inside the
 	// aborted transaction (used by the §V-C policy: transactions whose
 	// overflow may be a callee's footprint are removed rather than tiled).
 	HadCalls bool
-	// SiteFn, SitePC and SiteValueID identify the IR site that triggered the
-	// transfer (the failing check, the overflowing write, or the call whose
-	// callee was irrevocable). The abort-recovery governor keys its per-site
-	// ledgers by (SiteFn, inline path, SitePC, CheckClass); SiteValueID is
-	// diagnostic only, as value numbering does not survive recompilation.
-	SiteFn      string
-	SitePC      int
-	SiteValueID int
-	// SitePath is the inline path of the triggering site ("" for sites in
-	// the compiled function's own code): when the inlining pass flattened a
-	// callee into SiteFn, SitePC is a pc within that callee and SitePath
-	// says which flattened activation it was.
-	SitePath string
-	// SiteShape names the per-shape dispatch variant when the triggering
-	// site is a dispatch tree's guard ("" otherwise): the governor's
-	// dispatch-miss ledgers key on it so one hot wrong-shape receiver is
-	// distinguishable from a megamorphic storm across many.
-	SiteShape string
-	// SiteDispatch reports the triggering site belongs to a dispatch tree.
-	SiteDispatch bool
+	// Site is the IR site that triggered the transfer: the failing check
+	// (with its class), the overflowing write, or the call whose callee was
+	// irrevocable. The abort-recovery governor keys its ledgers by it.
+	Site core.Site
 }
 
 // txUnwind propagates a transaction abort out of nested frames until it
 // reaches the frame that owns the outermost transaction.
 type txUnwind struct {
-	owner        int
-	rec          *frame.Frame
-	cause        htm.AbortCause
-	class        stats.CheckClass
-	siteFn       string
-	sitePC       int
-	siteVID      int
-	sitePath     string
-	siteShape    string
-	siteDispatch bool
+	owner int
+	rec   *frame.Frame
+	cause htm.AbortCause
+	site  core.Site
 }
 
 func (e *txUnwind) Error() string {
@@ -340,11 +297,21 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 		}
 	}
 
+	// ownerDeopt is the transfer out of the frame that owned an aborted
+	// transaction, whether the abort fired in it or unwound to it from a
+	// callee. Back edges of the squashed iterations roll back to the
+	// transaction-begin checkpoint — Baseline re-executes and re-counts them —
+	// and the surviving counts travel with the recovery frame chain.
+	ownerDeopt := func(rec *frame.Frame, cause htm.AbortCause, site core.Site) *Deopt {
+		copy(backEdges, beCheck)
+		assignBackEdges(rec)
+		return &Deopt{Frame: rec, Aborted: true, Cause: cause, HadCalls: m.txHadCalls, Site: site}
+	}
+
 	// abort rolls back the open transaction nest and routes control to the
 	// owner frame's recovery state. The failing site (this frame's IR value
 	// sv) travels with the transfer so the governor can attribute the abort.
 	abort := func(cause htm.AbortCause, class stats.CheckClass, sv *ir.Value) (*Deopt, error) {
-		sitePC, siteVID, sitePath := sv.BCPos, sv.ID, sv.InlinePath()
 		t := m.HTM.Current()
 		if t == nil {
 			return nil, errf("abort without open transaction")
@@ -380,21 +347,13 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 			ctrs.TxConflictAborts++
 		}
 		ctrs.SquashOpenTx(int(cause))
+		site := core.SiteOf(f.Name, sv, class)
 		if owner == tok {
-			// Back edges of the squashed iterations roll back to the
-			// transaction-begin checkpoint; Baseline re-executes and
-			// re-counts them. The surviving counts travel with the frames.
-			copy(backEdges, beCheck)
-			assignBackEdges(rec)
-			return &Deopt{Frame: rec, Aborted: true, Cause: cause, CheckClass: class,
-				HadCalls: m.txHadCalls, SiteFn: f.Name, SitePC: sitePC, SiteValueID: siteVID, SitePath: sitePath,
-				SiteShape: sv.DispatchShape(), SiteDispatch: sv.Dispatch}, nil
+			return ownerDeopt(rec, cause, site), nil
 		}
 		// A callee frame inside the owner's transaction: everything this
 		// frame did — including its back edges — is squashed work.
-		return nil, &txUnwind{owner: owner, rec: rec, cause: cause, class: class,
-			siteFn: f.Name, sitePC: sitePC, siteVID: siteVID, sitePath: sitePath,
-			siteShape: sv.DispatchShape(), siteDispatch: sv.Dispatch}
+		return nil, &txUnwind{owner: owner, rec: rec, cause: cause, site: site}
 	}
 
 	// handleCallErr routes errors coming back from calls: transaction
@@ -403,14 +362,7 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 	handleCallErr := func(v *ir.Value, err error) (*Deopt, error) {
 		if u, ok := err.(*txUnwind); ok {
 			if u.owner == tok {
-				// This frame owned the aborted transaction: roll its
-				// back-edge counts to the begin checkpoint and hand the
-				// survivors to the recovery frame chain.
-				copy(backEdges, beCheck)
-				assignBackEdges(u.rec)
-				return &Deopt{Frame: u.rec, Aborted: true, Cause: u.cause, CheckClass: u.class,
-					HadCalls: m.txHadCalls, SiteFn: u.siteFn, SitePC: u.sitePC, SiteValueID: u.siteVID, SitePath: u.sitePath,
-					SiteShape: u.siteShape, SiteDispatch: u.siteDispatch}, nil
+				return ownerDeopt(u.rec, u.cause, u.site), nil
 			}
 			return nil, err
 		}
@@ -568,8 +520,8 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 				}
 				passed := m.checkPasses(v, vals, oflow)
 				if m.inject != nil {
-					switch m.inject.At(Site{Kind: SiteCheck, Fn: f.Name, ValueID: v.ID, OSR: f.OSREntryPC, Inline: v.InlinePath(),
-						Check: v.Check, HasSMP: v.Deopt != nil, InTx: m.HTM.InTx(), Failed: !passed, Shape: v.DispatchShape()}) {
+					switch m.inject.At(Site{SiteKey: siteKey(SiteCheck, f, v), Check: v.Check,
+						HasSMP: v.Deopt != nil, InTx: m.HTM.InTx(), Failed: !passed}) {
 					case ActFailCheck:
 						// Only force failure where a recovery path exists:
 						// a stack map to deopt through, or an open
@@ -616,9 +568,7 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 					rec := materialize(v.Deopt)
 					assignBackEdges(rec)
 					m.emit(Event{Kind: EventDeopt, Fn: f.Name, CheckClass: v.Check, PC: rec.PC, Inline: v.Deopt.InlinePath()})
-					return value.Undefined(), &Deopt{Frame: rec, CheckClass: v.Check,
-						SiteFn: f.Name, SitePC: v.BCPos, SiteValueID: v.ID, SitePath: v.InlinePath(),
-						SiteShape: v.DispatchShape(), SiteDispatch: v.Dispatch}, nil
+					return value.Undefined(), &Deopt{Frame: rec, Site: core.SiteOf(f.Name, v, v.Check)}, nil
 				}
 				cause := htm.AbortCause(htm.AbortCheck)
 				if free && v.Check == stats.CheckOverflow {
@@ -640,8 +590,7 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 					hit = o != nil && o.Fn != nil && o.Fn == v.Callee
 				}
 				if m.inject != nil {
-					switch m.inject.At(Site{Kind: SiteDispatch, Fn: f.Name, ValueID: v.ID, OSR: f.OSREntryPC, Inline: v.InlinePath(),
-						InTx: m.HTM.InTx(), Failed: !hit, Shape: v.DispatchShape()}) {
+					switch m.inject.At(Site{SiteKey: siteKey(SiteDispatch, f, v), InTx: m.HTM.InTx(), Failed: !hit}) {
 					case ActFailCheck:
 						// The way is skipped; the receiver cascades down the
 						// chain to the deopting tail guard.
@@ -776,7 +725,7 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 					extra += m.HTM.Config().BeginCycles
 					m.emit(Event{Kind: EventTxBegin, Fn: f.Name})
 					if m.inject != nil {
-						act := m.inject.At(Site{Kind: SiteTxBegin, Fn: f.Name, ValueID: v.ID, OSR: f.OSREntryPC, Inline: v.InlinePath(), InTx: true})
+						act := m.inject.At(Site{SiteKey: siteKey(SiteTxBegin, f, v), InTx: true})
 						if cause, ok := act.abortCause(); ok {
 							account(instr, extra)
 							d, err := abort(cause, stats.CheckOther, v)
@@ -791,7 +740,7 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 					return value.Undefined(), nil, errf("txend without transaction")
 				}
 				if m.inject != nil && t.Depth() == 1 {
-					act := m.inject.At(Site{Kind: SiteTxCommit, Fn: f.Name, ValueID: v.ID, OSR: f.OSREntryPC, Inline: v.InlinePath(), InTx: true})
+					act := m.inject.At(Site{SiteKey: siteKey(SiteTxCommit, f, v), InTx: true})
 					if cause, ok := act.abortCause(); ok {
 						account(instr, extra)
 						d, err := abort(cause, stats.CheckOther, v)
@@ -816,7 +765,7 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 				t := m.HTM.Current()
 				forceTile := false
 				if m.inject != nil && t != nil && t.Owner == any(tok) {
-					act := m.inject.At(Site{Kind: SiteTxTile, Fn: f.Name, ValueID: v.ID, OSR: f.OSREntryPC, Inline: v.InlinePath(), InTx: true})
+					act := m.inject.At(Site{SiteKey: siteKey(SiteTxTile, f, v), InTx: true})
 					if cause, ok := act.abortCause(); ok {
 						account(instr, extra)
 						d, err := abort(cause, stats.CheckOther, v)
@@ -907,7 +856,7 @@ func (m *Machine) load(addr uint64) int64 {
 	if m.HTM.InTx() {
 		cfg := m.HTM.Config()
 		if cfg.ReadSets > 0 {
-			if err := m.HTM.RecordRead(addr, m.Mem.ValueBytes()); err != nil {
+			if err := m.HTM.RecordRead(addr, valueSize); err != nil {
 				m.pendingCapacity = true
 			}
 		}

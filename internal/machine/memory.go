@@ -11,35 +11,22 @@ type Memory struct {
 	slotBase map[*value.Object]uint64
 	elemBase map[*value.Object]uint64
 	next     uint64
-	valBytes uint64
 }
 
-// NewMemory creates an empty address map at the default (NaN-boxed,
-// one-word) value stride.
-func NewMemory() *Memory { return NewMemorySized(valueSize) }
-
-// NewMemorySized creates an empty address map with vb bytes per stored
-// value: 8 for the boxed representation, 16 for the fat two-word layout the
-// DisableBoxing A/B models (kind word + payload word), which doubles the
-// cache-line span of every slot and element region.
-func NewMemorySized(vb int) *Memory {
+// NewMemory creates an empty address map.
+func NewMemory() *Memory {
 	return &Memory{
 		slotBase: make(map[*value.Object]uint64),
 		elemBase: make(map[*value.Object]uint64),
 		next:     0x1000,
-		valBytes: uint64(vb),
 	}
 }
 
 const (
-	slotRegion = 1 << 10 // 64 slots x 16 bytes
+	slotRegion = 1 << 10 // room for 120 slots after the 0x40 header
 	elemRegion = 1 << 22 // 4MB of element storage per array
-	valueSize  = 8       // one boxed value (NaN-boxed 64-bit)
-	fatSize    = 16      // unboxed two-word value (DisableBoxing)
+	valueSize  = 8       // one stored value (NaN-boxed 64-bit word)
 )
-
-// ValueBytes returns the modeled bytes per stored value.
-func (m *Memory) ValueBytes() int { return int(m.valBytes) }
 
 func (m *Memory) base(o *value.Object) uint64 {
 	b, ok := m.slotBase[o]
@@ -53,7 +40,7 @@ func (m *Memory) base(o *value.Object) uint64 {
 
 // SlotAddr returns the address of property slot off of o.
 func (m *Memory) SlotAddr(o *value.Object, off int) uint64 {
-	return m.base(o) + 0x40 + uint64(off)*m.valBytes
+	return m.base(o) + 0x40 + uint64(off)*valueSize
 }
 
 // ShapeAddr returns the address of the hidden-class word (read by shape
@@ -71,6 +58,5 @@ func (m *Memory) ElemAddr(o *value.Object, idx int) uint64 {
 		m.next += elemRegion
 		m.elemBase[o] = b
 	}
-	a := b + uint64(idx)*m.valBytes
-	return a
+	return b + uint64(idx)*valueSize
 }

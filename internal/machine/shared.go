@@ -174,10 +174,10 @@ type SharedOptions struct {
 	// system attaches to the domain — the oracle installs capacity and
 	// conflict probes here.
 	Configure func(id int, sys *htm.System)
-	// MaxSteps bounds the scheduled run as a livelock backstop
-	// (default 2,000,000).
-	MaxSteps int64
 }
+
+// maxSteps bounds a scheduled or concurrent run as a livelock backstop.
+const maxSteps = 2_000_000
 
 // SharedRun is an instantiated shared-heap execution: the heap, the conflict
 // domain, the contention governor, and one worker per script.
@@ -763,10 +763,6 @@ func RunScheduled(wl *SharedWorkload, arch vm.Arch, seed int64, opt SharedOption
 	if err != nil {
 		return nil, err
 	}
-	maxSteps := opt.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 2_000_000
-	}
 	live := make([]*SharedWorker, len(r.Workers))
 	copy(live, r.Workers)
 	rng := uint64(seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
@@ -802,10 +798,6 @@ func RunConcurrent(wl *SharedWorkload, arch vm.Arch, seed int64, opt SharedOptio
 	r, err := NewSharedRun(wl, arch, seed, opt)
 	if err != nil {
 		return nil, err
-	}
-	maxSteps := opt.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 2_000_000
 	}
 	var (
 		wg       sync.WaitGroup

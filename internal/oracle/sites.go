@@ -1,50 +1,14 @@
 package oracle
 
 import (
-	"fmt"
-
 	"nomap/internal/machine"
 	"nomap/internal/stats"
 )
 
-// Key identifies a static injection site. The engine is deterministic, so
-// (function name, OSR entry, IR value id, site kind) is stable between a
-// recording run and an injection run of the same program under the same
-// configuration. OSR distinguishes a function's OSR-entry artifacts from its
-// invocation-entry artifact: each is compiled independently with fresh value
-// numbering, so the same ValueID can name different sites across them.
-type Key struct {
-	Kind    machine.SiteKind
-	Fn      string
-	OSR     int // artifact's OSR-entry loop-header pc, -1 for invocation entry
-	ValueID int
-	// Inline is the site's inline path ("callee@pc" segments) when the
-	// inliner flattened its code into Fn; "" for sites in Fn's own code. The
-	// ValueID already disambiguates inlined copies within one artifact, but
-	// the path makes the enumeration (and sweep reports) name which
-	// flattened activation a site belongs to.
-	Inline string
-	// Shape names the per-shape dispatch variant for dispatch-tree predicates
-	// and their tail guards ("" for ordinary sites). Like Inline it is
-	// informative — ValueID already disambiguates — but it lets sweep reports
-	// say which way of a polymorphic site a fault was forced on.
-	Shape string
-}
-
-// String renders the key compactly.
-func (k Key) String() string {
-	inl := ""
-	if k.Inline != "" {
-		inl = fmt.Sprintf("+inl[%s]", k.Inline)
-	}
-	if k.Shape != "" {
-		inl += fmt.Sprintf("+shape[%s]", k.Shape)
-	}
-	if k.OSR >= 0 {
-		return fmt.Sprintf("%s@%s+osr%d%s:v%d", k.Kind, k.Fn, k.OSR, inl, k.ValueID)
-	}
-	return fmt.Sprintf("%s@%s%s:v%d", k.Kind, k.Fn, inl, k.ValueID)
-}
+// Key identifies a static injection site: the machine's own site identity,
+// stable between a recording run and an injection run of the same program
+// under the same configuration.
+type Key = machine.SiteKey
 
 // SiteInfo is one enumerated site with its dynamic behaviour during the
 // recording run.
@@ -81,7 +45,7 @@ func (r *recorder) At(s machine.Site) machine.Action {
 	if s.Kind == machine.SiteDispatch && s.Failed {
 		return machine.ActNone
 	}
-	k := Key{Kind: s.Kind, Fn: s.Fn, OSR: s.OSR, ValueID: s.ValueID, Inline: s.Inline, Shape: s.Shape}
+	k := s.SiteKey
 	info := r.sites[k]
 	if info == nil {
 		info = &SiteInfo{Key: k, Check: s.Check, HasSMP: s.HasSMP, InTx: s.InTx, order: len(r.sites)}
@@ -121,8 +85,7 @@ type shot struct {
 }
 
 func (s *shot) At(site machine.Site) machine.Action {
-	if s.fired || site.Kind != s.key.Kind || site.ValueID != s.key.ValueID ||
-		site.Fn != s.key.Fn || site.OSR != s.key.OSR || site.Inline != s.key.Inline {
+	if s.fired || site.SiteKey != s.key {
 		return machine.ActNone
 	}
 	// Forcing a miss on an already-missing dispatch predicate would change

@@ -43,6 +43,12 @@ import (
 	"nomap/internal/vm"
 )
 
+// compileQueueDepth bounds the one background compile worker's queue:
+// distinct jobs are bounded by (program, spec), so 16 holds a whole mix's
+// worth of keys without re-offer churn. A full queue sheds the job rather
+// than blocking a request.
+const compileQueueDepth = 16
+
 // Config sizes and parameterizes a pool.
 type Config struct {
 	// Workers is the number of isolates serving concurrently (default 1).
@@ -54,8 +60,6 @@ type Config struct {
 	// and MaxTier; everything else (policy, seed, call depth) is shared so
 	// snapshots and cache entries transfer.
 	VM vm.Config
-	// CacheCapacity bounds the shared code cache (entries; 0 → default).
-	CacheCapacity int
 	// CacheShards sets the code cache's shard count (0 → default; 1 is the
 	// unsharded A/B configuration; rounded up to a power of two).
 	CacheShards int
@@ -72,14 +76,6 @@ type Config struct {
 	// down-tier to DFG; past 2×SLO (or a full queue) jobs are shed and the
 	// degradation ladder is charged.
 	AsyncCompile bool
-	// CompileWorkers sizes the background compile pool (default 1; only
-	// meaningful with AsyncCompile).
-	CompileWorkers int
-	// CompileQueueDepth bounds the compile queue (default 16× compile
-	// workers — distinct jobs are bounded by (program, spec), so a deeper
-	// queue holds a whole mix's worth of keys without re-offer churn). A
-	// full queue sheds the job rather than blocking a request.
-	CompileQueueDepth int
 	// CompileWarmCalls is how many run() calls a background compile job
 	// rehearses to tier the key up (default 64 — past the default FTL
 	// threshold when combined with loop back-edges).
@@ -88,9 +84,6 @@ type Config struct {
 	// (0 disables admission control; jobs then only clamp to the ladder's
 	// tier cap).
 	SLO time.Duration
-	// SLOWindow sizes the sliding latency window (observations per
-	// generation; 0 → 256).
-	SLOWindow int
 	// SnapshotMinCalls is the minimum request size whose warm state is
 	// worth capturing (default 8): tiny requests never reach the
 	// speculative tiers, and their snapshots would freeze cold profiles.
@@ -338,12 +331,6 @@ func New(cfg Config) *Pool {
 	if pol.Seed == 0 {
 		pol.Seed = int64(cfg.VM.RandomSeed)
 	}
-	if cfg.CompileWorkers <= 0 {
-		cfg.CompileWorkers = 1
-	}
-	if cfg.CompileQueueDepth <= 0 {
-		cfg.CompileQueueDepth = 16 * cfg.CompileWorkers
-	}
 	if cfg.CompileWarmCalls <= 0 {
 		cfg.CompileWarmCalls = 64
 	}
@@ -355,11 +342,11 @@ func New(cfg Config) *Pool {
 		queue:        make(chan *job, cfg.QueueDepth),
 		idle:         make(map[spec][]*isolate.Isolate),
 		retiredSites: make(map[uint64]string),
-		latWin:       stats.NewLatencyWindow(cfg.SLOWindow),
+		latWin:       stats.NewLatencyWindow(0),
 		flights:      make(map[isolate.StoreKey]*coldFlight),
 	}
 	if !cfg.DisableCodeCache {
-		p.cache = codecache.NewCacheSharded(cfg.CacheCapacity, cfg.CacheShards)
+		p.cache = codecache.NewCacheSharded(codecache.DefaultCapacity, cfg.CacheShards)
 		if cfg.Chaos != nil {
 			plan := cfg.Chaos
 			p.cache.SetFaultProbe(func() error {
@@ -371,12 +358,10 @@ func New(cfg Config) *Pool {
 		}
 	}
 	if cfg.AsyncCompile {
-		p.compileQ = make(chan compileJob, cfg.CompileQueueDepth)
+		p.compileQ = make(chan compileJob, compileQueueDepth)
 		p.pending = make(map[pendKey]bool)
-		for i := 0; i < cfg.CompileWorkers; i++ {
-			p.cwg.Add(1)
-			go p.compileWorker()
-		}
+		p.cwg.Add(1)
+		go p.compileWorker()
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		p.wg.Add(1)

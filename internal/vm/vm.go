@@ -40,11 +40,6 @@ type Config struct {
 	// tiers (the zero value leaves it on); the benchmark harness uses it to
 	// measure the inliner's contribution.
 	DisableInlining bool
-	// DisableBoxing is the A/B surface for the NaN-boxed value pipeline: it
-	// turns off the interpreter/Baseline boxed fast paths, compiles without
-	// peephole superinstruction fusion, and makes the FTL memory model store
-	// values at the fat two-word stride, reproducing the seed engine.
-	DisableBoxing bool
 }
 
 // DefaultConfig runs the full tier stack on the unmodified Base architecture.
@@ -173,9 +168,6 @@ func (vm *VM) Shapes() *value.ShapeTable { return vm.shapes }
 // NaN-boxed registers reference strings and objects by index.
 func (vm *VM) Handles() *value.Handles { return vm.handles }
 
-// Boxing reports whether the NaN-boxed fast paths are enabled.
-func (vm *VM) Boxing() bool { return !vm.cfg.DisableBoxing }
-
 // Globals returns the global object.
 func (vm *VM) Globals() *value.Object { return vm.globals }
 
@@ -246,25 +238,11 @@ func CompileSource(src string) (*bytecode.Function, error) {
 	return bytecode.Compile(prog)
 }
 
-// CompileSourceNoFuse compiles without superinstruction fusion — the exact
-// seed codegen, used as the DisableBoxing A/B baseline.
-func CompileSourceNoFuse(src string) (*bytecode.Function, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return bytecode.CompileNoFuse(prog)
-}
-
 // Run executes a complete program source and returns the value of the last
 // global named "result" if defined, else undefined. Output from print() is
 // collected in vm.Output.
 func (vm *VM) Run(src string) (value.Value, error) {
-	compile := CompileSource
-	if vm.cfg.DisableBoxing {
-		compile = CompileSourceNoFuse
-	}
-	main, err := compile(src)
+	main, err := CompileSource(src)
 	if err != nil {
 		return value.Undefined(), err
 	}

@@ -1,48 +1,38 @@
 package workloads_test
 
 import (
-	"math"
 	"testing"
 
 	"nomap/internal/bytecode"
-	"nomap/internal/jit"
+	"nomap/internal/parser"
 	"nomap/internal/profile"
 	"nomap/internal/value"
 	"nomap/internal/vm"
 	"nomap/internal/workloads"
 )
 
-// newBoxingEngine builds an engine with the NaN-boxed pipeline on (default)
-// or off (the DisableBoxing A/B surface).
-func newBoxingEngine(arch vm.Arch, maxTier profile.Tier, disableBoxing bool) *vm.VM {
-	cfg := vm.DefaultConfig()
-	cfg.Arch = arch
-	cfg.MaxTier = maxTier
-	cfg.DisableBoxing = disableBoxing
-	cfg.Policy = profile.Policy{BaselineThreshold: 2, DFGThreshold: 8, FTLThreshold: 40, MaxDeopts: 16}
-	v := vm.New(cfg)
-	jit.Attach(v)
-	return v
-}
-
-func runBoxed(t *testing.T, w workloads.Workload, v *vm.VM, calls int) value.Value {
+// runUnfused is runWorkload on the one-op-per-step bytecode: it loads w
+// through bytecode.CompileNoFuse — the reference the peephole pass is checked
+// against — and then drives run() through the whole tier ladder as usual.
+func runUnfused(t *testing.T, w workloads.Workload, arch vm.Arch, maxTier profile.Tier, calls int) (*vm.VM, value.Value) {
 	t.Helper()
-	if _, err := v.Run(w.Source); err != nil {
-		t.Fatalf("%s setup: %v", w.ID, err)
+	prog, err := parser.Parse(w.Source)
+	if err != nil {
+		t.Fatalf("%s parse: %v", w.ID, err)
 	}
-	var last value.Value
-	for i := 0; i < calls; i++ {
-		r, err := v.CallGlobal("run")
-		if err != nil {
-			t.Fatalf("%s run #%d: %v", w.ID, i, err)
-		}
-		last = r
+	main, err := bytecode.CompileNoFuse(prog)
+	if err != nil {
+		t.Fatalf("%s compile: %v", w.ID, err)
 	}
-	return last
+	v := newEngine(arch, maxTier)
+	if _, err := v.RunMain(main); err != nil {
+		t.Fatalf("%s unfused setup: %v", w.ID, err)
+	}
+	return v, callRun(t, w, v, calls)
 }
 
-// The numeric suite must agree across every architecture, with boxing on and
-// off — superinstruction fusion and the boxed register file are
+// The numeric suite must agree across every architecture, fused and unfused —
+// superinstruction fusion and the boxed register file are
 // semantics-preserving on exactly the programs built to exercise them.
 func TestNumericAgreeAcrossArchs(t *testing.T) {
 	for _, w := range workloads.Numeric() {
@@ -55,9 +45,8 @@ func TestNumericAgreeAcrossArchs(t *testing.T) {
 				if got.ToStringValue() != want.ToStringValue() {
 					t.Errorf("%v: result %q, want %q", arch, got, want)
 				}
-				v := newBoxingEngine(arch, profile.TierFTL, true)
-				if got := runBoxed(t, w, v, 50); got.ToStringValue() != want.ToStringValue() {
-					t.Errorf("%v boxing-off: result %q, want %q", arch, got, want)
+				if _, got := runUnfused(t, w, arch, profile.TierFTL, 50); got.ToStringValue() != want.ToStringValue() {
+					t.Errorf("%v unfused: result %q, want %q", arch, got, want)
 				}
 			}
 		})
@@ -66,10 +55,10 @@ func TestNumericAgreeAcrossArchs(t *testing.T) {
 
 // Cross-tier parity regression: driving a workload through the full ladder —
 // OSR entries, deopts, Baseline resumes through the boxed frame.Frame — must
-// leave the same observable machine state with boxing on and off. Fusion
-// shifts pcs and eliminates dead temps, but results, deopt/OSR counts, and
-// the profiling counters that drive tier-up (InvocationCount, BackEdgeCount)
-// are representation-independent.
+// leave the same observable machine state from fused and unfused bytecode.
+// Fusion shifts pcs and eliminates dead temps, but results, deopt/OSR counts,
+// and the profiling counters that drive tier-up (InvocationCount,
+// BackEdgeCount) do not depend on it.
 func TestBoxingParityAcrossTiers(t *testing.T) {
 	ids := []string{"C01", "C02", "C03", "C04", "C05", "singlecall", "N01", "N02", "N03", "N04", "N05"}
 	for _, id := range ids {
@@ -85,9 +74,8 @@ func TestBoxingParityAcrossTiers(t *testing.T) {
 				deopts, osr       int64
 				invocs, backEdges int64
 			}
-			measure := func(disableBoxing bool) obs {
-				v := newBoxingEngine(vm.ArchNoMap, profile.TierFTL, disableBoxing)
-				res := runBoxed(t, w, v, 50)
+			measure := func(run func(*testing.T, workloads.Workload, vm.Arch, profile.Tier, int) (*vm.VM, value.Value)) obs {
+				v, res := run(t, w, vm.ArchNoMap, profile.TierFTL, 50)
 				fv := v.Globals().Get("run")
 				if !fv.IsCallable() {
 					t.Fatal("no run()")
@@ -101,74 +89,10 @@ func TestBoxingParityAcrossTiers(t *testing.T) {
 					backEdges: p.BackEdgeCount,
 				}
 			}
-			boxed := measure(false)
-			fat := measure(true)
-			if boxed != fat {
-				t.Errorf("boxing changed observable state:\n  boxed: %+v\n  unboxed: %+v", boxed, fat)
-			}
-		})
-	}
-}
-
-// steadyBoxingCycles measures steady-state cycles per rep with boxing on or
-// off.
-func steadyBoxingCycles(t *testing.T, w workloads.Workload, disableBoxing bool) float64 {
-	t.Helper()
-	v := newBoxingEngine(vm.ArchNoMap, profile.TierFTL, disableBoxing)
-	runBoxed(t, w, v, 60)
-	v.ResetCounters()
-	for i := 0; i < 20; i++ {
-		if _, err := v.CallGlobal("run"); err != nil {
-			t.Fatalf("%s measure: %v", w.ID, err)
-		}
-	}
-	return float64(v.Counters().TotalCycles()) / 20
-}
-
-// The boxed representation must pay for itself on the arithmetic kernels:
-// geomean speedup of boxing-on over boxing-off across the numeric suite
-// above 1.00x.
-func TestBoxingSpeedupOnNumericSuite(t *testing.T) {
-	logSum := 0.0
-	n := 0
-	for _, w := range workloads.Numeric() {
-		off := steadyBoxingCycles(t, w, true)
-		on := steadyBoxingCycles(t, w, false)
-		ratio := off / on
-		t.Logf("%s: %.0f cycles unboxed, %.0f cycles boxed (%.2fx)", w.ID, off, on, ratio)
-		logSum += math.Log(ratio)
-		n++
-	}
-	if geomean := math.Exp(logSum / float64(n)); geomean <= 1.0 {
-		t.Errorf("numeric-suite geomean speedup %.3fx, want > 1.00x", geomean)
-	}
-}
-
-// The one-word boxed value halves the modeled heap stride, so a
-// capacity-bound transaction touches fewer write lines: the A/B metric
-// behind the paper's footprint argument. Both counters must be live (the
-// test would pass vacuously at zero).
-func TestBoxedFootprintSmaller(t *testing.T) {
-	for _, id := range []string{"A02", "C05"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			t.Parallel()
-			w, ok := workloads.ByID(id)
-			if !ok {
-				t.Fatalf("workload %s missing", id)
-			}
-			lines := func(disableBoxing bool) int64 {
-				v := newBoxingEngine(vm.ArchNoMap, profile.TierFTL, disableBoxing)
-				runBoxed(t, w, v, 60)
-				return v.Counters().TxWriteLinesTotal
-			}
-			boxed := lines(false)
-			fat := lines(true)
-			if boxed == 0 || fat == 0 {
-				t.Fatalf("write-line counter dead: boxed=%d unboxed=%d", boxed, fat)
-			}
-			if boxed >= fat {
-				t.Errorf("boxed footprint %d lines >= unboxed %d lines", boxed, fat)
+			fused := measure(runWorkload)
+			unfused := measure(runUnfused)
+			if fused != unfused {
+				t.Errorf("fusion changed observable state:\n  fused: %+v\n  unfused: %+v", fused, unfused)
 			}
 		})
 	}

@@ -27,15 +27,22 @@ func runWorkload(t *testing.T, w workloads.Workload, arch vm.Arch, maxTier profi
 	if _, err := v.Run(w.Source); err != nil {
 		t.Fatalf("%s setup: %v", w.ID, err)
 	}
+	return v, callRun(t, w, v, calls)
+}
+
+// callRun invokes the loaded workload's run() calls times and returns the
+// last result.
+func callRun(t *testing.T, w workloads.Workload, v *vm.VM, calls int) value.Value {
+	t.Helper()
 	var last value.Value
 	for i := 0; i < calls; i++ {
 		r, err := v.CallGlobal("run")
 		if err != nil {
-			t.Fatalf("%s run #%d under %v: %v", w.ID, i, arch, err)
+			t.Fatalf("%s run #%d under %v: %v", w.ID, i, v.Config().Arch, err)
 		}
 		last = r
 	}
-	return v, last
+	return last
 }
 
 func TestSuiteSizes(t *testing.T) {

@@ -69,12 +69,6 @@ type Options struct {
 	// sites keep their generic runtime path. The A/B surface for measuring
 	// what shape-guarded dispatch trees are worth.
 	DisableIC bool
-	// DisableBoxing turns off the NaN-boxed value pipeline: bytecode compiles
-	// without superinstruction fusion, the interpreter routes every op
-	// through the generic slow path, and the FTL memory model charges the
-	// fat two-word value stride. The A/B surface for measuring what the
-	// boxed representation is worth.
-	DisableBoxing bool
 }
 
 // Value is a JavaScript value produced by the engine.
@@ -102,7 +96,6 @@ func NewEngine(opts Options) *Engine {
 		cfg.RandomSeed = opts.Seed
 	}
 	cfg.DisableIC = opts.DisableIC
-	cfg.DisableBoxing = opts.DisableBoxing
 	v := vm.New(cfg)
 	return &Engine{vm: v, jit: jit.Attach(v)}
 }
