@@ -222,6 +222,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	w, _ := workloads.ByID("S10")
 	cfg := benchConfig()
 	var simInstr int64
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := harness.Run(w, vm.ArchNoMap, profile.TierFTL, cfg)
 		if err != nil {

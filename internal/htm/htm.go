@@ -171,8 +171,11 @@ type Txn struct {
 	// observes invalidations even though no cache tags buffer the footprint.
 	// Only populated while a Domain is attached.
 	conflictReads map[uint64]struct{}
-	undo          []func()
-	sof           bool
+	// undo is the generic rollback log for callers without typed state of
+	// their own (SharedRun's cells, maps and queues). The machine keeps the
+	// heap's typed undo log itself and records its writes with a nil undo.
+	undo []func()
+	sof  bool
 }
 
 // Depth returns the flat-nesting depth (1 for an outermost-only nest).
@@ -210,8 +213,12 @@ type CapacityProbe func(write bool, line uint64) bool
 
 // System is the HTM state for one simulated hardware context.
 type System struct {
-	cfg           Config
-	txn           *Txn
+	cfg Config
+	txn *Txn
+	// spare is the Txn retired by the last Commit or Abort, kept so the next
+	// outermost Begin reuses its maps and set counters. It is reset there,
+	// not on retire: callers read a transaction's footprint after Commit.
+	spare         *Txn
 	probe         CapacityProbe
 	conflictProbe ConflictProbe
 
@@ -239,7 +246,7 @@ func New(cfg Config) *System { return &System{cfg: cfg} }
 // the system to its post-New state. The capacity probe is kept, mirroring how
 // the machine keeps its injector: instrumentation is the caller's to manage.
 func (s *System) Reset() {
-	s.txn = nil
+	s.retire()
 	s.Begins, s.Commits = 0, 0
 	s.Aborts = [NumAbortCauses]int64{}
 	s.MaxWrite, s.MaxRead, s.MaxAssoc = 0, 0, 0
@@ -268,29 +275,51 @@ func (s *System) Begin(owner, recover any) bool {
 		return false
 	}
 	s.Begins++
-	s.txn = &Txn{
-		Owner:      owner,
-		Recover:    recover,
-		depth:      1,
-		writeLines: make(map[uint64]struct{}, 64),
-		writeSets:  make([]uint8, s.cfg.WriteSets),
+	t := s.spare
+	if t == nil {
+		t = &Txn{
+			writeLines: make(map[uint64]struct{}, 64),
+			writeSets:  make([]uint8, s.cfg.WriteSets),
+		}
+		if s.cfg.ReadSets > 0 {
+			t.readLines = make(map[uint64]struct{}, 256)
+			t.readSets = make([]uint8, s.cfg.ReadSets)
+		}
+	} else {
+		s.spare = nil
+		clear(t.writeLines)
+		clear(t.writeSets)
+		clear(t.readLines)
+		clear(t.readSets)
+		clear(t.conflictReads)
+		clear(t.undo)
+		t.undo = t.undo[:0]
+		t.sof = false
 	}
-	if s.cfg.ReadSets > 0 {
-		s.txn.readLines = make(map[uint64]struct{}, 256)
-		s.txn.readSets = make([]uint8, s.cfg.ReadSets)
-	}
+	t.Owner, t.Recover, t.depth = owner, recover, 1
+	s.txn = t
 	return true
 }
 
-// RecordWrite tracks a transactional store covering [addr, addr+size) and
-// registers its undo action. A capacity overflow returns an error; the
-// caller is expected to abort.
+// retire closes the open transaction, if any, and keeps it for reuse.
+func (s *System) retire() {
+	if s.txn != nil {
+		s.spare, s.txn = s.txn, nil
+	}
+}
+
+// RecordWrite tracks a transactional store covering [addr, addr+size) and,
+// when undo is non-nil, registers it as the store's rollback action (a caller
+// that logs the old state itself passes nil). A capacity overflow returns an
+// error; the caller is expected to abort.
 func (s *System) RecordWrite(addr uint64, size int, undo func()) error {
 	t := s.txn
 	if t == nil {
 		return ErrNoTransaction
 	}
-	t.undo = append(t.undo, undo)
+	if undo != nil {
+		t.undo = append(t.undo, undo)
+	}
 	first := addr / uint64(s.cfg.LineSize)
 	last := (addr + uint64(size) - 1) / uint64(s.cfg.LineSize)
 	for line := first; line <= last; line++ {
@@ -414,12 +443,12 @@ func (s *System) Commit() (bool, error) {
 	if s.domain != nil {
 		s.domain.release(s.owner, t)
 	}
-	s.txn = nil
+	s.retire()
 	return true, nil
 }
 
-// Abort rolls back the whole nest: undo actions run in reverse order, the
-// transaction is discarded, and statistics are recorded.
+// Abort rolls back the whole nest: registered undo actions run in reverse
+// order, the transaction is discarded, and statistics are recorded.
 func (s *System) Abort(cause AbortCause) error {
 	t := s.txn
 	if t == nil {
@@ -433,7 +462,7 @@ func (s *System) Abort(cause AbortCause) error {
 	if s.domain != nil {
 		s.domain.release(s.owner, t)
 	}
-	s.txn = nil
+	s.retire()
 	return nil
 }
 

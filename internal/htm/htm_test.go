@@ -250,3 +250,121 @@ func TestQuickWriteSetAccounting(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// probeLines is the per-transaction footprint of the steady-state tests and
+// benchmark below; it fits the write and read sets of both configurations.
+const probeLines = 256
+
+// steadyTx runs one transaction over probeLines distinct lines (plus as many
+// reads under RTM), recording writes the way the machine does — with no undo
+// closure — and retires it by commit or abort.
+func steadyTx(tb testing.TB, s *System, commit bool) {
+	s.Begin(nil, nil)
+	for l := uint64(0); l < probeLines; l++ {
+		if err := s.RecordWrite(l*64, 8, nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if s.Config().ReadSets > 0 {
+		for l := uint64(0); l < probeLines; l++ {
+			if err := s.RecordRead((probeLines+l)*64, 8); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	var err error
+	if commit {
+		_, err = s.Commit()
+	} else {
+		err = s.Abort(AbortCheck)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// After one warm-up transaction the System reuses its Txn: a transaction of
+// any footprint costs the host no allocation, however it retires.
+func TestSteadyStateTransactionsDoNotAllocate(t *testing.T) {
+	for name, cfg := range map[string]Config{"ROT": ROTConfig(), "RTM": RTMConfig()} {
+		for _, commit := range []bool{true, false} {
+			s := New(cfg)
+			steadyTx(t, s, commit)
+			if n := testing.AllocsPerRun(20, func() { steadyTx(t, s, commit) }); n != 0 {
+				t.Errorf("%s commit=%v: %v allocs per transaction, want 0", name, commit, n)
+			}
+		}
+	}
+}
+
+// A retired transaction's footprint stays readable until the next outermost
+// Begin (the machine reports WriteBytes after Commit); that Begin starts from
+// an empty footprint, a clear SOF and the new owner.
+func TestTxnReuseResetsOnBegin(t *testing.T) {
+	s := New(RTMConfig())
+	s.Begin("first", nil)
+	s.RecordWrite(0, 8, nil)
+	s.RecordRead(64, 8)
+	s.SetSOF()
+	first := s.Current()
+	s.Commit()
+	if first.WriteBytes() != 64 || first.ReadBytes() != 64 {
+		t.Fatalf("footprint after commit = %d/%d bytes, want 64/64", first.WriteBytes(), first.ReadBytes())
+	}
+	s.Begin("second", nil)
+	cur := s.Current()
+	if cur.Owner != "second" || cur.Depth() != 1 {
+		t.Errorf("owner=%v depth=%d after reuse", cur.Owner, cur.Depth())
+	}
+	if cur.WriteBytes() != 0 || cur.ReadBytes() != 0 || cur.MaxWriteAssoc() != 0 || s.SOF() {
+		t.Errorf("reused transaction not reset: write=%d read=%d assoc=%d sof=%v",
+			cur.WriteBytes(), cur.ReadBytes(), cur.MaxWriteAssoc(), s.SOF())
+	}
+	runs := 0
+	s.RecordWrite(0, 8, func() { runs++ })
+	s.Abort(AbortCheck)
+	s.Begin(nil, nil)
+	s.Abort(AbortCheck)
+	if runs != 1 {
+		t.Errorf("undo ran %d times, want once: in its own transaction, not the next", runs)
+	}
+}
+
+// Writes recorded with a nil undo (callers that log old state themselves)
+// leave the registered actions' reverse order intact.
+func TestNilUndoInterleaved(t *testing.T) {
+	s := New(ROTConfig())
+	for round := 0; round < 2; round++ { // the second round runs on the reused Txn
+		s.Begin(nil, nil)
+		var log []int
+		s.RecordWrite(0, 8, nil)
+		s.RecordWrite(64, 8, func() { log = append(log, 1) })
+		s.RecordWrite(128, 8, nil)
+		s.RecordWrite(192, 8, nil)
+		s.RecordWrite(256, 8, func() { log = append(log, 2) })
+		s.RecordWrite(320, 8, func() { log = append(log, 3) })
+		s.RecordWrite(384, 8, nil)
+		if got := s.Current().WriteLines(); got != 7 {
+			t.Fatalf("round %d: write lines = %d, want 7", round, got)
+		}
+		if err := s.Abort(AbortCheck); err != nil {
+			t.Fatal(err)
+		}
+		if len(log) != 3 || log[0] != 3 || log[1] != 2 || log[2] != 1 {
+			t.Errorf("round %d: undo order = %v, want [3 2 1]", round, log)
+		}
+	}
+}
+
+// BenchmarkTxnWriteCommit is the HTM model's steady-state bookkeeping cost:
+// one warm transaction of probeLines distinct-line writes, committed.
+func BenchmarkTxnWriteCommit(b *testing.B) {
+	s := New(ROTConfig())
+	steadyTx(b, s, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		steadyTx(b, s, true)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probeLines), "ns/write")
+}

@@ -280,3 +280,27 @@ func TestNativeCallThroughMachine(t *testing.T) {
 		t.Errorf("res=%v calls=%d", res, host.calls)
 	}
 }
+
+// ResetState drops an open transaction together with its write hook and undo
+// log; a hook left behind would turn every later heap write into a pending
+// capacity abort.
+func TestResetStateDropsOpenTransaction(t *testing.T) {
+	h := newStubHost()
+	m := New(h, htm.ROTConfig())
+	o := value.NewObject(h.shapes)
+	o.Set("x", value.Int(1))
+	m.HTM.Begin(nil, nil)
+	m.installHook()
+	o.Set("x", value.Int(2))
+	if len(m.undo) != 1 {
+		t.Fatalf("undo log holds %d records after one hooked store, want 1", len(m.undo))
+	}
+	m.ResetState()
+	if m.InTx() || h.shapes.Hook != nil || len(m.undo) != 0 {
+		t.Errorf("after ResetState: open=%v hook=%v undo records=%d", m.InTx(), h.shapes.Hook, len(m.undo))
+	}
+	o.Set("x", value.Int(3))
+	if m.pendingCapacity {
+		t.Error("a heap write after ResetState still reaches the machine")
+	}
+}

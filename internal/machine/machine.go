@@ -18,6 +18,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nomap/internal/bytecode"
 	"nomap/internal/cache"
@@ -55,10 +56,17 @@ type Machine struct {
 	Cache *cache.Hierarchy
 	HTM   *htm.System
 
-	hook            *txHook
-	trace           Tracer
-	inject          Injector
-	frameSeq        int
+	hook   *txHook
+	trace  Tracer
+	inject Injector
+	// undo is the heap's typed undo log for the open transaction (hook.go).
+	undo []undoRec
+	// frames holds one scratch buffer per runFrom nesting depth; depth is the
+	// number of activations currently on the host stack. Compiled code
+	// re-enters Run/EnterAt through host.Call, so a buffer belongs to a depth,
+	// never to the machine as a whole.
+	frames          []*frameBuf
+	depth           int
 	pendingCapacity bool
 	// txHadCalls tracks whether user code was invoked inside the currently
 	// open outermost transaction (reset at every outermost begin and tile
@@ -87,15 +95,21 @@ func New(host Host, htmCfg htm.Config) *Machine {
 }
 
 // ResetState returns the machine's simulated hardware to its initial
-// condition: a fresh address map, cold caches, and cleared HTM state. The
-// jit backend's Reset calls it so differential runs on a reused engine see
-// the same address stream and cache behaviour as a fresh one.
+// condition: a fresh address map, cold caches, and cleared HTM state — an
+// open transaction is dropped without rollback, its write hook uninstalled.
+// The jit backend's Reset calls it so differential runs on a reused engine
+// see the same address stream and cache behaviour as a fresh one.
 func (m *Machine) ResetState() {
 	m.Mem = NewMemory()
 	m.Cache = cache.NewHierarchy()
 	m.HTM.Reset()
+	m.uninstallHook()
+	m.dropUndo()
+	m.depth = 0
+	for _, fb := range m.frames {
+		clear(fb.args[:cap(fb.args)]) // the old heap's values
+	}
 	m.pendingCapacity = false
-	m.frameSeq = 0
 	m.txHadCalls = false
 	m.icSeen = nil
 }
@@ -127,14 +141,14 @@ type Deopt struct {
 // txUnwind propagates a transaction abort out of nested frames until it
 // reaches the frame that owns the outermost transaction.
 type txUnwind struct {
-	owner int
+	owner *frameBuf
 	rec   *frame.Frame
 	cause htm.AbortCause
 	site  core.Site
 }
 
 func (e *txUnwind) Error() string {
-	return fmt.Sprintf("machine: transaction abort (%s) unwinding to frame %d", e.cause, e.owner)
+	return fmt.Sprintf("machine: transaction abort (%s) unwinding to its owner frame", e.cause)
 }
 
 // RuntimeError is a JavaScript-level error raised by optimized code.
@@ -172,12 +186,36 @@ func (m *Machine) EnterAt(f *ir.Func, tier profile.Tier, fr *frame.Frame) (value
 	return m.runFrom(f, tier, nil, fr)
 }
 
-// runFrom is the shared execution core behind Run and EnterAt. For OSR
-// entries osr is the incoming frame; otherwise args carry the invocation
-// parameters.
+// frameBuf is the scratch storage of one activation: everything whose
+// lifetime is a single runFrom. It is reused by every activation that runs at
+// the same nesting depth, and its address identifies the activation as a
+// transaction owner while it is live.
+type frameBuf struct {
+	vals  []value.Boxed
+	oflow []bool
+	// backEdges holds the live per-frame counts followed by their
+	// transaction-begin checkpoint.
+	backEdges []int64
+	phi       []value.Boxed
+	args      []value.Value
+}
+
+// runFrom is the shared execution core behind Run and EnterAt: it lends the
+// activation the frame buffer of its nesting depth. For OSR entries osr is
+// the incoming frame; otherwise args carry the invocation parameters.
 func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr *frame.Frame) (value.Value, *Deopt, error) {
-	m.frameSeq++
-	tok := m.frameSeq
+	if m.depth == len(m.frames) {
+		m.frames = append(m.frames, new(frameBuf))
+	}
+	fb := m.frames[m.depth]
+	m.depth++
+	res, d, err := m.exec(fb, f, tier, args, osr)
+	m.depth--
+	return res, d, err
+}
+
+// exec runs one activation of f on the scratch buffer fb.
+func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value.Value, osr *frame.Frame) (value.Value, *Deopt, error) {
 	w := WeightsFor(tier)
 	ctrs := m.host.Counters()
 	if tier == profile.TierFTL {
@@ -187,12 +225,15 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 	}
 
 	hd := m.host.Handles()
-	vals := make([]value.Boxed, f.NumValues())
+	nVals := f.NumValues()
+	fb.vals = slices.Grow(fb.vals[:0], nVals)[:nVals]
+	vals := fb.vals
 	for i := range vals {
 		vals[i] = value.BoxedUndefined // the zero Boxed is +0.0
 	}
-	oflow := make([]bool, f.NumValues())
-	var phiScratch []value.Boxed
+	fb.oflow = slices.Grow(fb.oflow[:0], nVals)[:nVals]
+	oflow := fb.oflow
+	clear(oflow)
 
 	// Loop back edges taken by this frame, not yet folded into the function
 	// profiles — one slot per logical frame: slot 0 is the compiled
@@ -202,12 +243,14 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 	// the squashed iterations are re-executed (and re-counted) by Baseline.
 	// An OSR frame may arrive carrying a delta from the tier that handed it
 	// over.
-	backEdges := make([]int64, len(f.Inlines)+1)
+	nFrames := len(f.Inlines) + 1
+	fb.backEdges = slices.Grow(fb.backEdges[:0], 2*nFrames)[:2*nFrames]
+	clear(fb.backEdges)
+	backEdges, beCheck := fb.backEdges[:nFrames:nFrames], fb.backEdges[nFrames:]
 	if osr != nil {
 		backEdges[0] = osr.BackEdges
 		osr.BackEdges = 0
 	}
-	beCheck := make([]int64, len(backEdges))
 	copy(beCheck, backEdges)
 	slotSource := func(i int) *bytecode.Function {
 		if i == 0 {
@@ -316,11 +359,12 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 		if t == nil {
 			return nil, errf("abort without open transaction")
 		}
-		owner := t.Owner.(int)
+		owner := t.Owner.(*frameBuf)
 		rec := t.Recover.(*frame.Frame)
 		m.noteTxStats(ctrs, t)
 		m.emit(Event{Kind: EventTxAbort, Fn: f.Name, Cause: cause, CheckClass: class, PC: rec.PC, WriteBytes: t.WriteBytes()})
 		m.uninstallHook()
+		m.rollback()
 		if err := m.HTM.Abort(cause); err != nil {
 			return nil, err
 		}
@@ -348,7 +392,7 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 		}
 		ctrs.SquashOpenTx(int(cause))
 		site := core.SiteOf(f.Name, sv, class)
-		if owner == tok {
+		if owner == fb {
 			return ownerDeopt(rec, cause, site), nil
 		}
 		// A callee frame inside the owner's transaction: everything this
@@ -356,20 +400,29 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 		return nil, &txUnwind{owner: owner, rec: rec, cause: cause, site: site}
 	}
 
+	// raise returns a JavaScript error from the site v. Inside a transaction
+	// an error is an irrevocable abort, as a fault is on real HTM: the owner
+	// rolls back and Baseline re-executes, raising the error itself with
+	// precise heap state.
+	raise := func(v *ir.Value, err error) (*Deopt, error) {
+		if m.HTM.InTx() {
+			return abort(htm.AbortIrrevocable, stats.CheckOther, v)
+		}
+		return nil, err
+	}
+
 	// handleCallErr routes errors coming back from calls: transaction
-	// unwinds addressed to this frame become Deopts; irrevocable-operation
-	// errors abort the open transaction, attributed to the call site v.
+	// unwinds addressed to this frame become Deopts; anything else — an
+	// irrevocable operation (htm.ErrIrrevocable), a callee's JavaScript
+	// error, an interrupt — is raised from the call site v.
 	handleCallErr := func(v *ir.Value, err error) (*Deopt, error) {
 		if u, ok := err.(*txUnwind); ok {
-			if u.owner == tok {
+			if u.owner == fb {
 				return ownerDeopt(u.rec, u.cause, u.site), nil
 			}
 			return nil, err
 		}
-		if err == htm.ErrIrrevocable && m.HTM.InTx() {
-			return abort(htm.AbortIrrevocable, stats.CheckOther, v)
-		}
-		return nil, err
+		return raise(v, err)
 	}
 
 	block := f.Entry
@@ -378,23 +431,24 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 		// Phi parallel copy on block entry.
 		if prev != nil {
 			k := block.PredIndex(prev)
-			phiScratch = phiScratch[:0]
+			phi := fb.phi[:0]
 			for _, v := range block.Values {
 				if v.Op != ir.OpPhi {
 					break
 				}
 				if k < len(v.Args) {
-					phiScratch = append(phiScratch, vals[v.Args[k].ID])
+					phi = append(phi, vals[v.Args[k].ID])
 				} else {
-					phiScratch = append(phiScratch, value.BoxedUndefined)
+					phi = append(phi, value.BoxedUndefined)
 				}
 			}
+			fb.phi = phi
 			i := 0
 			for _, v := range block.Values {
 				if v.Op != ir.OpPhi {
 					break
 				}
-				vals[v.ID] = phiScratch[i]
+				vals[v.ID] = phi[i]
 				i++
 			}
 		}
@@ -551,13 +605,14 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 					// producing check (deferred detection is disabled when a
 					// keep set is present), so the transaction commits before
 					// the deopt instead of squandering its work in an abort.
-					if t := m.HTM.Current(); t != nil && t.Owner == any(tok) {
+					if t := m.HTM.Current(); t != nil && t.Owner == any(fb) {
 						m.noteTxStats(ctrs, t)
 						ctrs.TxWriteBytesTotal += t.WriteBytes()
 						if _, err := m.HTM.Commit(); err != nil {
 							return value.Undefined(), nil, err
 						}
 						m.uninstallHook()
+						m.dropUndo()
 						ctrs.TxCommits++
 						ctrs.RetireOpenTx()
 						account(0, m.HTM.Config().CommitCycles)
@@ -668,7 +723,8 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 				g := m.host.Globals()
 				if !g.Has(v.AuxStr) {
 					account(instr, extra)
-					return value.Undefined(), nil, errf("%s is not defined", v.AuxStr)
+					d, err := raise(v, errf("%s is not defined", v.AuxStr))
+					return value.Undefined(), d, err
 				}
 				vals[v.ID] = hd.Box(g.Get(v.AuxStr))
 				if off := g.OffsetOf(v.AuxStr); off >= 0 {
@@ -686,10 +742,13 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 
 			case ir.OpCallDirect:
 				this := hd.Unbox(vals[v.Args[0].ID])
-				callArgs := make([]value.Value, len(v.Args)-1)
-				for i := 1; i < len(v.Args); i++ {
-					callArgs[i-1] = hd.Unbox(vals[v.Args[i].ID])
+				// The callee copies its arguments out (frame.New, natives);
+				// a nested activation runs one depth deeper, on its own buffer.
+				callArgs := fb.args[:0]
+				for _, a := range v.Args[1:] {
+					callArgs = append(callArgs, hd.Unbox(vals[a.ID]))
 				}
+				fb.args = callArgs
 				account(instr, extra)
 				if m.HTM.InTx() {
 					m.txHadCalls = true
@@ -714,10 +773,10 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 
 			case ir.OpTxBegin:
 				if m.HTM.InTx() {
-					m.HTM.Begin(tok, nil) // flattened nesting: depth only
+					m.HTM.Begin(nil, nil) // flattened nesting: depth only
 				} else {
 					rec := materialize(v.Deopt)
-					m.HTM.Begin(tok, rec)
+					m.HTM.Begin(fb, rec)
 					m.installHook()
 					ctrs.TxBegins++
 					copy(beCheck, backEdges)
@@ -754,6 +813,7 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 				}
 				if outer {
 					m.uninstallHook()
+					m.dropUndo()
 					ctrs.TxCommits++
 					ctrs.RetireOpenTx()
 					m.noteTxStats(ctrs, t)
@@ -764,7 +824,7 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 			case ir.OpTxTile:
 				t := m.HTM.Current()
 				forceTile := false
-				if m.inject != nil && t != nil && t.Owner == any(tok) {
+				if m.inject != nil && t != nil && t.Owner == any(fb) {
 					act := m.inject.At(Site{SiteKey: siteKey(SiteTxTile, f, v), InTx: true})
 					if cause, ok := act.abortCause(); ok {
 						account(instr, extra)
@@ -773,18 +833,19 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 					}
 					forceTile = act == ActTileCommit
 				}
-				if t != nil && t.Owner == any(tok) && (forceTile || m.footprintNearCapacity(t)) {
+				if t != nil && t.Owner == any(fb) && (forceTile || m.footprintNearCapacity(t)) {
 					m.noteTxStats(ctrs, t)
 					ctrs.TxWriteBytesTotal += t.WriteBytes()
 					if _, err := m.HTM.Commit(); err != nil {
 						account(instr, extra)
 						return value.Undefined(), nil, err
 					}
+					m.dropUndo()
 					ctrs.TxCommits++
 					ctrs.RetireOpenTx()
 					m.emit(Event{Kind: EventTxTileCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
 					rec := materialize(v.Deopt)
-					m.HTM.Begin(tok, rec)
+					m.HTM.Begin(fb, rec)
 					ctrs.TxBegins++
 					copy(beCheck, backEdges)
 					m.txHadCalls = false

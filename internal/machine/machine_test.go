@@ -12,12 +12,16 @@ import (
 )
 
 func newEngine(arch vm.Arch) *vm.VM {
+	v, _ := newEngineBackend(arch)
+	return v
+}
+
+func newEngineBackend(arch vm.Arch) (*vm.VM, *jit.Backend) {
 	cfg := vm.DefaultConfig()
 	cfg.Arch = arch
 	cfg.Policy = profile.Policy{BaselineThreshold: 2, DFGThreshold: 8, FTLThreshold: 40, MaxDeopts: 16}
 	v := vm.New(cfg)
-	jit.Attach(v)
-	return v
+	return v, jit.Attach(v)
 }
 
 // newEngineNoInline disables speculative call inlining, for tests that
