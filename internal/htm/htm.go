@@ -22,6 +22,8 @@ package htm
 import (
 	"errors"
 	"fmt"
+
+	"nomap/internal/stats"
 )
 
 // Mode selects the HTM flavour.
@@ -107,10 +109,14 @@ const (
 	// abort attributes the kill to the opposing reader, writer, or the
 	// software fallback lock.
 	AbortConflict
-	// NumAbortCauses sizes per-cause ledgers. It must stay in sync with
-	// stats.NumAbortCauses (stats cannot import htm without a cycle).
-	NumAbortCauses
 )
+
+// NumAbortCauses sizes per-cause ledgers. It is stats.NumAbortCauses (stats
+// cannot import htm), and the index below fails to compile unless
+// AbortConflict is the last cause.
+const NumAbortCauses AbortCause = stats.NumAbortCauses
+
+var _ = [1]struct{}{}[NumAbortCauses-1-AbortConflict]
 
 // String names the cause.
 func (c AbortCause) String() string {
@@ -171,9 +177,9 @@ type Txn struct {
 	// observes invalidations even though no cache tags buffer the footprint.
 	// Only populated while a Domain is attached.
 	conflictReads map[uint64]struct{}
-	// undo is the generic rollback log for callers without typed state of
-	// their own (SharedRun's cells, maps and queues). The machine keeps the
-	// heap's typed undo log itself and records its writes with a nil undo.
+	// undo is the generic rollback log of RecordWrite callers that pass an
+	// undo action. The engine passes none: the machine and the shared-section
+	// workers keep typed logs of their own.
 	undo []func()
 	sof  bool
 }
@@ -227,31 +233,26 @@ type System struct {
 	domain *Domain
 	owner  int
 
-	// Statistics over the system lifetime.
-	Begins   int64
-	Commits  int64
-	Aborts   [NumAbortCauses]int64
-	MaxWrite int64
-	MaxRead  int64
-	MaxAssoc int64
-	// TotalCommittedWriteBytes accumulates footprints of committed
-	// transactions for averaging (Table IV).
-	TotalCommittedWriteBytes int64
+	// ctrs is the ledger every finished transaction is counted into: its
+	// owner's (see CountInto), or private counters nobody reads.
+	ctrs *stats.Counters
 }
 
-// New creates an HTM system.
-func New(cfg Config) *System { return &System{cfg: cfg} }
+// New creates an HTM system. It counts into private counters until its owner
+// hands it a ledger with CountInto.
+func New(cfg Config) *System { return &System{cfg: cfg, ctrs: new(stats.Counters)} }
 
-// Reset discards any open transaction and all lifetime statistics, returning
-// the system to its post-New state. The capacity probe is kept, mirroring how
-// the machine keeps its injector: instrumentation is the caller's to manage.
-func (s *System) Reset() {
-	s.retire()
-	s.Begins, s.Commits = 0, 0
-	s.Aborts = [NumAbortCauses]int64{}
-	s.MaxWrite, s.MaxRead, s.MaxAssoc = 0, 0, 0
-	s.TotalCommittedWriteBytes = 0
-}
+// CountInto makes c the ledger of every later transaction: an outermost Begin
+// counts TxBegins, an outermost Commit the commit and its footprint, and
+// Abort the abort, its cause and its footprint. Commit and Abort also settle
+// the transaction's cycles (RetireOpenTx, SquashOpenTx), so the owner charges
+// in-transaction cycles to c before it commits. The owner calls it once.
+func (s *System) CountInto(c *stats.Counters) { s.ctrs = c }
+
+// Reset discards any open transaction, uncounted and without rollback. The
+// capacity probe is kept, mirroring how the machine keeps its injector:
+// instrumentation is the caller's to manage.
+func (s *System) Reset() { s.retire() }
 
 // Config returns the configuration.
 func (s *System) Config() Config { return s.cfg }
@@ -274,7 +275,7 @@ func (s *System) Begin(owner, recover any) bool {
 		s.txn.depth++
 		return false
 	}
-	s.Begins++
+	s.ctrs.TxBegins++
 	t := s.spare
 	if t == nil {
 		t = &Txn{
@@ -437,9 +438,10 @@ func (s *System) Commit() (bool, error) {
 	if t.depth > 0 {
 		return false, nil
 	}
-	s.Commits++
+	s.ctrs.TxCommits++
+	s.ctrs.TxWriteBytesTotal += t.WriteBytes()
 	s.noteFootprint(t)
-	s.TotalCommittedWriteBytes += t.WriteBytes()
+	s.ctrs.RetireOpenTx()
 	if s.domain != nil {
 		s.domain.release(s.owner, t)
 	}
@@ -448,7 +450,8 @@ func (s *System) Commit() (bool, error) {
 }
 
 // Abort rolls back the whole nest: registered undo actions run in reverse
-// order, the transaction is discarded, and statistics are recorded.
+// order, the abort is counted under its cause, and the transaction is
+// discarded.
 func (s *System) Abort(cause AbortCause) error {
 	t := s.txn
 	if t == nil {
@@ -457,8 +460,22 @@ func (s *System) Abort(cause AbortCause) error {
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		t.undo[i]()
 	}
-	s.Aborts[cause]++
+	c := s.ctrs
+	c.TxAborts++
+	switch cause {
+	case AbortCheck:
+		c.TxCheckAborts++
+	case AbortCapacity:
+		c.TxCapacityAborts++
+	case AbortSOF:
+		c.TxSOFAborts++
+	case AbortIrrevocable:
+		c.TxIrrevocableAborts++
+	case AbortConflict:
+		c.TxConflictAborts++
+	}
 	s.noteFootprint(t)
+	c.SquashOpenTx(int(cause))
 	if s.domain != nil {
 		s.domain.release(s.owner, t)
 	}
@@ -466,31 +483,12 @@ func (s *System) Abort(cause AbortCause) error {
 	return nil
 }
 
+// noteFootprint counts a finished transaction's footprint: the Table IV
+// maxima and its distinct write lines, whether it committed or aborted.
 func (s *System) noteFootprint(t *Txn) {
-	if wb := t.WriteBytes(); wb > s.MaxWrite {
-		s.MaxWrite = wb
-	}
-	if rb := t.ReadBytes(); rb > s.MaxRead {
-		s.MaxRead = rb
-	}
-	if a := int64(t.MaxWriteAssoc()); a > s.MaxAssoc {
-		s.MaxAssoc = a
-	}
-}
-
-// TotalAborts sums aborts across causes.
-func (s *System) TotalAborts() int64 {
-	var t int64
-	for _, n := range s.Aborts {
-		t += n
-	}
-	return t
-}
-
-// AvgCommittedWriteBytes returns the mean committed write footprint.
-func (s *System) AvgCommittedWriteBytes() int64 {
-	if s.Commits == 0 {
-		return 0
-	}
-	return s.TotalCommittedWriteBytes / s.Commits
+	c := s.ctrs
+	c.TxWriteBytesMax = max(c.TxWriteBytesMax, t.WriteBytes())
+	c.TxReadBytesMax = max(c.TxReadBytesMax, t.ReadBytes())
+	c.TxMaxAssoc = max(c.TxMaxAssoc, int64(t.MaxWriteAssoc()))
+	c.TxWriteLinesTotal += int64(t.WriteLines())
 }

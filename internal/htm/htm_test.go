@@ -26,8 +26,8 @@ func TestBeginCommit(t *testing.T) {
 	if s.InTx() {
 		t.Fatal("transaction should be closed")
 	}
-	if s.Begins != 1 || s.Commits != 1 {
-		t.Errorf("begins=%d commits=%d", s.Begins, s.Commits)
+	if s.ctrs.TxBegins != 1 || s.ctrs.TxCommits != 1 {
+		t.Errorf("begins=%d commits=%d", s.ctrs.TxBegins, s.ctrs.TxCommits)
 	}
 }
 
@@ -51,8 +51,8 @@ func TestFlattenedNesting(t *testing.T) {
 	if outer, _ := s.Commit(); !outer {
 		t.Fatal("outer commit must retire")
 	}
-	if s.Begins != 1 || s.Commits != 1 {
-		t.Errorf("flattening miscounted: begins=%d commits=%d", s.Begins, s.Commits)
+	if s.ctrs.TxBegins != 1 || s.ctrs.TxCommits != 1 {
+		t.Errorf("flattening miscounted: begins=%d commits=%d", s.ctrs.TxBegins, s.ctrs.TxCommits)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestUndoLogRollsBackInReverse(t *testing.T) {
 	if s.InTx() {
 		t.Fatal("aborted transaction must be closed")
 	}
-	if s.Aborts[AbortCheck] != 1 {
+	if s.ctrs.TxCheckAborts != 1 {
 		t.Error("abort cause not recorded")
 	}
 }
@@ -192,11 +192,8 @@ func TestFootprintStats(t *testing.T) {
 		t.Errorf("MaxWriteAssoc = %d, want 1 (10 distinct sets)", tx.MaxWriteAssoc())
 	}
 	s.Commit()
-	if s.MaxWrite != 640 {
-		t.Errorf("MaxWrite = %d", s.MaxWrite)
-	}
-	if s.AvgCommittedWriteBytes() != 640 {
-		t.Errorf("AvgCommittedWriteBytes = %d", s.AvgCommittedWriteBytes())
+	if s.ctrs.TxWriteBytesMax != 640 || s.ctrs.TxWriteBytesTotal != 640 {
+		t.Errorf("TxWriteBytesMax = %d, TxWriteBytesTotal = %d, want 640", s.ctrs.TxWriteBytesMax, s.ctrs.TxWriteBytesTotal)
 	}
 }
 

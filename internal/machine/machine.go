@@ -42,6 +42,9 @@ type Host interface {
 	Call(fn *value.Function, this value.Value, args []value.Value) (value.Value, error)
 	Construct(fn *value.Function, args []value.Value) (value.Value, error)
 	InvokeMethod(recv value.Value, name string, args []value.Value) (value.Value, error)
+	// Counters returns the engine's ledger. It must return the same pointer
+	// for the host's lifetime: New hands it to the HTM system once, and every
+	// transaction is counted into it from then on.
 	Counters() *stats.Counters
 	// ProfileFor returns the profile of a bytecode function; the machine
 	// folds its locally counted loop back edges into it on clean returns so
@@ -90,6 +93,7 @@ func New(host Host, htmCfg htm.Config) *Machine {
 		Cache: cache.NewHierarchy(),
 		HTM:   htm.New(htmCfg),
 	}
+	m.HTM.CountInto(host.Counters())
 	m.hook = &txHook{m: m}
 	return m
 }
@@ -361,36 +365,18 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 		}
 		owner := t.Owner.(*frameBuf)
 		rec := t.Recover.(*frame.Frame)
-		m.noteTxStats(ctrs, t)
 		m.emit(Event{Kind: EventTxAbort, Fn: f.Name, Cause: cause, CheckClass: class, PC: rec.PC, WriteBytes: t.WriteBytes()})
 		m.uninstallHook()
 		m.rollback()
 		if err := m.HTM.Abort(cause); err != nil {
 			return nil, err
 		}
-		ctrs.TxAborts++
-		switch cause {
-		case htm.AbortCapacity:
-			ctrs.TxCapacityAborts++
-			if m.txHadCalls {
-				// §V-C callee blame: this overflow pins the function to
-				// TxOff. The call-heavy suite's acceptance check is that
-				// inlining drives this counter to zero.
-				ctrs.TxCallBlamedAborts++
-			}
-		case htm.AbortSOF:
-			ctrs.TxSOFAborts++
-		case htm.AbortCheck:
-			ctrs.TxCheckAborts++
-		case htm.AbortIrrevocable:
-			ctrs.TxIrrevocableAborts++
-		case htm.AbortConflict:
-			// Unreachable from single-isolate LIR execution (no conflict
-			// domain is attached); kept so the cause partition stays
-			// exhaustive if that ever changes.
-			ctrs.TxConflictAborts++
+		if cause == htm.AbortCapacity && m.txHadCalls {
+			// §V-C callee blame: this overflow pins the function to TxOff.
+			// The call-heavy suite's acceptance check is that inlining
+			// drives this counter to zero.
+			ctrs.TxCallBlamedAborts++
 		}
-		ctrs.SquashOpenTx(int(cause))
 		site := core.SiteOf(f.Name, sv, class)
 		if owner == fb {
 			return ownerDeopt(rec, cause, site), nil
@@ -606,15 +592,11 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 					// keep set is present), so the transaction commits before
 					// the deopt instead of squandering its work in an abort.
 					if t := m.HTM.Current(); t != nil && t.Owner == any(fb) {
-						m.noteTxStats(ctrs, t)
-						ctrs.TxWriteBytesTotal += t.WriteBytes()
 						if _, err := m.HTM.Commit(); err != nil {
 							return value.Undefined(), nil, err
 						}
 						m.uninstallHook()
 						m.dropUndo()
-						ctrs.TxCommits++
-						ctrs.RetireOpenTx()
 						account(0, m.HTM.Config().CommitCycles)
 						m.emit(Event{Kind: EventTxCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
 					}
@@ -778,7 +760,6 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 					rec := materialize(v.Deopt)
 					m.HTM.Begin(fb, rec)
 					m.installHook()
-					ctrs.TxBegins++
 					copy(beCheck, backEdges)
 					m.txHadCalls = false
 					extra += m.HTM.Config().BeginCycles
@@ -814,10 +795,6 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 				if outer {
 					m.uninstallHook()
 					m.dropUndo()
-					ctrs.TxCommits++
-					ctrs.RetireOpenTx()
-					m.noteTxStats(ctrs, t)
-					ctrs.TxWriteBytesTotal += t.WriteBytes()
 					extra += m.HTM.Config().CommitCycles
 					m.emit(Event{Kind: EventTxCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
 				}
@@ -834,19 +811,14 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 					forceTile = act == ActTileCommit
 				}
 				if t != nil && t.Owner == any(fb) && (forceTile || m.footprintNearCapacity(t)) {
-					m.noteTxStats(ctrs, t)
-					ctrs.TxWriteBytesTotal += t.WriteBytes()
 					if _, err := m.HTM.Commit(); err != nil {
 						account(instr, extra)
 						return value.Undefined(), nil, err
 					}
 					m.dropUndo()
-					ctrs.TxCommits++
-					ctrs.RetireOpenTx()
 					m.emit(Event{Kind: EventTxTileCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
 					rec := materialize(v.Deopt)
 					m.HTM.Begin(fb, rec)
-					ctrs.TxBegins++
 					copy(beCheck, backEdges)
 					m.txHadCalls = false
 					extra += m.HTM.Config().CommitCycles + m.HTM.Config().BeginCycles
@@ -997,19 +969,6 @@ func (m *Machine) footprintNearCapacity(t *htm.Txn) bool {
 	cfg := m.HTM.Config()
 	capBytes := int64(cfg.WriteSets*cfg.WriteWays) * int64(cfg.LineSize)
 	return t.WriteBytes() >= capBytes*commitFractionNum/commitFractionDen
-}
-
-func (m *Machine) noteTxStats(ctrs *stats.Counters, t *htm.Txn) {
-	if wb := t.WriteBytes(); wb > ctrs.TxWriteBytesMax {
-		ctrs.TxWriteBytesMax = wb
-	}
-	if rb := t.ReadBytes(); rb > ctrs.TxReadBytesMax {
-		ctrs.TxReadBytesMax = rb
-	}
-	if a := int64(t.MaxWriteAssoc()); a > ctrs.TxMaxAssoc {
-		ctrs.TxMaxAssoc = a
-	}
-	ctrs.TxWriteLinesTotal += int64(t.WriteLines())
 }
 
 func cmpInt(c ir.Cmp, a, b int32) bool {

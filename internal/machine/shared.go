@@ -212,8 +212,15 @@ type SharedWorker struct {
 	section int
 	op      int
 
-	accStart       int64
-	fbUndo         []func()
+	// label tags the worker's events ("workload:wN"); sites holds the
+	// contention governor's key for each section of the script.
+	label string
+	sites []string
+
+	accStart int64
+	// log is the rollback log of the section execution in progress, on
+	// either path; it is empty between sections.
+	log            sectionLog
 	forceFB        bool // this section execution retreated to the fallback
 	pendingBackoff int64
 }
@@ -244,10 +251,18 @@ func NewSharedRun(wl *SharedWorkload, arch vm.Arch, seed int64, opt SharedOption
 		cfg = htm.RTMConfig()
 	}
 	for i, script := range wl.Workers {
-		w := &SharedWorker{run: r, ID: i, sys: htm.New(cfg), script: script}
+		w := &SharedWorker{run: r, ID: i, sys: htm.New(cfg), script: script,
+			label: fmt.Sprintf("%s:w%d", wl.Name, i)}
 		if w.script.Rounds <= 0 {
 			w.script.Rounds = 1
 		}
+		// A site key is per worker: the attempt ledger counts one
+		// execution's consecutive conflicts, which another worker's commits
+		// must not reset.
+		for s := range script.Sections {
+			w.sites = append(w.sites, fmt.Sprintf("%s#s%d:w%d", wl.Name, s, i))
+		}
+		w.sys.CountInto(&w.Ctrs)
 		w.sys.AttachDomain(r.Dom, i)
 		if opt.Configure != nil {
 			opt.Configure(i, w.sys)
@@ -289,16 +304,8 @@ func (w *SharedWorker) Sys() *htm.System { return w.sys }
 // Done reports whether the worker's script has completed.
 func (w *SharedWorker) Done() bool { return w.state == wsDone }
 
-func (w *SharedWorker) fn() string {
-	return fmt.Sprintf("%s:w%d", w.run.Name, w.ID)
-}
-
 // site identifies the worker's current section to the contention governor.
-// The key is per worker: the attempt ledger counts one execution's
-// consecutive conflicts, which another worker's commits must not reset.
-func (w *SharedWorker) site() string {
-	return fmt.Sprintf("%s#s%d:w%d", w.run.Name, w.section, w.ID)
-}
+func (w *SharedWorker) site() string { return w.sites[w.section] }
 
 func (w *SharedWorker) emit(e Event) {
 	if w.run.trace != nil {
@@ -344,7 +351,7 @@ func (w *SharedWorker) step() (bool, error) {
 	case wsBackoff:
 		// Serve the randomized contention window, then re-attempt.
 		w.Ctrs.AddCycles(w.pendingBackoff, false)
-		w.emit(Event{Kind: EventBackoff, Fn: w.fn(), Window: w.pendingBackoff})
+		w.emit(Event{Kind: EventBackoff, Fn: w.label, Window: w.pendingBackoff})
 		w.Ctrs.SharedBackoffs++
 		w.Ctrs.SharedTxRetries++
 		w.pendingBackoff = 0
@@ -379,17 +386,16 @@ func (w *SharedWorker) stepSectionStart() {
 		return
 	}
 	w.sys.Begin(nil, nil)
-	w.Ctrs.TxBegins++
 	w.Ctrs.AddCycles(w.sys.Config().BeginCycles, true)
 	w.accStart = w.Acc
 	w.op = 0
-	w.emit(Event{Kind: EventTxBegin, Fn: w.fn()})
+	w.emit(Event{Kind: EventTxBegin, Fn: w.label})
 	w.state = wsTxOp
 }
 
 func (w *SharedWorker) stepTxOp() error {
 	sec := w.script.Sections[w.section]
-	err := w.txOp(sec[w.op])
+	err := applySharedOp(w.run.Heap, sec[w.op], w.round, &w.Acc, w.sys, &w.log)
 	switch e := err.(type) {
 	case nil:
 		w.Ctrs.SharedOps++
@@ -422,47 +428,25 @@ func (w *SharedWorker) stepTxCommit() {
 		w.onConflict(&htm.ConflictError{With: -1, Attr: htm.AttrLock})
 		return
 	}
-	t := w.sys.Current()
-	wb := t.WriteBytes()
-	if wb > w.Ctrs.TxWriteBytesMax {
-		w.Ctrs.TxWriteBytesMax = wb
-	}
-	w.Ctrs.TxWriteBytesTotal += wb
-	if a := int64(t.MaxWriteAssoc()); a > w.Ctrs.TxMaxAssoc {
-		w.Ctrs.TxMaxAssoc = a
-	}
-	if rb := t.ReadBytes(); rb > w.Ctrs.TxReadBytesMax {
-		w.Ctrs.TxReadBytesMax = rb
-	}
-	w.sys.Commit()
-	w.Ctrs.TxCommits++
+	wb := w.sys.Current().WriteBytes()
+	// Charged before the commit, which retires them with the transaction.
 	w.Ctrs.AddCycles(w.sys.Config().CommitCycles, true)
-	w.Ctrs.RetireOpenTx()
-	w.emit(Event{Kind: EventTxCommit, Fn: w.fn(), WriteBytes: wb})
+	w.sys.Commit()
+	w.log.reset()
+	w.emit(Event{Kind: EventTxCommit, Fn: w.label, WriteBytes: wb})
 	w.run.Gov.OnCommit(w.site(), false)
 	w.sectionDone()
 }
 
-// abortTx rolls the open transaction back and does the common bookkeeping.
+// abortTx rolls the open transaction back: the section log restores the
+// heap, the accumulator returns to its section-start value, and the HTM
+// system discards (and counts) the transaction.
 func (w *SharedWorker) abortTx(cause htm.AbortCause, attr htm.Attribution) {
 	wb := w.sys.Current().WriteBytes()
+	w.log.rollback()
 	w.sys.Abort(cause)
-	w.Ctrs.TxAborts++
-	switch cause {
-	case htm.AbortConflict:
-		w.Ctrs.TxConflictAborts++
-	case htm.AbortCapacity:
-		w.Ctrs.TxCapacityAborts++
-	case htm.AbortCheck:
-		w.Ctrs.TxCheckAborts++
-	case htm.AbortSOF:
-		w.Ctrs.TxSOFAborts++
-	case htm.AbortIrrevocable:
-		w.Ctrs.TxIrrevocableAborts++
-	}
-	w.Ctrs.SquashOpenTx(int(cause))
 	w.Acc = w.accStart
-	w.emit(Event{Kind: EventTxAbort, Fn: w.fn(), Cause: cause, Attr: attr, WriteBytes: wb})
+	w.emit(Event{Kind: EventTxAbort, Fn: w.label, Cause: cause, Attr: attr, WriteBytes: wb})
 }
 
 // onConflict aborts the open transaction with conflict blame and asks the
@@ -497,9 +481,8 @@ func (w *SharedWorker) stepFallbackAcquire() {
 	w.Ctrs.SharedFallbackAcquires++
 	w.Ctrs.AddCycles(fbAcquireCycles, false)
 	w.accStart = w.Acc
-	w.fbUndo = w.fbUndo[:0]
 	w.op = 0
-	w.emit(Event{Kind: EventFallbackAcquire, Fn: w.fn()})
+	w.emit(Event{Kind: EventFallbackAcquire, Fn: w.label})
 	// Writing the lock word invalidates it in every subscribed transaction:
 	// all open remote speculation dies before the fallback touches data, so
 	// the fallback path never reads dirty speculative state.
@@ -513,20 +496,17 @@ func (w *SharedWorker) stepFallbackAcquire() {
 
 func (w *SharedWorker) stepFallbackOp() error {
 	sec := w.script.Sections[w.section]
-	err := w.fbOp(sec[w.op])
+	err := applySharedOp(w.run.Heap, sec[w.op], w.round, &w.Acc, nil, &w.log)
 	if err != nil {
 		if !errors.Is(err, errGuardRetry) {
 			return err
 		}
 		// Roll the section's direct mutations back, drop the lock so the
 		// worker that can satisfy the guard may run, and retry later.
-		for i := len(w.fbUndo) - 1; i >= 0; i-- {
-			w.fbUndo[i]()
-		}
-		w.fbUndo = w.fbUndo[:0]
+		w.log.rollback()
 		w.Acc = w.accStart
 		w.run.Dom.ReleaseFallback(w.ID)
-		w.emit(Event{Kind: EventFallbackRelease, Fn: w.fn()})
+		w.emit(Event{Kind: EventFallbackRelease, Fn: w.label})
 		w.state = wsGuardWait
 		return nil
 	}
@@ -542,12 +522,12 @@ func (w *SharedWorker) stepFallbackOp() error {
 func (w *SharedWorker) stepFallbackRelease() {
 	w.run.Dom.ReleaseFallback(w.ID)
 	w.Ctrs.AddCycles(fbReleaseCycles, false)
-	w.fbUndo = w.fbUndo[:0]
-	w.emit(Event{Kind: EventFallbackRelease, Fn: w.fn()})
+	w.log.reset()
+	w.emit(Event{Kind: EventFallbackRelease, Fn: w.label})
 	if w.run.Arch.UsesTransactions() {
 		if w.run.Gov.OnCommit(w.site(), true) {
 			w.Ctrs.SharedRepromotions++
-			w.emit(Event{Kind: EventRepromote, Fn: w.fn()})
+			w.emit(Event{Kind: EventRepromote, Fn: w.label})
 		}
 	}
 	w.forceFB = false
@@ -567,162 +547,161 @@ func (w *SharedWorker) sectionDone() {
 	w.state = wsSectionStart
 }
 
-// txOp executes one op transactionally: every load and store is tracked in
-// the worker's HTM system (and therefore in the conflict domain), mutations
-// happen only after the footprint is accepted, and undo actions restore the
-// heap on abort. The semantics must match applySharedOp exactly — the
-// schedule-sweep oracle diffs the two.
-func (w *SharedWorker) txOp(op SharedOp) error {
-	heap := w.run.Heap
-	switch op.Kind {
-	case OpAdd:
-		c := heap.Counter(op.Target)
-		if err := w.sys.RecordRead(c.Addr(), 8); err != nil {
-			return err
+// sharedUndoKind names what a sharedUndo restores: one kind per shared word
+// an op overwrites. A push's ring slot gets no record: it lies past the
+// restored tail, and nothing reads it before the next push overwrites it.
+type sharedUndoKind uint8
+
+const (
+	undoCounter   sharedUndoKind = iota // ctr held old
+	undoMapKey                          // m[key] held old
+	undoQueueHead                       // q's head index was old
+	undoQueueTail                       // q's tail index was old
+)
+
+// sharedUndo is one record of a section log: the shared word an op
+// overwrote, kept by value.
+type sharedUndo struct {
+	kind sharedUndoKind
+	ctr  *value.SharedCounter
+	m    *value.SharedMap
+	q    *value.SharedQueue
+	key  string
+	old  int64
+}
+
+// sectionLog is a worker's typed rollback log for one section execution. It
+// serves both paths: an abort (including a lock-elision kill) and a fallback
+// guard retry replay it, a commit or a fallback release empties it.
+type sectionLog []sharedUndo
+
+// rollback replays the log newest-first, restoring the shared heap to its
+// state at the section start, and empties it.
+func (l *sectionLog) rollback() {
+	for i := len(*l) - 1; i >= 0; i-- {
+		r := &(*l)[i]
+		switch r.kind {
+		case undoCounter:
+			r.ctr.Value = r.old
+		case undoMapKey:
+			r.m.Set(r.key, r.old)
+		case undoQueueHead:
+			r.q.SetHead(int(r.old))
+		case undoQueueTail:
+			r.q.SetTail(int(r.old))
 		}
-		old := c.Value
-		if err := w.sys.RecordWrite(c.Addr(), 8, func() { c.Value = old }); err != nil {
-			return err
-		}
-		c.Value = old + op.Imm
-	case OpReadCtr:
-		c := heap.Counter(op.Target)
-		if err := w.sys.RecordRead(c.Addr(), 8); err != nil {
-			return err
-		}
-		w.Acc += c.Value
-	case OpMapAdd:
-		m := heap.Map(op.Target)
-		k := opKey(op, w.round)
-		addr := m.StripeAddr(m.StripeFor(k))
-		if err := w.sys.RecordRead(addr, 8); err != nil {
-			return err
-		}
-		old := m.Get(k)
-		if err := w.sys.RecordWrite(addr, 8, func() { m.Set(k, old) }); err != nil {
-			return err
-		}
-		m.Set(k, old+op.Imm)
-	case OpMapRead:
-		m := heap.Map(op.Target)
-		k := opKey(op, w.round)
-		if err := w.sys.RecordRead(m.StripeAddr(m.StripeFor(k)), 8); err != nil {
-			return err
-		}
-		w.Acc += m.Get(k)
-	case OpPush:
-		q := heap.Queue(op.Target)
-		if err := w.sys.RecordRead(q.HeadAddr(), 8); err != nil {
-			return err
-		}
-		if err := w.sys.RecordRead(q.TailAddr(), 8); err != nil {
-			return err
-		}
-		if q.Len() >= q.Cap {
-			return errGuardRetry
-		}
-		tail := q.Tail()
-		if err := w.sys.RecordWrite(q.TailAddr(), 8, func() { q.SetTail(tail) }); err != nil {
-			return err
-		}
-		oldSlot := q.Slot(tail)
-		if err := w.sys.RecordWrite(q.SlotAddr(tail), 8, func() { q.SetSlot(tail, oldSlot) }); err != nil {
-			return err
-		}
-		q.Push(op.Imm + int64(w.round))
-	case OpPop:
-		q := heap.Queue(op.Target)
-		if err := w.sys.RecordRead(q.HeadAddr(), 8); err != nil {
-			return err
-		}
-		if err := w.sys.RecordRead(q.TailAddr(), 8); err != nil {
-			return err
-		}
-		if q.Len() == 0 {
-			return errGuardRetry
-		}
-		head := q.Head()
-		if err := w.sys.RecordRead(q.SlotAddr(head), 8); err != nil {
-			return err
-		}
-		if err := w.sys.RecordWrite(q.HeadAddr(), 8, func() { q.SetHead(head) }); err != nil {
-			return err
-		}
-		v, _ := q.Pop()
-		w.Acc += v
-	case OpPublish:
-		c := heap.Counter(op.Target)
-		if err := w.sys.RecordRead(c.Addr(), 8); err != nil {
-			return err
-		}
-		old := c.Value
-		if err := w.sys.RecordWrite(c.Addr(), 8, func() { c.Value = old }); err != nil {
-			return err
-		}
-		c.Value = old + w.Acc
-		w.Acc = 0
 	}
-	return nil
+	l.reset()
 }
 
-// fbOp executes one op on the fallback path: direct heap mutation under the
-// software lock, with a local undo log so a failed guard can roll the
-// section back before releasing.
-func (w *SharedWorker) fbOp(op SharedOp) error {
-	return applySharedOp(w.run.Heap, op, w.round, &w.Acc, &w.fbUndo)
+// reset empties the log, clearing its heap references.
+func (l *sectionLog) reset() {
+	clear(*l)
+	*l = (*l)[:0]
 }
 
-// applySharedOp is the non-transactional semantics of one shared op — the
-// fallback path and the single-threaded reference both use it, so the two
-// agree by construction and any fast-path divergence is the transaction
-// machinery's fault. undo, when non-nil, receives inverse actions.
-func applySharedOp(heap *value.SharedHeap, op SharedOp, round int, acc *int64, undo *[]func()) error {
-	log := func(f func()) {
-		if undo != nil {
-			*undo = append(*undo, f)
+// applySharedOp is the one semantics of a shared op, run by the
+// transactional path, the fallback path and the single-threaded reference
+// alike, so any divergence between them is the transaction machinery's
+// fault. With sys non-nil every line the op touches is tracked in the
+// worker's HTM system — and so in the conflict domain — before the heap
+// changes; a rejected access returns its error with this op's mutation not
+// yet made. With log non-nil every overwritten shared word is logged.
+func applySharedOp(heap *value.SharedHeap, op SharedOp, round int, acc *int64, sys *htm.System, log *sectionLog) error {
+	track := func(addr uint64, write bool) error {
+		switch {
+		case sys == nil:
+			return nil
+		case write:
+			return sys.RecordWrite(addr, 8, nil)
+		}
+		return sys.RecordRead(addr, 8)
+	}
+	record := func(r sharedUndo) {
+		if log != nil {
+			*log = append(*log, r)
 		}
 	}
 	switch op.Kind {
-	case OpAdd:
+	case OpAdd, OpPublish:
 		c := heap.Counter(op.Target)
-		old := c.Value
-		log(func() { c.Value = old })
-		c.Value = old + op.Imm
+		if err := track(c.Addr(), false); err != nil {
+			return err
+		}
+		if err := track(c.Addr(), true); err != nil {
+			return err
+		}
+		record(sharedUndo{kind: undoCounter, ctr: c, old: c.Value})
+		if op.Kind == OpAdd {
+			c.Value += op.Imm
+		} else {
+			c.Value += *acc
+			*acc = 0
+		}
 	case OpReadCtr:
-		*acc += heap.Counter(op.Target).Value
-	case OpMapAdd:
+		c := heap.Counter(op.Target)
+		if err := track(c.Addr(), false); err != nil {
+			return err
+		}
+		*acc += c.Value
+	case OpMapAdd, OpMapRead:
 		m := heap.Map(op.Target)
 		k := opKey(op, round)
+		addr := m.StripeAddr(m.StripeFor(k))
+		if err := track(addr, false); err != nil {
+			return err
+		}
 		old := m.Get(k)
-		log(func() { m.Set(k, old) })
+		if op.Kind == OpMapRead {
+			*acc += old
+			break
+		}
+		if err := track(addr, true); err != nil {
+			return err
+		}
+		record(sharedUndo{kind: undoMapKey, m: m, key: k, old: old})
 		m.Set(k, old+op.Imm)
-	case OpMapRead:
-		m := heap.Map(op.Target)
-		*acc += m.Get(opKey(op, round))
 	case OpPush:
 		q := heap.Queue(op.Target)
+		if err := track(q.HeadAddr(), false); err != nil {
+			return err
+		}
+		if err := track(q.TailAddr(), false); err != nil {
+			return err
+		}
 		if q.Len() >= q.Cap {
 			return errGuardRetry
 		}
 		tail := q.Tail()
-		oldSlot := q.Slot(tail)
-		log(func() { q.SetSlot(tail, oldSlot); q.SetTail(tail) })
+		if err := track(q.TailAddr(), true); err != nil {
+			return err
+		}
+		record(sharedUndo{kind: undoQueueTail, q: q, old: int64(tail)})
+		if err := track(q.SlotAddr(tail), true); err != nil {
+			return err
+		}
 		q.Push(op.Imm + int64(round))
 	case OpPop:
 		q := heap.Queue(op.Target)
+		if err := track(q.HeadAddr(), false); err != nil {
+			return err
+		}
+		if err := track(q.TailAddr(), false); err != nil {
+			return err
+		}
 		if q.Len() == 0 {
 			return errGuardRetry
 		}
 		head := q.Head()
-		log(func() { q.SetHead(head) })
+		if err := track(q.SlotAddr(head), false); err != nil {
+			return err
+		}
+		if err := track(q.HeadAddr(), true); err != nil {
+			return err
+		}
+		record(sharedUndo{kind: undoQueueHead, q: q, old: int64(head)})
 		v, _ := q.Pop()
 		*acc += v
-	case OpPublish:
-		c := heap.Counter(op.Target)
-		old := c.Value
-		log(func() { c.Value = old })
-		c.Value = old + *acc
-		*acc = 0
 	}
 	return nil
 }
@@ -855,7 +834,7 @@ func RunReference(wl *SharedWorkload) (*SharedResult, error) {
 		for round := 0; round < rounds; round++ {
 			for si, sec := range script.Sections {
 				for _, op := range sec {
-					if err := applySharedOp(heap, op, round, &res.Accs[wi], nil); err != nil {
+					if err := applySharedOp(heap, op, round, &res.Accs[wi], nil, nil); err != nil {
 						return nil, fmt.Errorf("%s: reference stuck at worker %d section %d round %d: %v",
 							wl.Name, wi, si, round, err)
 					}

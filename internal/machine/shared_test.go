@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -223,5 +224,161 @@ func TestSharedReferenceStuckIsError(t *testing.T) {
 	}
 	if _, err := machine.RunReference(wl); err == nil {
 		t.Fatal("popping an empty queue in the reference run did not error")
+	}
+}
+
+// TestSharedRollbackPerUndoKind checks that every record kind of the shared
+// section log restores what its op overwrote, on both replay paths: a
+// transaction killed by another worker taking the fallback lock (lock
+// elision), and a fallback section whose guard fails after an earlier op of
+// the section mutated. The planted bug — a replay that forgets one kind —
+// must be noticed for every kind.
+func TestSharedRollbackPerUndoKind(t *testing.T) {
+	decls := []machine.SharedDecl{
+		{Kind: machine.DeclCounter, Name: "c"},
+		{Kind: machine.DeclCounter, Name: "sum"},
+		{Kind: machine.DeclCounter, Name: "other"},
+		{Kind: machine.DeclMap, Name: "tab", Arg: 4},
+		{Kind: machine.DeclQueue, Name: "q", Arg: 8},
+	}
+	op := func(kind machine.SharedOpKind, target string, imm int64) machine.SharedSection {
+		return machine.SharedSection{{Kind: kind, Target: target, Key: "k", Imm: imm}}
+	}
+	// Each case's last section is the writing op under test; the sections
+	// before it commit first and give it state to overwrite.
+	cases := []struct {
+		name     string
+		sections []machine.SharedSection
+		kind     machine.SharedUndoKind
+	}{
+		{"add", []machine.SharedSection{op(machine.OpAdd, "c", 3)}, machine.UndoCounter},
+		{"publish", []machine.SharedSection{op(machine.OpAdd, "c", 5), op(machine.OpReadCtr, "c", 0),
+			op(machine.OpPublish, "sum", 0)}, machine.UndoCounter},
+		{"map-add", []machine.SharedSection{op(machine.OpMapAdd, "tab", 2)}, machine.UndoMapKey},
+		{"push", []machine.SharedSection{op(machine.OpPush, "q", 100)}, machine.UndoQueueTail},
+		{"pop", []machine.SharedSection{op(machine.OpPush, "q", 9), op(machine.OpPop, "q", 0)}, machine.UndoQueueHead},
+	}
+
+	// stepUntil steps w until done holds.
+	stepUntil := func(t *testing.T, r *machine.SharedRun, w *machine.SharedWorker, done func() bool) {
+		t.Helper()
+		for i := 0; !done(); i++ {
+			if i == 100 {
+				t.Fatalf("worker %d made no progress", w.ID)
+			}
+			if _, err := r.StepLocked(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// killAfterOp runs worker 0 until the op under test has completed inside
+	// its transaction, then lets worker 1 — forced off the fast path by a
+	// capacity probe — take the fallback lock, which kills worker 0's
+	// transaction. It reports how the heap and worker 0's accumulator differ
+	// from their values at the section start. drop names the kind the
+	// planted bug forgets, or -1.
+	killAfterOp := func(t *testing.T, arch vm.Arch, sections []machine.SharedSection, drop int) (diffs []string, dropped int) {
+		wl := &machine.SharedWorkload{Name: "rollback", Decls: decls, Workers: []machine.SharedScript{
+			{Sections: sections},
+			{Sections: []machine.SharedSection{op(machine.OpAdd, "other", 1)}},
+		}}
+		r, err := machine.NewSharedRun(wl, arch, 1, machine.SharedOptions{
+			Configure: func(id int, sys *htm.System) {
+				if id == 1 {
+					sys.SetCapacityProbe(func(bool, uint64) bool { return true })
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w0, w1 := r.Workers[0], r.Workers[1]
+		last := int64(len(sections) - 1)
+		stepUntil(t, r, w0, func() bool { return w0.Ctrs.TxCommits == last })
+		heap, acc := r.Heap.Snapshot(), w0.Acc
+		stepUntil(t, r, w0, func() bool { return w0.Ctrs.SharedOps == last+1 })
+		if !w0.Sys().InTx() || r.Heap.Snapshot() == heap {
+			t.Fatalf("the op did not mutate inside a transaction (open=%v, heap %s)", w0.Sys().InTx(), heap)
+		}
+		if drop >= 0 {
+			dropped = w0.DropSharedUndoKind(machine.SharedUndoKind(drop))
+		}
+		stepUntil(t, r, w1, r.Dom.FallbackHeld)
+		if w0.Sys().InTx() {
+			t.Fatal("taking the fallback lock left worker 0's transaction open")
+		}
+		if got := r.Heap.Snapshot(); got != heap {
+			diffs = append(diffs, fmt.Sprintf("heap %s, want %s", got, heap))
+		}
+		if w0.Acc != acc {
+			diffs = append(diffs, fmt.Sprintf("accumulator %d, want %d", w0.Acc, acc))
+		}
+		return diffs, dropped
+	}
+
+	for _, arch := range []vm.Arch{vm.ArchNoMap, vm.ArchNoMapRTM} {
+		for _, tc := range cases {
+			t.Run(arch.String()+"/kill/"+tc.name, func(t *testing.T) {
+				if diffs, _ := killAfterOp(t, arch, tc.sections, -1); len(diffs) != 0 {
+					t.Errorf("rollback after a lock-elision kill: %v", diffs)
+				}
+				diffs, dropped := killAfterOp(t, arch, tc.sections, int(tc.kind))
+				if dropped == 0 {
+					t.Errorf("kind %d: the op logged no such record", tc.kind)
+				} else if len(diffs) == 0 {
+					t.Errorf("kind %d: rollback without its %d records went unnoticed", tc.kind, dropped)
+				}
+			})
+		}
+	}
+
+	// guardRetry runs [add, pop on an empty queue] on the fallback path: the
+	// pop's guard fails after the add has mutated, and the counter must be
+	// restored before the lock drops.
+	guardRetry := func(t *testing.T, drop int) (diffs []string, dropped int) {
+		wl := &machine.SharedWorkload{Name: "guard", Decls: decls, Workers: []machine.SharedScript{
+			{Sections: []machine.SharedSection{append(op(machine.OpAdd, "c", 1), op(machine.OpPop, "q", 0)...)}},
+		}}
+		r, err := machine.NewSharedRun(wl, vm.ArchBase, 1, machine.SharedOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := r.Workers[0]
+		heap := r.Heap.Snapshot()
+		stepUntil(t, r, w, func() bool { return w.Ctrs.SharedOps == 1 })
+		if !r.Dom.FallbackHeld() || r.Heap.Snapshot() == heap {
+			t.Fatalf("the add did not run under the fallback lock (held=%v, heap %s)", r.Dom.FallbackHeld(), heap)
+		}
+		if drop >= 0 {
+			dropped = w.DropSharedUndoKind(machine.SharedUndoKind(drop))
+		}
+		stepUntil(t, r, w, func() bool { return !r.Dom.FallbackHeld() })
+		if got := r.Heap.Snapshot(); got != heap {
+			diffs = append(diffs, fmt.Sprintf("heap %s, want %s", got, heap))
+		}
+		return diffs, dropped
+	}
+	t.Run("Base/guard-retry", func(t *testing.T) {
+		if diffs, _ := guardRetry(t, -1); len(diffs) != 0 {
+			t.Errorf("rollback after a failed fallback guard: %v", diffs)
+		}
+		diffs, dropped := guardRetry(t, int(machine.UndoCounter))
+		if dropped == 0 || len(diffs) == 0 {
+			t.Errorf("dropping the counter record: %d dropped, diffs %v; want both non-empty", dropped, diffs)
+		}
+	})
+}
+
+// BenchmarkSharedScheduled is one seeded run of the mixed workload under
+// NoMap: the shared-section step machine, its op semantics and rollback log,
+// the HTM model and the conflict domain.
+func BenchmarkSharedScheduled(b *testing.B) {
+	wl := mixedWorkload()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := machine.RunScheduled(wl, vm.ArchNoMap, 1, machine.SharedOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -24,6 +24,7 @@ func CheckCounters(c *stats.Counters) error {
 		{"FTLCalls", c.FTLCalls},
 		{"Deopts", c.Deopts},
 		{"OSRExits", c.OSRExits},
+		{"OSREntries", c.OSREntries},
 		{"TxBegins", c.TxBegins},
 		{"TxCommits", c.TxCommits},
 		{"TxAborts", c.TxAborts},
@@ -32,6 +33,7 @@ func CheckCounters(c *stats.Counters) error {
 		{"TxSOFAborts", c.TxSOFAborts},
 		{"TxIrrevocableAborts", c.TxIrrevocableAborts},
 		{"TxConflictAborts", c.TxConflictAborts},
+		{"TxCallBlamedAborts", c.TxCallBlamedAborts},
 		{"SharedOps", c.SharedOps},
 		{"SharedTxRetries", c.SharedTxRetries},
 		{"SharedBackoffs", c.SharedBackoffs},
@@ -42,10 +44,12 @@ func CheckCounters(c *stats.Counters) error {
 		{"TxWriteBytesTotal", c.TxWriteBytesTotal},
 		{"TxMaxAssoc", c.TxMaxAssoc},
 		{"TxReadBytesMax", c.TxReadBytesMax},
+		{"TxWriteLinesTotal", c.TxWriteLinesTotal},
 		{"CodeCacheHits", c.CodeCacheHits},
 		{"CodeCacheMisses", c.CodeCacheMisses},
 		{"CodeCacheEvictions", c.CodeCacheEvictions},
 		{"SnapshotRestores", c.SnapshotRestores},
+		{"SnapshotRejects", c.SnapshotRejects},
 	}
 	for _, f := range nonNeg {
 		if f.v < 0 {
@@ -78,6 +82,17 @@ func CheckCounters(c *stats.Counters) error {
 	// remainder.
 	if sub := c.TxCapacityAborts + c.TxCheckAborts + c.TxSOFAborts + c.TxIrrevocableAborts + c.TxConflictAborts; sub != c.TxAborts {
 		return fmt.Errorf("abort sub-causes (%d) do not partition total aborts (%d)", sub, c.TxAborts)
+	}
+	// Callee blame (§V-C) is a property of a capacity abort.
+	if c.TxCallBlamedAborts > c.TxCapacityAborts {
+		return fmt.Errorf("call-blamed aborts (%d) exceed capacity aborts (%d)", c.TxCallBlamedAborts, c.TxCapacityAborts)
+	}
+	// A committed transaction adds 64 bytes per write line to both
+	// footprint totals; an aborted one adds its lines only. Bytes beyond
+	// that mean a finished transaction was counted in one and not the other.
+	if c.TxWriteBytesTotal > 64*c.TxWriteLinesTotal {
+		return fmt.Errorf("committed write bytes (%d) exceed 64 x finished write lines (%d lines)",
+			c.TxWriteBytesTotal, c.TxWriteLinesTotal)
 	}
 	// Squashed cycles are a subset of in-transaction cycles, and the
 	// per-cause breakdown must partition the total wasted work.

@@ -1,6 +1,9 @@
 package stats
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestAddInstrAndTotals(t *testing.T) {
 	var c Counters
@@ -119,5 +122,56 @@ func TestCodeCacheCountersAddAndReset(t *testing.T) {
 	d.Reset()
 	if d.CodeCacheHits != 0 || d.SnapshotRestores != 0 {
 		t.Error("Reset must zero serving counters")
+	}
+}
+
+// Add (and so Merge, which the pool and the shared executor total ledgers
+// with) must merge every exported field of Counters: the footprint maxima by
+// maximum, everything else by sum. Its field list is kept by hand; this walks
+// the struct so a new counter Add forgets fails here.
+func TestAddMergesEveryField(t *testing.T) {
+	maxFields := map[string]bool{"TxWriteBytesMax": true, "TxReadBytesMax": true, "TxMaxAssoc": true}
+	var a, b Counters
+	fill := func(c *Counters, n int64) {
+		v := reflect.ValueOf(c).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Type().Field(i).IsExported() {
+				continue
+			}
+			f := v.Field(i)
+			if f.Kind() == reflect.Array {
+				for j := 0; j < f.Len(); j++ {
+					f.Index(j).SetInt(n)
+				}
+			} else {
+				f.SetInt(n)
+			}
+		}
+	}
+	fill(&a, 5)
+	fill(&b, 2)
+	a.Add(&b)
+	v := reflect.ValueOf(a)
+	for i := 0; i < v.NumField(); i++ {
+		sf := v.Type().Field(i)
+		if !sf.IsExported() {
+			continue
+		}
+		want := int64(7)
+		if maxFields[sf.Name] {
+			want = 5
+		}
+		f := v.Field(i)
+		if f.Kind() != reflect.Array {
+			if got := f.Int(); got != want {
+				t.Errorf("%s = %d after Add, want %d", sf.Name, got, want)
+			}
+			continue
+		}
+		for j := 0; j < f.Len(); j++ {
+			if got := f.Index(j).Int(); got != want {
+				t.Errorf("%s[%d] = %d after Add, want %d", sf.Name, j, got, want)
+			}
+		}
 	}
 }

