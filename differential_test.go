@@ -211,6 +211,7 @@ func TestDifferentialAcrossTiersAndArchs(t *testing.T) {
 	for _, p := range differentialPrograms {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
 			// Reference: interpreter only.
 			ref := NewEngine(Options{MaxTier: TierInterp})
 			want, err := ref.Run(p.src)

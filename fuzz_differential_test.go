@@ -117,6 +117,7 @@ func FuzzDifferential(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
+		t.Parallel() // seed-corpus runs only; no effect while fuzzing
 		src := genProgram(seed)
 		const calls, n = 700, 40
 		want := runSeq(t, Options{MaxTier: TierInterp}, src, calls, n)

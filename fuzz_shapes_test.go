@@ -121,6 +121,7 @@ func FuzzShapes(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
+		t.Parallel() // seed-corpus runs only; no effect while fuzzing
 		src := genShapeProgram(seed)
 		const calls, n = 700, 48
 		want := shapeSeq(t, Options{MaxTier: TierInterp}, src, calls, n)

@@ -176,6 +176,7 @@ func TestGovernorOracleSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep re-runs the phase-change workload dozens of times")
 	}
+	t.Parallel()
 	w := mustWorkload(t, "A03")
 	cfg := oracle.DefaultConfig()
 	cfg.CapacityPoints = 1

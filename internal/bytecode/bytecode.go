@@ -129,6 +129,88 @@ func (o Op) IsBinary() bool { return o >= OpAdd && o <= OpStrictNeq }
 // IsCompare reports whether the op produces a boolean comparison result.
 func (o Op) IsCompare() bool { return o >= OpLess && o <= OpStrictNeq }
 
+// Cmp returns the comparison a compare op performs; the loose and strict
+// equalities share CmpEQ/CmpNE, which is exact on two numbers.
+func (o Op) Cmp() value.Cmp {
+	switch o {
+	case OpLess:
+		return value.CmpLT
+	case OpLessEq:
+		return value.CmpLE
+	case OpGreater:
+		return value.CmpGT
+	case OpGreaterEq:
+		return value.CmpGE
+	case OpEq, OpStrictEq:
+		return value.CmpEQ
+	}
+	return value.CmpNE
+}
+
+// Eval applies the generic semantics of the binary operator o: the bytecode
+// tiers' slow path and the machine's "binop" runtime entry both run it. It
+// panics if o is not binary.
+func (o Op) Eval(a, b value.Value) value.Value {
+	switch o {
+	case OpAdd:
+		return value.Add(a, b)
+	case OpSub:
+		return value.Sub(a, b)
+	case OpMul:
+		return value.Mul(a, b)
+	case OpDiv:
+		return value.Div(a, b)
+	case OpMod:
+		return value.Mod(a, b)
+	case OpBitAnd:
+		return value.BitAnd(a, b)
+	case OpBitOr:
+		return value.BitOr(a, b)
+	case OpBitXor:
+		return value.BitXor(a, b)
+	case OpShl:
+		return value.Shl(a, b)
+	case OpShr:
+		return value.Shr(a, b)
+	case OpUShr:
+		return value.UShr(a, b)
+	case OpLess, OpLessEq, OpGreater, OpGreaterEq:
+		return value.Compare(a, b, o.Cmp())
+	case OpEq:
+		return value.Boolean(value.LooseEquals(a, b))
+	case OpNeq:
+		return value.Boolean(!value.LooseEquals(a, b))
+	case OpStrictEq:
+		return value.Boolean(value.StrictEquals(a, b))
+	case OpStrictNeq:
+		return value.Boolean(!value.StrictEquals(a, b))
+	}
+	panic(fmt.Sprintf("bytecode: %v is not a binary op", o))
+}
+
+// RuntimeError is a JavaScript-level runtime error (TypeError-like). Every
+// tier raises it the same way — attributed to the bytecode function and
+// source line of the failing operation — so a program fails with the same
+// error whether the Interpreter, Baseline or optimized code ran it.
+type RuntimeError struct {
+	Fn   string
+	Line int32
+	Msg  string
+}
+
+func (e *RuntimeError) Error() string {
+	return fmt.Sprintf("runtime error in %s (line %d): %s", e.Fn, e.Line, e.Msg)
+}
+
+// Errorf returns the RuntimeError raised by f's instruction at pc.
+func (f *Function) Errorf(pc int, format string, args ...any) *RuntimeError {
+	e := &RuntimeError{Fn: f.Name, Msg: fmt.Sprintf(format, args...)}
+	if pc >= 0 && pc < len(f.Code) {
+		e.Line = f.Code[pc].Line
+	}
+	return e
+}
+
 // IsFused reports whether the op is a peephole superinstruction.
 func (o Op) IsFused() bool { return o >= OpAddK && o <= OpCmpKJT }
 

@@ -8,12 +8,12 @@ import (
 	"nomap/internal/value"
 )
 
-// The int32 fast paths in Exec skip the unbox → evalBinary → box round trip,
-// so they must compute exactly what it computes: for every binary op and a
-// grid of edge operands, whenever intBinFast claims the case its boxed word is
-// the one the generic path boxes (which also pins -0, the int32/double split
-// on overflow and the uint32 range of >>>), and intCmp — which the fused
-// compare-and-branch ops call directly — agrees with the generic comparison.
+// The int32 fast paths in Exec skip the unbox → Op.Eval → box round trip, so
+// they must compute exactly what it computes: for every binary op and a grid
+// of edge operands, whenever intBinFast claims the case its boxed word is the
+// one the generic path boxes (which also pins -0, the int32/double split on
+// overflow and the uint32 range of >>>), and the int32 comparison the fused
+// compare-and-branch ops call directly agrees with the generic comparison.
 func TestIntFastPathsMatchGeneric(t *testing.T) {
 	arith := []bytecode.Op{
 		bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul, bytecode.OpDiv, bytecode.OpMod,
@@ -37,7 +37,7 @@ func TestIntFastPathsMatchGeneric(t *testing.T) {
 					continue
 				}
 				claimed[op] = true
-				if want := hd.Box(evalBinary(op, value.Int(x), value.Int(y))); got != want {
+				if want := hd.Box(op.Eval(value.Int(x), value.Int(y))); got != want {
 					t.Errorf("%v(%d, %d): fast path %v (%#x), generic path %v (%#x)",
 						op, x, y, hd.Unbox(got), uint64(got), hd.Unbox(want), uint64(want))
 				}
@@ -53,8 +53,8 @@ func TestIntFastPathsMatchGeneric(t *testing.T) {
 	for _, op := range cmps {
 		for _, x := range grid {
 			for _, y := range grid {
-				if got, want := intCmp(op, x, y), evalBinary(op, value.Int(x), value.Int(y)).Bool(); got != want {
-					t.Errorf("intCmp %v(%d, %d) = %v, generic path %v", op, x, y, got, want)
+				if got, want := value.Ordered(op.Cmp(), x, y), op.Eval(value.Int(x), value.Int(y)).Bool(); got != want {
+					t.Errorf("int32 compare %v(%d, %d) = %v, generic path %v", op, x, y, got, want)
 				}
 			}
 		}

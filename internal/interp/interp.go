@@ -17,8 +17,6 @@
 package interp
 
 import (
-	"fmt"
-
 	"nomap/internal/bytecode"
 	"nomap/internal/frame"
 	"nomap/internal/profile"
@@ -61,17 +59,6 @@ type Host interface {
 	// tier: the host may escalate Interpreter to Baseline in place so type
 	// feedback accrues before an optimizing OSR compile).
 	OSREntry(fr *frame.Frame, tier profile.Tier) (res value.Value, done bool, newTier profile.Tier, err error)
-}
-
-// RuntimeError is a JavaScript-level runtime error (TypeError-like).
-type RuntimeError struct {
-	Msg  string
-	Line int32
-	Fn   string
-}
-
-func (e *RuntimeError) Error() string {
-	return fmt.Sprintf("runtime error in %s (line %d): %s", e.Fn, e.Line, e.Msg)
 }
 
 // osrPollMask throttles the OSR-entry poll: the host hook runs once every 64
@@ -122,8 +109,8 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 	}
 	defer flush()
 
-	errf := func(in bytecode.Instr, format string, args ...any) error {
-		return &RuntimeError{Msg: fmt.Sprintf(format, args...), Line: in.Line, Fn: fn.Name}
+	errf := func(format string, args ...any) error {
+		return fn.Errorf(fr.PC, format, args...)
 	}
 
 	for {
@@ -166,7 +153,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			if baseline {
 				prof.Arith[fr.PC].Observe(a, b)
 			}
-			res := evalBinary(in.Op, a, b)
+			res := in.Op.Eval(a, b)
 			if baseline && !res.IsInt32() {
 				// Int32 fast path escaped to double: record the overflow so
 				// the speculative tiers compile this site with doubles.
@@ -205,7 +192,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			if baseline {
 				prof.Arith[fr.PC].Observe(a, kv)
 			}
-			res := evalBinary(op, a, kv)
+			res := op.Eval(a, kv)
 			if baseline && !res.IsInt32() && a.IsInt32() && kv.IsInt32() {
 				prof.Arith[fr.PC].SawOverflow = true
 			}
@@ -219,22 +206,19 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			x := regs[in.A]
 			if x.IsInt32() {
 				xi := x.Int32()
+				s, fits := value.AddInt32(xi, delta)
 				if baseline {
 					prof.Arith[fr.PC].Observe(value.Int(xi), value.Int(delta))
-				}
-				if s, ok := value.AddInt32(xi, delta); ok {
-					regs[in.A] = value.BoxInt(s)
-				} else {
-					if baseline {
+					if !fits {
 						prof.Arith[fr.PC].SawOverflow = true
 					}
-					regs[in.A] = value.BoxDouble(float64(xi) + float64(delta))
 				}
+				regs[in.A] = widen(s, fits, float64(xi)+float64(delta))
 				instrs += costArith(baseline, true, true) + 4
 			} else {
 				xn := hd.Unbox(x)
 				if !xn.IsNumber() {
-					xn = value.Number(xn.ToNumber())
+					xn = value.ToNumeric(xn)
 					instrs += costSlowCall(baseline)
 				}
 				if baseline {
@@ -270,7 +254,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 				if baseline {
 					prof.Arith[fr.PC].Observe(value.Int(ab.Int32()), value.Int(ri))
 				}
-				cond = intCmp(cop, ab.Int32(), ri)
+				cond = value.Ordered(cop.Cmp(), ab.Int32(), ri)
 				instrs += costArith(baseline, true, true) + 2
 			} else {
 				a := hd.Unbox(ab)
@@ -281,7 +265,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 				if baseline {
 					prof.Arith[fr.PC].Observe(a, b)
 				}
-				cond = evalBinary(cop, a, b).Bool()
+				cond = cop.Eval(a, b).Bool()
 				instrs += costArith(baseline, a.IsInt32() && b.IsInt32(), false) + 2
 			}
 			if konst {
@@ -319,7 +303,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 				regs[in.A] = v
 				instrs += costMove(baseline)
 			} else {
-				regs[in.A] = hd.Box(value.Number(hd.Unbox(v).ToNumber()))
+				regs[in.A] = hd.Box(value.ToNumeric(hd.Unbox(v)))
 				instrs += costSlowCall(baseline)
 			}
 
@@ -365,11 +349,10 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			return hd.Unbox(regs[in.A]), nil
 
 		case bytecode.OpCall:
-			callee := hd.Unbox(regs[in.B])
-			if !callee.IsCallable() {
-				return value.Undefined(), errf(in, "%s is not a function", callee.TypeOf())
+			cf, err := value.Callee(hd.Unbox(regs[in.B]), "function")
+			if err != nil {
+				return value.Undefined(), errf("%v", err)
 			}
-			cf := callee.Object().Fn
 			if baseline {
 				prof.Calls[fr.PC].Observe(cf)
 			}
@@ -406,13 +389,13 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			regs[in.A] = hd.Box(res)
 
 		case bytecode.OpNew:
-			callee := hd.Unbox(regs[in.B])
-			if !callee.IsCallable() {
-				return value.Undefined(), errf(in, "%s is not a constructor", callee.TypeOf())
+			cf, err := value.Callee(hd.Unbox(regs[in.B]), "constructor")
+			if err != nil {
+				return value.Undefined(), errf("%v", err)
 			}
 			instrs += costCall(baseline) + 6
 			flush()
-			res, err := h.Construct(callee.Object().Fn, unboxArgs(hd, regs[in.C:in.C+in.D]))
+			res, err := h.Construct(cf, unboxArgs(hd, regs[in.C:in.C+in.D]))
 			if err != nil {
 				return value.Undefined(), err
 			}
@@ -428,42 +411,52 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 
 		case bytecode.OpGetProp:
 			obj := hd.Unbox(regs[in.B])
-			v, cost, err := getProp(h, prof, baseline, obj, fn.Names[in.C], int(in.D))
+			v, cost, err := getProp(prof, baseline, obj, fn.Names[in.C], int(in.D))
 			if err != nil {
-				return value.Undefined(), errf(in, "%v", err)
+				return value.Undefined(), errf("%v", err)
 			}
 			regs[in.A] = hd.Box(v)
 			instrs += cost
 
 		case bytecode.OpSetProp:
 			obj := hd.Unbox(regs[in.A])
-			cost, err := setProp(h, prof, baseline, obj, fn.Names[in.B], hd.Unbox(regs[in.C]), int(in.D))
+			cost, err := setProp(prof, baseline, obj, fn.Names[in.B], hd.Unbox(regs[in.C]), int(in.D))
 			if err != nil {
-				return value.Undefined(), errf(in, "%v", err)
+				return value.Undefined(), errf("%v", err)
 			}
 			instrs += cost
 
 		case bytecode.OpGetElem:
-			v, cost, err := getElem(prof, baseline, hd.Unbox(regs[in.B]), hd.Unbox(regs[in.C]), fr.PC)
+			// The generic loadArrayValue runtime call (paper §IV-B), with
+			// Baseline's element-site feedback.
+			obj, idx := hd.Unbox(regs[in.B]), hd.Unbox(regs[in.C])
+			v, acc, err := value.GetElem(obj, idx)
 			if err != nil {
-				return value.Undefined(), errf(in, "%v", err)
+				return value.Undefined(), errf("%v", err)
+			}
+			if baseline {
+				prof.Elem[fr.PC].Observe(obj, idx, acc)
 			}
 			regs[in.A] = hd.Box(v)
-			instrs += cost
+			instrs += elemPathCost(acc.Path)
 
 		case bytecode.OpSetElem:
-			cost, err := setElem(prof, baseline, hd.Unbox(regs[in.A]), hd.Unbox(regs[in.B]), hd.Unbox(regs[in.C]), fr.PC)
+			obj, idx := hd.Unbox(regs[in.A]), hd.Unbox(regs[in.B])
+			acc, err := value.SetElem(obj, idx, hd.Unbox(regs[in.C]))
 			if err != nil {
-				return value.Undefined(), errf(in, "%v", err)
+				return value.Undefined(), errf("%v", err)
 			}
-			instrs += cost
+			if baseline {
+				prof.Elem[fr.PC].Observe(obj, idx, acc)
+			}
+			instrs += elemPathCost(acc.Path)
 
 		case bytecode.OpSetElemI:
 			obj := hd.Unbox(regs[in.A])
 			if o := obj.Object(); o != nil && o.IsArray {
 				o.SetElement(int(in.B), hd.Unbox(regs[in.C]))
 			} else {
-				return value.Undefined(), errf(in, "array literal target is not an array")
+				return value.Undefined(), errf("array literal target is not an array")
 			}
 			instrs += costElem(baseline)
 
@@ -471,7 +464,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			g := h.Globals()
 			name := fn.Names[in.B]
 			if !g.Has(name) {
-				return value.Undefined(), errf(in, "%s is not defined", name)
+				return value.Undefined(), errf("%s is not defined", name)
 			}
 			regs[in.A] = hd.Box(g.Get(name))
 			instrs += costGlobal(baseline)
@@ -492,7 +485,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			instrs += costAlloc(baseline) + 4
 
 		default:
-			return value.Undefined(), errf(in, "unknown opcode %v", in.Op)
+			return value.Undefined(), errf("unknown opcode %v", in.Op)
 		}
 		fr.PC++
 	}
@@ -503,291 +496,148 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 // has no dedicated int32 path (Div/Mod keep their generic corner handling)
 // and nothing was recorded.
 func intBinFast(op bytecode.Op, x, y int32, baseline bool, prof *profile.FunctionProfile, pc int) (value.Boxed, bool) {
-	switch op {
-	case bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul:
-		if baseline {
-			prof.Arith[pc].Observe(value.Int(x), value.Int(y))
-		}
-		var r int32
-		var fits bool
-		var wide float64
-		switch op {
-		case bytecode.OpAdd:
-			r, fits = value.AddInt32(x, y)
-			wide = float64(x) + float64(y)
-		case bytecode.OpSub:
-			r, fits = value.SubInt32(x, y)
-			wide = float64(x) - float64(y)
-		default:
-			r, fits = value.MulInt32(x, y)
-			wide = float64(x) * float64(y)
-		}
-		if fits {
-			return value.BoxInt(r), true
-		}
-		if baseline {
-			prof.Arith[pc].SawOverflow = true
-		}
-		return value.BoxDouble(wide), true
-	case bytecode.OpBitAnd:
-		if baseline {
-			prof.Arith[pc].Observe(value.Int(x), value.Int(y))
-		}
-		return value.BoxInt(x & y), true
-	case bytecode.OpBitOr:
-		if baseline {
-			prof.Arith[pc].Observe(value.Int(x), value.Int(y))
-		}
-		return value.BoxInt(x | y), true
-	case bytecode.OpBitXor:
-		if baseline {
-			prof.Arith[pc].Observe(value.Int(x), value.Int(y))
-		}
-		return value.BoxInt(x ^ y), true
-	case bytecode.OpShl:
-		if baseline {
-			prof.Arith[pc].Observe(value.Int(x), value.Int(y))
-		}
-		return value.BoxInt(x << (uint32(y) & 31)), true
-	case bytecode.OpShr:
-		if baseline {
-			prof.Arith[pc].Observe(value.Int(x), value.Int(y))
-		}
-		return value.BoxInt(x >> (uint32(y) & 31)), true
-	case bytecode.OpUShr:
-		if baseline {
-			prof.Arith[pc].Observe(value.Int(x), value.Int(y))
-		}
-		u := uint32(x) >> (uint32(y) & 31)
-		res := value.BoxNumber(float64(u))
-		if baseline && !res.IsInt32() {
-			prof.Arith[pc].SawOverflow = true
-		}
-		return res, true
-	case bytecode.OpLess, bytecode.OpLessEq, bytecode.OpGreater, bytecode.OpGreaterEq,
-		bytecode.OpEq, bytecode.OpNeq, bytecode.OpStrictEq, bytecode.OpStrictNeq:
-		if baseline {
-			prof.Arith[pc].Observe(value.Int(x), value.Int(y))
-		}
-		return value.BoxBool(intCmp(op, x, y)), true
-	}
-	return 0, false
-}
-
-// intCmp evaluates a comparison opcode on two int32 payloads.
-func intCmp(op bytecode.Op, x, y int32) bool {
-	switch op {
-	case bytecode.OpLess:
-		return x < y
-	case bytecode.OpLessEq:
-		return x <= y
-	case bytecode.OpGreater:
-		return x > y
-	case bytecode.OpGreaterEq:
-		return x >= y
-	case bytecode.OpEq, bytecode.OpStrictEq:
-		return x == y
-	case bytecode.OpNeq, bytecode.OpStrictNeq:
-		return x != y
-	}
-	panic("intCmp: not a comparison op")
-}
-
-func evalBinary(op bytecode.Op, a, b value.Value) value.Value {
+	var res value.Boxed
+	var r int32
+	fits := true
 	switch op {
 	case bytecode.OpAdd:
-		return value.Add(a, b)
+		r, fits = value.AddInt32(x, y)
+		res = widen(r, fits, float64(x)+float64(y))
 	case bytecode.OpSub:
-		return value.Sub(a, b)
+		r, fits = value.SubInt32(x, y)
+		res = widen(r, fits, float64(x)-float64(y))
 	case bytecode.OpMul:
-		return value.Mul(a, b)
-	case bytecode.OpDiv:
-		return value.Div(a, b)
-	case bytecode.OpMod:
-		return value.Mod(a, b)
+		r, fits = value.MulInt32(x, y)
+		res = widen(r, fits, float64(x)*float64(y))
 	case bytecode.OpBitAnd:
-		return value.BitAnd(a, b)
+		res = value.BoxInt(x & y)
 	case bytecode.OpBitOr:
-		return value.BitOr(a, b)
+		res = value.BoxInt(x | y)
 	case bytecode.OpBitXor:
-		return value.BitXor(a, b)
+		res = value.BoxInt(x ^ y)
 	case bytecode.OpShl:
-		return value.Shl(a, b)
+		res = value.BoxInt(value.ShlInt32(x, y))
 	case bytecode.OpShr:
-		return value.Shr(a, b)
+		res = value.BoxInt(value.ShrInt32(x, y))
 	case bytecode.OpUShr:
-		return value.UShr(a, b)
-	case bytecode.OpLess:
-		return value.Compare(a, b, "<")
-	case bytecode.OpLessEq:
-		return value.Compare(a, b, "<=")
-	case bytecode.OpGreater:
-		return value.Compare(a, b, ">")
-	case bytecode.OpGreaterEq:
-		return value.Compare(a, b, ">=")
-	case bytecode.OpEq:
-		return value.Boolean(value.LooseEquals(a, b))
-	case bytecode.OpNeq:
-		return value.Boolean(!value.LooseEquals(a, b))
-	case bytecode.OpStrictEq:
-		return value.Boolean(value.StrictEquals(a, b))
-	case bytecode.OpStrictNeq:
-		return value.Boolean(!value.StrictEquals(a, b))
+		res = value.BoxNumber(float64(value.UShrInt32(x, y)))
+		fits = res.IsInt32()
+	case bytecode.OpLess, bytecode.OpLessEq, bytecode.OpGreater, bytecode.OpGreaterEq,
+		bytecode.OpEq, bytecode.OpNeq, bytecode.OpStrictEq, bytecode.OpStrictNeq:
+		res = value.BoxBool(value.Ordered(op.Cmp(), x, y))
+	default:
+		return 0, false
 	}
-	panic("evalBinary: not a binary op")
+	if baseline {
+		prof.Arith[pc].Observe(value.Int(x), value.Int(y))
+		if !fits {
+			prof.Arith[pc].SawOverflow = true
+		}
+	}
+	return res, true
+}
+
+// widen boxes an int32 kernel's result, or the exact double when it did not
+// fit.
+func widen(r int32, fits bool, exact float64) value.Boxed {
+	if fits {
+		return value.BoxInt(r)
+	}
+	return value.BoxDouble(exact)
 }
 
 // getProp implements property load with the Baseline tier's monomorphic
 // inline cache. Cost reflects IC hit (shape compare + slot load) vs. miss
 // (full hash lookup via a runtime call).
-func getProp(h Host, prof *profile.FunctionProfile, baseline bool, obj value.Value, name string, icSlot int) (value.Value, int64, error) {
-	switch obj.Kind() {
-	case value.KindObject:
-		o := obj.Object()
-		if baseline {
-			ic := &prof.ICs[icSlot]
-			if o.IsArray && name == "length" {
-				ic.SawArrayLength = true
-				return value.Int(int32(o.Length)), propICHitCost, nil
-			}
-			if ic.Shape == o.Shape {
-				ic.Hits++
-				ic.ObserveWay(o.Shape, ic.Offset, nil)
-				return o.GetSlot(ic.Offset), propICHitCost, nil
-			}
-			off := o.OffsetOf(name)
-			if off >= 0 {
-				if ic.Shape != nil {
-					ic.Poly = true
-				}
-				ic.Shape, ic.Offset = o.Shape, off
-				ic.ObserveWay(o.Shape, off, nil)
-			} else {
-				// The property is absent on this receiver: no slot to
-				// dispatch to, so the site saturates to the generic path.
-				ic.Mega = true
-			}
-			ic.Misses++
-			return o.Get(name), propMissCost, nil
+func getProp(prof *profile.FunctionProfile, baseline bool, obj value.Value, name string, icSlot int) (value.Value, int64, error) {
+	if o := obj.Object(); o != nil && baseline {
+		ic := &prof.ICs[icSlot]
+		if o.IsArray && name == "length" {
+			ic.SawArrayLength = true
+			return value.Int(int32(o.Length)), propICHitCost, nil
 		}
-		return o.Get(name), propMissCost, nil
+		if ic.Shape == o.Shape {
+			ic.Hits++
+			ic.ObserveWay(o.Shape, ic.Offset, nil)
+			return o.GetSlot(ic.Offset), propICHitCost, nil
+		}
+		off := o.OffsetOf(name)
+		if off >= 0 {
+			if ic.Shape != nil {
+				ic.Poly = true
+			}
+			ic.Shape, ic.Offset = o.Shape, off
+			ic.ObserveWay(o.Shape, off, nil)
+		} else {
+			// The property is absent on this receiver: no slot to
+			// dispatch to, so the site saturates to the generic path.
+			ic.Mega = true
+		}
+		ic.Misses++
+	}
+	v, err := value.GetProp(obj, name)
+	switch obj.Kind() {
+	case value.KindObject, value.KindUndefined, value.KindNull:
 	case value.KindString:
 		if name == "length" {
-			return value.Int(int32(len(obj.StringVal()))), propICHitCost + 2, nil
+			return v, propICHitCost + 2, nil
 		}
-		return value.Undefined(), propMissCost, nil
-	case value.KindUndefined, value.KindNull:
-		return value.Undefined(), 0, fmt.Errorf("cannot read property %q of %s", name, obj.TypeOf())
 	default:
 		if baseline {
 			prof.ICs[icSlot].SawNonObject = true
 		}
-		return value.Undefined(), propMissCost, nil
 	}
+	return v, propMissCost, err
 }
 
-func setProp(h Host, prof *profile.FunctionProfile, baseline bool, obj value.Value, name string, v value.Value, icSlot int) (int64, error) {
-	o := obj.Object()
-	if o == nil {
-		return 0, fmt.Errorf("cannot set property %q of %s", name, obj.TypeOf())
-	}
-	if baseline {
+func setProp(prof *profile.FunctionProfile, baseline bool, obj value.Value, name string, v value.Value, icSlot int) (int64, error) {
+	if o := obj.Object(); o != nil && baseline && !(o.IsArray && name == "length") {
 		ic := &prof.ICs[icSlot]
-		if !(o.IsArray && name == "length") {
-			if ic.Shape == o.Shape && ic.NewShape == nil {
-				// Replace-in-place hit.
-				if off := o.OffsetOf(name); off == ic.Offset && off >= 0 {
-					ic.Hits++
-					ic.ObserveWay(o.Shape, off, nil)
-					o.SetSlot(off, v)
-					return propICHitCost, nil
-				}
-			}
-			if ic.Shape == o.Shape && ic.NewShape != nil {
-				// Cached transition (property add) hit.
+		if ic.Shape == o.Shape && ic.NewShape == nil {
+			// Replace-in-place hit.
+			if off := o.OffsetOf(name); off == ic.Offset && off >= 0 {
 				ic.Hits++
-				before := o.Shape
-				o.Set(name, v)
-				ic.ObserveWay(before, o.OffsetOf(name), o.Shape)
-				return propICHitCost + 2, nil
+				ic.ObserveWay(o.Shape, off, nil)
+				o.SetSlot(off, v)
+				return propICHitCost, nil
 			}
+		}
+		if ic.Shape == o.Shape && ic.NewShape != nil {
+			// Cached transition (property add) hit.
+			ic.Hits++
 			before := o.Shape
-			off := o.OffsetOf(name)
 			o.Set(name, v)
-			if ic.Shape != nil && ic.Shape != before {
-				ic.Poly = true
-			}
-			ic.Shape = before
-			if off >= 0 {
-				ic.Offset = off
-				ic.NewShape = nil
-				ic.ObserveWay(before, off, nil)
-			} else {
-				ic.NewShape = o.Shape
-				ic.ObserveWay(before, o.OffsetOf(name), o.Shape)
-			}
-			ic.Misses++
-			return propMissCost, nil
+			ic.ObserveWay(before, o.OffsetOf(name), o.Shape)
+			return propICHitCost + 2, nil
 		}
+		before := o.Shape
+		off := o.OffsetOf(name)
+		o.Set(name, v)
+		if ic.Shape != nil && ic.Shape != before {
+			ic.Poly = true
+		}
+		ic.Shape = before
+		if off >= 0 {
+			ic.Offset = off
+			ic.NewShape = nil
+			ic.ObserveWay(before, off, nil)
+		} else {
+			ic.NewShape = o.Shape
+			ic.ObserveWay(before, o.OffsetOf(name), o.Shape)
+		}
+		ic.Misses++
+		return propMissCost, nil
 	}
-	o.Set(name, v)
-	return propMissCost, nil
+	return propMissCost, value.SetProp(obj, name, v)
 }
 
-// getElem implements the generic loadArrayValue runtime call: in-bounds
-// array reads return the element, holes and out-of-bounds return undefined,
-// non-array objects fall back to property lookup (paper §IV-B).
-func getElem(prof *profile.FunctionProfile, baseline bool, obj, idx value.Value, pc int) (value.Value, int64, error) {
-	o := obj.Object()
-	if o == nil {
-		if obj.IsString() {
-			i := int(idx.ToNumber())
-			s := obj.StringVal()
-			if idx.IsNumber() && float64(i) == idx.ToNumber() && i >= 0 && i < len(s) {
-				return value.Str(s[i : i+1]), elemCost + 4, nil
-			}
-			return value.Undefined(), elemCost + 4, nil
-		}
-		return value.Undefined(), 0, fmt.Errorf("cannot index %s", obj.TypeOf())
+// elemPathCost is a generic element access's cost by how it resolved.
+func elemPathCost(p value.ElemPath) int64 {
+	switch p {
+	case value.ElemString:
+		return elemCost + 4
+	case value.ElemProperty:
+		return elemCost + propMissCost
 	}
-	if o.IsArray && idx.IsNumber() {
-		fi := idx.ToNumber()
-		i := int(fi)
-		if float64(i) == fi {
-			inBounds := o.InBounds(i)
-			hole := inBounds && o.HasHoleAt(i)
-			if baseline {
-				prof.Elem[pc].Observe(obj, idx, inBounds, false, hole)
-			}
-			return o.GetElement(i), elemCost, nil
-		}
-	}
-	if baseline {
-		prof.Elem[pc].Observe(obj, idx, false, false, false)
-	}
-	return o.Get(idx.ToStringValue()), elemCost + propMissCost, nil
-}
-
-func setElem(prof *profile.FunctionProfile, baseline bool, obj, idx, v value.Value, pc int) (int64, error) {
-	o := obj.Object()
-	if o == nil {
-		return 0, fmt.Errorf("cannot index-assign %s", obj.TypeOf())
-	}
-	if o.IsArray && idx.IsNumber() {
-		fi := idx.ToNumber()
-		i := int(fi)
-		if float64(i) == fi && i >= 0 {
-			inBounds := o.InBounds(i)
-			if baseline {
-				prof.Elem[pc].Observe(obj, idx, inBounds, !inBounds && i == o.ElementCount(), false)
-			}
-			o.SetElement(i, v)
-			return elemCost, nil
-		}
-	}
-	if baseline {
-		prof.Elem[pc].Observe(obj, idx, false, false, false)
-	}
-	o.Set(idx.ToStringValue(), v)
-	return elemCost + propMissCost, nil
+	return elemCost
 }

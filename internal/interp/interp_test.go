@@ -265,7 +265,7 @@ g();
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	re, ok := err.(*interp.RuntimeError)
+	re, ok := err.(*bytecode.RuntimeError)
 	if !ok {
 		t.Fatalf("error type %T", err)
 	}

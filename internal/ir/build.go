@@ -776,13 +776,6 @@ func (b *builder) argValues(start, n int) []*Value {
 	return args
 }
 
-var cmpForOp = map[bytecode.Op]Cmp{
-	bytecode.OpLess: CmpLT, bytecode.OpLessEq: CmpLE,
-	bytecode.OpGreater: CmpGT, bytecode.OpGreaterEq: CmpGE,
-	bytecode.OpEq: CmpEQ, bytecode.OpNeq: CmpNE,
-	bytecode.OpStrictEq: CmpEQ, bytecode.OpStrictNeq: CmpNE,
-}
-
 func (b *builder) binary(in bytecode.Instr) error {
 	l := b.readVar(b.cur, int(in.B))
 	r := b.readVar(b.cur, int(in.C))
@@ -795,7 +788,7 @@ func (b *builder) binary(in bytecode.Instr) error {
 // control directly.
 func (b *builder) compareVal(cop bytecode.Op, l, r *Value) *Value {
 	fb := &b.prof.Arith[b.pc]
-	cmp := cmpForOp[cop]
+	cmp := cop.Cmp()
 	switch {
 	case fb.IntOnly():
 		l, r = b.ensureInt32(l), b.ensureInt32(r)
@@ -1005,14 +998,6 @@ func (b *builder) call(in bytecode.Instr) error {
 	return nil
 }
 
-// mathIntrinsics lists Math builtins the FTL tier inlines after a callee
-// check (JavaScriptCore does the same via DFG intrinsics).
-var mathIntrinsics = map[string]int{
-	"abs": 1, "floor": 1, "ceil": 1, "sqrt": 1, "sin": 1, "cos": 1,
-	"tan": 1, "asin": 1, "acos": 1, "atan": 1, "exp": 1, "log": 1,
-	"round": 1, "pow": 2, "atan2": 2, "min": 2, "max": 2,
-}
-
 func (b *builder) callMethod(in bytecode.Instr) error {
 	recv := b.readVar(b.cur, int(in.B))
 	name := b.bc.Names[in.E]
@@ -1027,13 +1012,15 @@ func (b *builder) callMethod(in bytecode.Instr) error {
 			m.AuxInt = int64(off)
 			chk := b.emitCheck(OpCheckCallee, stats.CheckOther, m)
 			chk.Callee = fb.Target
-			if n, ok := mathIntrinsics[name]; ok && fb.Target.IsNative() && fb.Target.Name == name && len(args) == n {
+			// Every value.MathFuncs entry is an intrinsic, inlined after the
+			// callee check (JavaScriptCore does the same via DFG intrinsics).
+			if i := value.MathIndex(name); i >= 0 && fb.Target.IsNative() && fb.Target.Name == name && len(args) == value.MathFuncs[i].Arity {
 				var dargs []*Value
 				for _, a := range args {
 					dargs = append(dargs, b.ensureDouble(a))
 				}
 				mo := b.emit(OpMathOp, TypeDouble, dargs...)
-				mo.AuxStr = name
+				mo.AuxStr, mo.AuxInt = name, int64(i)
 				b.writeVar(b.cur, dst, mo)
 				return nil
 			}

@@ -51,23 +51,6 @@ func (t Type) String() string {
 	return "?"
 }
 
-// Cmp is a comparison code for CmpInt/CmpDouble (stored in AuxInt).
-type Cmp int64
-
-const (
-	CmpLT Cmp = iota
-	CmpLE
-	CmpGT
-	CmpGE
-	CmpEQ
-	CmpNE
-)
-
-// String returns the comparison mnemonic.
-func (c Cmp) String() string {
-	return [...]string{"lt", "le", "gt", "ge", "eq", "ne"}[c]
-}
-
 // StackMapEntry maps one bytecode register to the IR value holding its
 // content at a Stack Map Point.
 type StackMapEntry struct {
@@ -409,7 +392,7 @@ func (v *Value) String() string {
 	case OpParam, OpOSRLocal:
 		fmt.Fprintf(&sb, " #%d", v.AuxInt)
 	case OpCmpInt, OpCmpDouble:
-		fmt.Fprintf(&sb, ".%s", Cmp(v.AuxInt))
+		fmt.Fprintf(&sb, ".%s", value.Cmp(v.AuxInt))
 	case OpLoadSlot, OpStoreSlot:
 		fmt.Fprintf(&sb, " [%d]", v.AuxInt)
 	case OpLoadGlobal, OpStoreGlobal, OpCallRuntime:

@@ -43,14 +43,15 @@ const (
 	OpToBool         // JS truthiness of any value
 	OpNormalizeHole  // hole -> undefined after a raw element load
 
-	// Comparisons. AuxInt holds a Cmp code.
+	// Comparisons. AuxInt holds a value.Cmp code.
 	OpCmpInt
 	OpCmpDouble
 	OpStrictEqGeneric // pointer/value strict equality fast path
 	OpBoolNot         // negate a bool
 
-	// OpMathOp is an inlined Math.* intrinsic (AuxStr = name); the FTL tier
-	// emits it after a callee check proves the target is the builtin.
+	// OpMathOp is an inlined Math.* intrinsic (AuxStr = name, AuxInt = its
+	// index in value.MathFuncs); the FTL tier emits it after a callee check
+	// proves the target is the builtin.
 	OpMathOp
 
 	// Checks (side-effect-only; Deopt non-nil = SMP, nil = tx abort).

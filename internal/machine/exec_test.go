@@ -13,6 +13,7 @@ import (
 	"nomap/internal/bytecode"
 	"nomap/internal/htm"
 	"nomap/internal/ir"
+	"nomap/internal/opt"
 	"nomap/internal/profile"
 	"nomap/internal/stats"
 	"nomap/internal/value"
@@ -224,7 +225,7 @@ func TestPhiParallelCopy(t *testing.T) {
 	phiX := head.NewValue(ir.OpPhi, ir.TypeGeneric)
 	phiY := head.NewValue(ir.OpPhi, ir.TypeGeneric)
 	cmp := head.NewValue(ir.OpCmpInt, ir.TypeBool, phiI, three)
-	cmp.AuxInt = int64(ir.CmpLT)
+	cmp.AuxInt = int64(value.CmpLT)
 	head.Kind = ir.BlockIf
 	head.Control = cmp
 	ir.AddEdge(head, body)
@@ -302,5 +303,83 @@ func TestResetStateDropsOpenTransaction(t *testing.T) {
 	o.Set("x", value.Int(3))
 	if m.pendingCapacity {
 		t.Error("a heap write after ResetState still reaches the machine")
+	}
+}
+
+// The optimizer's constant folder computes exactly what the machine computes:
+// for every op it folds and a grid of edge operands, the op on two constants
+// folds iff the machine runs it without raising the overflow flag, and to
+// the value the machine produces.
+func TestFolderMatchesMachine(t *testing.T) {
+	type opCase struct {
+		op  ir.Op
+		cmp value.Cmp
+	}
+	var cases []opCase
+	for _, op := range []ir.Op{ir.OpAddInt, ir.OpSubInt, ir.OpMulInt,
+		ir.OpBitAnd, ir.OpBitOr, ir.OpBitXor, ir.OpShl, ir.OpShr} {
+		cases = append(cases, opCase{op: op})
+	}
+	for c := value.CmpLT; c <= value.CmpNE; c++ {
+		cases = append(cases, opCase{op: ir.OpCmpInt, cmp: c})
+	}
+	grid := []int32{0, 1, -1, 2, -7, 31, 32, 33, -32, 46340, 46341, -46341, 65536,
+		math.MaxInt32, math.MinInt32, math.MinInt32 + 1}
+
+	// build returns `return op(x, y)` with its operands from mk, and the op.
+	build := func(c opCase, mk func(b *ir.Block, i int) *ir.Value) (*ir.Func, *ir.Value) {
+		f := ir.NewFunc("fold", stubSource(2))
+		b := f.NewBlock()
+		f.Entry = b
+		x, y := mk(b, 0), mk(b, 1)
+		typ := ir.TypeInt32
+		if c.op == ir.OpCmpInt {
+			typ = ir.TypeBool
+		}
+		v := b.NewValue(c.op, typ, x, y)
+		v.AuxInt = int64(c.cmp)
+		if c.op == ir.OpAddInt || c.op == ir.OpSubInt || c.op == ir.OpMulInt {
+			chk := b.NewValue(ir.OpCheckOverflow, ir.TypeNone, v)
+			chk.Check = stats.CheckOverflow
+			chk.Deopt = &ir.StackMap{}
+		}
+		b.Kind = ir.BlockReturn
+		b.Control = v
+		return f, v
+	}
+	m := New(newStubHost(), htm.ROTConfig())
+	for _, c := range cases {
+		name := c.op.String()
+		if c.op == ir.OpCmpInt {
+			name += "." + c.cmp.String()
+		}
+		run, _ := build(c, func(b *ir.Block, i int) *ir.Value {
+			p := b.NewValue(ir.OpParam, ir.TypeInt32)
+			p.AuxInt = int64(i)
+			return p
+		})
+		for _, x := range grid {
+			for _, y := range grid {
+				want, d, err := m.Run(run, profile.TierFTL, []value.Value{value.Int(x), value.Int(y)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				operands := [2]int32{x, y}
+				g, v := build(c, func(b *ir.Block, i int) *ir.Value {
+					k := b.NewValue(ir.OpConst, ir.TypeInt32)
+					k.AuxVal = value.Int(operands[i])
+					return k
+				})
+				opt.GVN(g)
+				folded := v.Op == ir.OpConst
+				if overflowed := d != nil; folded == overflowed {
+					t.Errorf("%s(%d, %d): folded=%v, machine overflow=%v", name, x, y, folded, overflowed)
+					continue
+				}
+				if folded && (v.AuxVal.Kind() != want.Kind() || !value.StrictEquals(v.AuxVal, want)) {
+					t.Errorf("%s(%d, %d): folded to %v, machine computed %v", name, x, y, v.AuxVal, want)
+				}
+			}
+		}
 	}
 }

@@ -82,10 +82,21 @@ type SiteKey struct {
 	Shape string
 }
 
-// siteKey names the injectable point at v in f's compiled code.
-func siteKey(kind SiteKind, f *ir.Func, v *ir.Value) SiteKey {
-	return SiteKey{Kind: kind, Fn: f.Name, OSR: f.OSREntryPC, ValueID: v.ID,
+// siteKey names the injectable point at v in f's compiled code. A value
+// belongs to one artifact and never changes once installed, so its key is
+// built on the first visit and reused: the inline path and dispatch shape
+// are strings an injection run would otherwise render at every visit.
+func (m *Machine) siteKey(kind SiteKind, f *ir.Func, v *ir.Value) SiteKey {
+	if k, ok := m.siteKeys[v]; ok && k.Kind == kind {
+		return k
+	}
+	k := SiteKey{Kind: kind, Fn: f.Name, OSR: f.OSREntryPC, ValueID: v.ID,
 		Inline: v.InlinePath(), Shape: v.DispatchShape()}
+	if m.siteKeys == nil {
+		m.siteKeys = make(map[*ir.Value]SiteKey)
+	}
+	m.siteKeys[v] = k
+	return k
 }
 
 // String renders the key for logs and sweep reports.

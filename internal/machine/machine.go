@@ -83,6 +83,9 @@ type Machine struct {
 	// per dispatch site per machine reset. Allocated lazily, only while a
 	// tracer is installed.
 	icSeen map[string]bool
+	// siteKeys memoizes injection-site keys per IR value (inject.go).
+	// Allocated lazily, only while an injector is installed.
+	siteKeys map[*ir.Value]SiteKey
 }
 
 // New creates a machine with the given HTM flavour.
@@ -116,6 +119,7 @@ func (m *Machine) ResetState() {
 	m.pendingCapacity = false
 	m.txHadCalls = false
 	m.icSeen = nil
+	m.siteKeys = nil
 }
 
 // InTx reports whether a hardware transaction is open.
@@ -155,16 +159,6 @@ func (e *txUnwind) Error() string {
 	return fmt.Sprintf("machine: transaction abort (%s) unwinding to its owner frame", e.cause)
 }
 
-// RuntimeError is a JavaScript-level error raised by optimized code.
-type RuntimeError struct {
-	Fn  string
-	Msg string
-}
-
-func (e *RuntimeError) Error() string {
-	return fmt.Sprintf("runtime error in %s (FTL): %s", e.Fn, e.Msg)
-}
-
 // commitFraction: a TxTile commits early once the write footprint exceeds
 // this fraction of capacity (paper §V-C tiling so state fits in cache).
 const commitFractionNum, commitFractionDen = 3, 4
@@ -182,8 +176,7 @@ func (m *Machine) Run(f *ir.Func, tier profile.Tier, args []value.Value) (value.
 // the OSR entry under the same TxLevel rules as invocation-entry code.
 func (m *Machine) EnterAt(f *ir.Func, tier profile.Tier, fr *frame.Frame) (value.Value, *Deopt, error) {
 	if f.OSREntryPC < 0 || fr.PC != f.OSREntryPC {
-		return value.Undefined(), nil, &RuntimeError{Fn: f.Name,
-			Msg: fmt.Sprintf("OSR entry pc mismatch: frame@%d, artifact@%d", fr.PC, f.OSREntryPC)}
+		return value.Undefined(), nil, fmt.Errorf("machine: %s: OSR entry pc mismatch: frame@%d, artifact@%d", f.Name, fr.PC, f.OSREntryPC)
 	}
 	m.host.Counters().OSREntries++
 	m.emit(Event{Kind: EventOSREntry, Fn: f.Name, PC: fr.PC, Tier: tier})
@@ -277,8 +270,10 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 		ctrs.AddCycles(instr+extraCycles, inTx)
 	}
 
+	// errf reports a broken engine invariant, never a JavaScript error: those
+	// are raised at their site (raisedAt).
 	errf := func(format string, a ...any) error {
-		return &RuntimeError{Fn: f.Name, Msg: fmt.Sprintf(format, a...)}
+		return fmt.Errorf("machine: %s: %s", f.Name, fmt.Sprintf(format, a...))
 	}
 
 	// materialize builds the Baseline-resumable frame chain from a stack
@@ -464,30 +459,29 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 					vals[v.ID] = value.BoxedUndefined
 				}
 
-			case ir.OpAddInt, ir.OpSubInt, ir.OpMulInt, ir.OpNegInt:
-				a := int64(vals[v.Args[0].ID].Int32())
-				var r int64
+			case ir.OpAddInt, ir.OpSubInt, ir.OpMulInt, ir.OpNegInt, ir.OpUShr:
+				// The wrapped result flows on; the overflow flag is sticky for
+				// the frame, as the paper's SOF is.
+				a := vals[v.Args[0].ID].Int32()
+				var r int32
+				var fits bool
 				switch v.Op {
 				case ir.OpAddInt:
-					r = a + int64(vals[v.Args[1].ID].Int32())
+					r, fits = value.AddInt32(a, vals[v.Args[1].ID].Int32())
 				case ir.OpSubInt:
-					r = a - int64(vals[v.Args[1].ID].Int32())
+					r, fits = value.SubInt32(a, vals[v.Args[1].ID].Int32())
 				case ir.OpMulInt:
-					b := int64(vals[v.Args[1].ID].Int32())
-					r = a * b
-					if r == 0 && (a < 0 || b < 0) {
-						oflow[v.ID] = true
-					}
+					r, fits = value.MulInt32(a, vals[v.Args[1].ID].Int32())
 				case ir.OpNegInt:
-					r = -a
-					if a == 0 {
-						oflow[v.ID] = true
-					}
+					r, fits = value.NegInt32(a)
+				default:
+					u := value.UShrInt32(a, vals[v.Args[1].ID].Int32())
+					r, fits = int32(u), u <= math.MaxInt32
 				}
-				if r < math.MinInt32 || r > math.MaxInt32 {
+				if !fits {
 					oflow[v.ID] = true
 				}
-				vals[v.ID] = value.BoxInt(int32(uint32(uint64(r))))
+				vals[v.ID] = value.BoxInt(r)
 
 			case ir.OpBitAnd:
 				vals[v.ID] = value.BoxInt(vals[v.Args[0].ID].Int32() & vals[v.Args[1].ID].Int32())
@@ -496,15 +490,9 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 			case ir.OpBitXor:
 				vals[v.ID] = value.BoxInt(vals[v.Args[0].ID].Int32() ^ vals[v.Args[1].ID].Int32())
 			case ir.OpShl:
-				vals[v.ID] = value.BoxInt(vals[v.Args[0].ID].Int32() << (uint32(vals[v.Args[1].ID].Int32()) & 31))
+				vals[v.ID] = value.BoxInt(value.ShlInt32(vals[v.Args[0].ID].Int32(), vals[v.Args[1].ID].Int32()))
 			case ir.OpShr:
-				vals[v.ID] = value.BoxInt(vals[v.Args[0].ID].Int32() >> (uint32(vals[v.Args[1].ID].Int32()) & 31))
-			case ir.OpUShr:
-				u := uint32(vals[v.Args[0].ID].Int32()) >> (uint32(vals[v.Args[1].ID].Int32()) & 31)
-				if u > math.MaxInt32 {
-					oflow[v.ID] = true
-				}
-				vals[v.ID] = value.BoxInt(int32(u))
+				vals[v.ID] = value.BoxInt(value.ShrInt32(vals[v.Args[0].ID].Int32(), vals[v.Args[1].ID].Int32()))
 
 			case ir.OpAddDouble:
 				vals[v.ID] = value.BoxNumber(vals[v.Args[0].ID].NumberValue() + vals[v.Args[1].ID].NumberValue())
@@ -538,10 +526,10 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 
 			case ir.OpCmpInt:
 				a, b := vals[v.Args[0].ID].Int32(), vals[v.Args[1].ID].Int32()
-				vals[v.ID] = value.BoxBool(cmpInt(ir.Cmp(v.AuxInt), a, b))
+				vals[v.ID] = value.BoxBool(value.Ordered(value.Cmp(v.AuxInt), a, b))
 			case ir.OpCmpDouble:
 				a, b := vals[v.Args[0].ID].NumberValue(), vals[v.Args[1].ID].NumberValue()
-				vals[v.ID] = value.BoxBool(cmpFloat(ir.Cmp(v.AuxInt), a, b))
+				vals[v.ID] = value.BoxBool(value.Ordered(value.Cmp(v.AuxInt), a, b))
 			case ir.OpStrictEqGeneric:
 				vals[v.ID] = value.BoxBool(value.StrictEquals(hd.Unbox(vals[v.Args[0].ID]), hd.Unbox(vals[v.Args[1].ID])))
 
@@ -560,7 +548,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 				}
 				passed := m.checkPasses(v, vals, oflow)
 				if m.inject != nil {
-					switch m.inject.At(Site{SiteKey: siteKey(SiteCheck, f, v), Check: v.Check,
+					switch m.inject.At(Site{SiteKey: m.siteKey(SiteCheck, f, v), Check: v.Check,
 						HasSMP: v.Deopt != nil, InTx: m.HTM.InTx(), Failed: !passed}) {
 					case ActFailCheck:
 						// Only force failure where a recovery path exists:
@@ -627,7 +615,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 					hit = o != nil && o.Fn != nil && o.Fn == v.Callee
 				}
 				if m.inject != nil {
-					switch m.inject.At(Site{SiteKey: siteKey(SiteDispatch, f, v), InTx: m.HTM.InTx(), Failed: !hit}) {
+					switch m.inject.At(Site{SiteKey: m.siteKey(SiteDispatch, f, v), InTx: m.HTM.InTx(), Failed: !hit}) {
 					case ActFailCheck:
 						// The way is skipped; the receiver cascades down the
 						// chain to the deopting tail guard.
@@ -705,7 +693,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 				g := m.host.Globals()
 				if !g.Has(v.AuxStr) {
 					account(instr, extra)
-					d, err := raise(v, errf("%s is not defined", v.AuxStr))
+					d, err := raise(v, raisedAt(f, v, fmt.Errorf("%s is not defined", v.AuxStr)))
 					return value.Undefined(), d, err
 				}
 				vals[v.ID] = hd.Box(g.Get(v.AuxStr))
@@ -720,7 +708,12 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 				}
 
 			case ir.OpMathOp:
-				vals[v.ID] = evalMath(v.AuxStr, v.Args, vals)
+				mf := &value.MathFuncs[v.AuxInt]
+				var b float64
+				if mf.Arity > 1 {
+					b = vals[v.Args[1].ID].NumberValue()
+				}
+				vals[v.ID] = value.BoxNumber(mf.Eval(vals[v.Args[0].ID].NumberValue(), b))
 
 			case ir.OpCallDirect:
 				this := hd.Unbox(vals[v.Args[0].ID])
@@ -765,7 +758,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 					extra += m.HTM.Config().BeginCycles
 					m.emit(Event{Kind: EventTxBegin, Fn: f.Name})
 					if m.inject != nil {
-						act := m.inject.At(Site{SiteKey: siteKey(SiteTxBegin, f, v), InTx: true})
+						act := m.inject.At(Site{SiteKey: m.siteKey(SiteTxBegin, f, v), InTx: true})
 						if cause, ok := act.abortCause(); ok {
 							account(instr, extra)
 							d, err := abort(cause, stats.CheckOther, v)
@@ -780,7 +773,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 					return value.Undefined(), nil, errf("txend without transaction")
 				}
 				if m.inject != nil && t.Depth() == 1 {
-					act := m.inject.At(Site{SiteKey: siteKey(SiteTxCommit, f, v), InTx: true})
+					act := m.inject.At(Site{SiteKey: m.siteKey(SiteTxCommit, f, v), InTx: true})
 					if cause, ok := act.abortCause(); ok {
 						account(instr, extra)
 						d, err := abort(cause, stats.CheckOther, v)
@@ -802,7 +795,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 				t := m.HTM.Current()
 				forceTile := false
 				if m.inject != nil && t != nil && t.Owner == any(fb) {
-					act := m.inject.At(Site{SiteKey: siteKey(SiteTxTile, f, v), InTx: true})
+					act := m.inject.At(Site{SiteKey: m.siteKey(SiteTxTile, f, v), InTx: true})
 					if cause, ok := act.abortCause(); ok {
 						account(instr, extra)
 						d, err := abort(cause, stats.CheckOther, v)
@@ -969,88 +962,4 @@ func (m *Machine) footprintNearCapacity(t *htm.Txn) bool {
 	cfg := m.HTM.Config()
 	capBytes := int64(cfg.WriteSets*cfg.WriteWays) * int64(cfg.LineSize)
 	return t.WriteBytes() >= capBytes*commitFractionNum/commitFractionDen
-}
-
-func cmpInt(c ir.Cmp, a, b int32) bool {
-	switch c {
-	case ir.CmpLT:
-		return a < b
-	case ir.CmpLE:
-		return a <= b
-	case ir.CmpGT:
-		return a > b
-	case ir.CmpGE:
-		return a >= b
-	case ir.CmpEQ:
-		return a == b
-	case ir.CmpNE:
-		return a != b
-	}
-	return false
-}
-
-func cmpFloat(c ir.Cmp, a, b float64) bool {
-	switch c {
-	case ir.CmpLT:
-		return a < b
-	case ir.CmpLE:
-		return a <= b
-	case ir.CmpGT:
-		return a > b
-	case ir.CmpGE:
-		return a >= b
-	case ir.CmpEQ:
-		return a == b
-	case ir.CmpNE:
-		return a != b
-	}
-	return false
-}
-
-func evalMath(name string, args []*ir.Value, vals []value.Boxed) value.Boxed {
-	a := vals[args[0].ID].NumberValue()
-	var b float64
-	if len(args) > 1 {
-		b = vals[args[1].ID].NumberValue()
-	}
-	var r float64
-	switch name {
-	case "abs":
-		r = math.Abs(a)
-	case "floor":
-		r = math.Floor(a)
-	case "ceil":
-		r = math.Ceil(a)
-	case "round":
-		r = math.Floor(a + 0.5)
-	case "sqrt":
-		r = math.Sqrt(a)
-	case "sin":
-		r = math.Sin(a)
-	case "cos":
-		r = math.Cos(a)
-	case "tan":
-		r = math.Tan(a)
-	case "asin":
-		r = math.Asin(a)
-	case "acos":
-		r = math.Acos(a)
-	case "atan":
-		r = math.Atan(a)
-	case "exp":
-		r = math.Exp(a)
-	case "log":
-		r = math.Log(a)
-	case "pow":
-		r = math.Pow(a, b)
-	case "atan2":
-		r = math.Atan2(a, b)
-	case "min":
-		r = math.Min(a, b)
-	case "max":
-		r = math.Max(a, b)
-	default:
-		r = math.NaN()
-	}
-	return value.BoxNumber(r)
 }

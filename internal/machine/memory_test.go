@@ -71,6 +71,7 @@ func TestWeightsDFGCostsMoreThanFTL(t *testing.T) {
 func TestMathWeightsOrdering(t *testing.T) {
 	// Transcendentals must cost more than simple rounding, mirroring real
 	// libm costs the paper's benchmarks feel (S19's sin/cos dominance).
+	mathWeight := func(name string) int64 { return value.MathFuncs[value.MathIndex(name)].Weight }
 	if mathWeight("sin") <= mathWeight("floor") {
 		t.Error("sin must cost more than floor")
 	}

@@ -25,107 +25,53 @@ func (m *Machine) runtimeCall(f *ir.Func, v *ir.Value, vals []value.Boxed) (valu
 	switch v.AuxStr {
 	case "binop":
 		charge(22)
-		return evalGenericBinop(bytecode.Op(v.AuxInt), a(0), a(1))
+		return bytecode.Op(v.AuxInt).Eval(a(0), a(1)), nil
 	case "unop":
 		charge(16)
-		switch bytecode.Op(v.AuxInt) {
-		case bytecode.OpNeg:
-			return value.Neg(a(0)), nil
-		case bytecode.OpBitNot:
+		if bytecode.Op(v.AuxInt) == bytecode.OpBitNot {
 			return value.BitNot(a(0)), nil
 		}
-		return value.Undefined(), fmt.Errorf("machine: bad unop %d", v.AuxInt)
+		return value.Neg(a(0)), nil
 	case "typeof":
 		charge(14)
 		return value.Str(a(0).TypeOf()), nil
 	case "tonumber":
 		charge(14)
-		x := a(0)
-		if x.IsNumber() {
-			return x, nil
-		}
-		return value.Number(x.ToNumber()), nil
+		return value.ToNumeric(a(0)), nil
 
 	case "getprop":
 		charge(32)
-		obj, name := a(0), a(1).StringVal()
-		switch obj.Kind() {
-		case value.KindObject:
-			return obj.Object().Get(name), nil
-		case value.KindString:
-			if name == "length" {
-				return value.Int(int32(len(obj.StringVal()))), nil
-			}
-			return value.Undefined(), nil
-		case value.KindUndefined, value.KindNull:
-			return value.Undefined(), fmt.Errorf("cannot read property %q of %s", name, obj.TypeOf())
-		default:
-			return value.Undefined(), nil
-		}
+		r, err := value.GetProp(a(0), a(1).StringVal())
+		return r, raisedAt(f, v, err)
 	case "setprop":
 		charge(32)
-		obj := a(0)
-		o := obj.Object()
-		if o == nil {
-			return value.Undefined(), fmt.Errorf("cannot set property %q of %s", a(1).StringVal(), obj.TypeOf())
-		}
-		o.Set(a(1).StringVal(), a(2))
-		return value.Undefined(), nil
+		return value.Undefined(), raisedAt(f, v, value.SetProp(a(0), a(1).StringVal(), a(2)))
 
 	case "getelem":
 		charge(20)
 		obj, idx := a(0), a(1)
-		o := obj.Object()
-		if o == nil {
-			if obj.IsString() {
-				s := obj.StringVal()
-				i := int(idx.ToNumber())
-				if idx.IsNumber() && float64(i) == idx.ToNumber() && i >= 0 && i < len(s) {
-					return value.Str(s[i : i+1]), nil
-				}
-				return value.Undefined(), nil
-			}
-			return value.Undefined(), fmt.Errorf("cannot index %s", obj.TypeOf())
+		r, acc, err := value.GetElem(obj, idx)
+		if err == nil {
+			m.observeElem(f, v, obj, idx, acc)
 		}
-		if o.IsArray && idx.IsNumber() {
-			fi := idx.ToNumber()
-			if i := int(fi); float64(i) == fi {
-				inBounds := o.InBounds(i)
-				m.observeElem(f, v, obj, idx, inBounds, false, inBounds && o.HasHoleAt(i))
-				return o.GetElement(i), nil
-			}
-		}
-		m.observeElem(f, v, obj, idx, false, false, false)
-		return o.Get(idx.ToStringValue()), nil
+		return r, raisedAt(f, v, err)
 	case "setelem":
 		charge(20)
-		obj, idx, val := a(0), a(1), a(2)
-		o := obj.Object()
-		if o == nil {
-			return value.Undefined(), fmt.Errorf("cannot index-assign %s", obj.TypeOf())
+		obj, idx := a(0), a(1)
+		acc, err := value.SetElem(obj, idx, a(2))
+		if err == nil {
+			m.observeElem(f, v, obj, idx, acc)
 		}
-		if o.IsArray && idx.IsNumber() {
-			fi := idx.ToNumber()
-			if i := int(fi); float64(i) == fi && i >= 0 {
-				inBounds := o.InBounds(i)
-				m.observeElem(f, v, obj, idx, inBounds, !inBounds && i == o.ElementCount(), false)
-				o.SetElement(i, val)
-				return value.Undefined(), nil
-			}
-		}
-		m.observeElem(f, v, obj, idx, false, false, false)
-		o.Set(idx.ToStringValue(), val)
-		return value.Undefined(), nil
+		return value.Undefined(), raisedAt(f, v, err)
 
 	case "call":
 		charge(24)
-		callee := a(0)
-		if !callee.IsCallable() {
-			return value.Undefined(), fmt.Errorf("%s is not a function", callee.TypeOf())
+		fn, err := value.Callee(a(0), "function")
+		if err != nil {
+			return value.Undefined(), raisedAt(f, v, err)
 		}
 		m.noteUserCall()
-		args := gatherArgs(hd, v, vals, 1)
-		return m.host.Call(callee.Object().Fn, value.Undefined(), args)
+		return m.host.Call(fn, value.Undefined(), gatherArgs(hd, v, vals, 1))
 	case "callmethod":
 		charge(28)
 		m.noteUserCall()
@@ -134,13 +80,12 @@ func (m *Machine) runtimeCall(f *ir.Func, v *ir.Value, vals []value.Boxed) (valu
 		return m.host.InvokeMethod(recv, name, args)
 	case "construct":
 		charge(36)
-		callee := a(0)
-		if !callee.IsCallable() {
-			return value.Undefined(), fmt.Errorf("%s is not a constructor", callee.TypeOf())
+		fn, err := value.Callee(a(0), "constructor")
+		if err != nil {
+			return value.Undefined(), raisedAt(f, v, err)
 		}
 		m.noteUserCall()
-		args := gatherArgs(hd, v, vals, 1)
-		return m.host.Construct(callee.Object().Fn, args)
+		return m.host.Construct(fn, gatherArgs(hd, v, vals, 1))
 
 	case "newobject":
 		charge(28)
@@ -152,12 +97,29 @@ func (m *Machine) runtimeCall(f *ir.Func, v *ir.Value, vals []value.Boxed) (valu
 	return value.Undefined(), fmt.Errorf("machine: unknown runtime entry %q", v.AuxStr)
 }
 
+// raisedAt attributes err, a JavaScript error raised by the operation at v, to
+// v's bytecode function (an inlined callee's own) and source line: the
+// RuntimeError Baseline raises for the same operation. A nil err stays nil.
+func raisedAt(f *ir.Func, v *ir.Value, err error) error {
+	if err == nil {
+		return nil
+	}
+	src := f.Source
+	if v.Inline != nil {
+		src = v.Inline.Source
+	}
+	if src == nil {
+		return &bytecode.RuntimeError{Fn: f.Name, Msg: err.Error()}
+	}
+	return src.Errorf(v.BCPos, "%v", err)
+}
+
 // observeElem mirrors the Baseline interpreter's element-site profiling from
 // the generic runtime path. OSR entry can carry a function's cold tail into
 // machine code before Baseline ever executes it; without slow-path feedback
 // those element sites would stay generic runtime calls in every recompile
 // (and a generic call pins the §V-C ladder as if the loop had real callees).
-func (m *Machine) observeElem(f *ir.Func, v *ir.Value, obj, idx value.Value, inBounds, app, hole bool) {
+func (m *Machine) observeElem(f *ir.Func, v *ir.Value, obj, idx value.Value, acc value.ElemAccess) {
 	if f == nil || f.Source == nil {
 		return
 	}
@@ -165,7 +127,7 @@ func (m *Machine) observeElem(f *ir.Func, v *ir.Value, obj, idx value.Value, inB
 	if prof == nil || v.BCPos < 0 || v.BCPos >= len(prof.Elem) {
 		return
 	}
-	prof.Elem[v.BCPos].Observe(obj, idx, inBounds, app, hole)
+	prof.Elem[v.BCPos].Observe(obj, idx, acc)
 }
 
 // noteUserCall marks the open transaction (if any) as having run user code:
@@ -183,48 +145,4 @@ func gatherArgs(hd *value.Handles, v *ir.Value, vals []value.Boxed, from int) []
 		args = append(args, hd.Unbox(vals[v.Args[i].ID]))
 	}
 	return args
-}
-
-func evalGenericBinop(op bytecode.Op, a, b value.Value) (value.Value, error) {
-	switch op {
-	case bytecode.OpAdd:
-		return value.Add(a, b), nil
-	case bytecode.OpSub:
-		return value.Sub(a, b), nil
-	case bytecode.OpMul:
-		return value.Mul(a, b), nil
-	case bytecode.OpDiv:
-		return value.Div(a, b), nil
-	case bytecode.OpMod:
-		return value.Mod(a, b), nil
-	case bytecode.OpBitAnd:
-		return value.BitAnd(a, b), nil
-	case bytecode.OpBitOr:
-		return value.BitOr(a, b), nil
-	case bytecode.OpBitXor:
-		return value.BitXor(a, b), nil
-	case bytecode.OpShl:
-		return value.Shl(a, b), nil
-	case bytecode.OpShr:
-		return value.Shr(a, b), nil
-	case bytecode.OpUShr:
-		return value.UShr(a, b), nil
-	case bytecode.OpLess:
-		return value.Compare(a, b, "<"), nil
-	case bytecode.OpLessEq:
-		return value.Compare(a, b, "<="), nil
-	case bytecode.OpGreater:
-		return value.Compare(a, b, ">"), nil
-	case bytecode.OpGreaterEq:
-		return value.Compare(a, b, ">="), nil
-	case bytecode.OpEq:
-		return value.Boolean(value.LooseEquals(a, b)), nil
-	case bytecode.OpNeq:
-		return value.Boolean(!value.LooseEquals(a, b)), nil
-	case bytecode.OpStrictEq:
-		return value.Boolean(value.StrictEquals(a, b)), nil
-	case bytecode.OpStrictNeq:
-		return value.Boolean(!value.StrictEquals(a, b)), nil
-	}
-	return value.Undefined(), fmt.Errorf("machine: bad binop %d", op)
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"nomap/internal/ir"
 	"nomap/internal/profile"
+	"nomap/internal/value"
 )
 
 // Instruction weights: how many dynamic x86-64 instructions one IR op lowers
@@ -116,7 +117,7 @@ func ftlOpWeight(v *ir.Value) int64 {
 		return 3
 
 	case ir.OpMathOp:
-		return mathWeight(v.AuxStr)
+		return value.MathFuncs[v.AuxInt].Weight
 	case ir.OpCallDirect:
 		return 12 + 2*int64(len(v.Args))
 	case ir.OpCallRuntime:
@@ -130,24 +131,4 @@ func ftlOpWeight(v *ir.Value) int64 {
 		return 2 // footprint heuristic check at the back edge
 	}
 	return 2
-}
-
-func mathWeight(name string) int64 {
-	switch name {
-	case "abs":
-		return 3
-	case "floor", "ceil", "round":
-		return 4
-	case "min", "max":
-		return 3
-	case "sqrt":
-		return 16
-	case "pow", "exp", "log":
-		return 40
-	case "sin", "cos", "tan":
-		return 45
-	case "asin", "acos", "atan", "atan2":
-		return 50
-	}
-	return 30
 }

@@ -113,60 +113,45 @@ func foldConst(v *ir.Value) bool {
 		v.AuxStr = ""
 		return true
 	}
+	// The folder evaluates through the same int32 kernels and comparison the
+	// machine executes these ops with, so a folded constant is the value the
+	// op would have computed.
 	c := func(i int) value.Value { return v.Args[i].AuxVal }
+	x := func(i int) int32 { return v.Args[i].AuxVal.Int32() }
 	switch v.Op {
 	case ir.OpAddInt, ir.OpSubInt, ir.OpMulInt:
-		a, b := int64(c(0).Int32()), int64(c(1).Int32())
-		var r int64
+		var r int32
+		var fits bool
 		switch v.Op {
 		case ir.OpAddInt:
-			r = a + b
+			r, fits = value.AddInt32(x(0), x(1))
 		case ir.OpSubInt:
-			r = a - b
+			r, fits = value.SubInt32(x(0), x(1))
 		default:
-			r = a * b
-			if r == 0 && (a < 0 || b < 0) {
-				return false
-			}
+			r, fits = value.MulInt32(x(0), x(1))
 		}
-		if r < -2147483648 || r > 2147483647 {
+		if !fits {
 			return false // would overflow: keep op + its check
 		}
-		return setConst(value.Int(int32(r)), ir.TypeInt32)
+		return setConst(value.Int(r), ir.TypeInt32)
 	case ir.OpBitAnd:
-		return setConst(value.Int(c(0).Int32()&c(1).Int32()), ir.TypeInt32)
+		return setConst(value.Int(x(0)&x(1)), ir.TypeInt32)
 	case ir.OpBitOr:
-		return setConst(value.Int(c(0).Int32()|c(1).Int32()), ir.TypeInt32)
+		return setConst(value.Int(x(0)|x(1)), ir.TypeInt32)
 	case ir.OpBitXor:
-		return setConst(value.Int(c(0).Int32()^c(1).Int32()), ir.TypeInt32)
+		return setConst(value.Int(x(0)^x(1)), ir.TypeInt32)
 	case ir.OpShl:
-		return setConst(value.Int(c(0).Int32()<<(uint32(c(1).Int32())&31)), ir.TypeInt32)
+		return setConst(value.Int(value.ShlInt32(x(0), x(1))), ir.TypeInt32)
 	case ir.OpShr:
-		return setConst(value.Int(c(0).Int32()>>(uint32(c(1).Int32())&31)), ir.TypeInt32)
+		return setConst(value.Int(value.ShrInt32(x(0), x(1))), ir.TypeInt32)
 	case ir.OpCmpInt:
-		a, b := c(0).Int32(), c(1).Int32()
-		var r bool
-		switch ir.Cmp(v.AuxInt) {
-		case ir.CmpLT:
-			r = a < b
-		case ir.CmpLE:
-			r = a <= b
-		case ir.CmpGT:
-			r = a > b
-		case ir.CmpGE:
-			r = a >= b
-		case ir.CmpEQ:
-			r = a == b
-		case ir.CmpNE:
-			r = a != b
-		}
-		return setConst(value.Boolean(r), ir.TypeBool)
+		return setConst(value.Boolean(value.Ordered(value.Cmp(v.AuxInt), x(0), x(1))), ir.TypeBool)
 	case ir.OpToBool:
 		return setConst(value.Boolean(c(0).ToBoolean()), ir.TypeBool)
 	case ir.OpBoolNot:
 		return setConst(value.Boolean(!c(0).Bool()), ir.TypeBool)
 	case ir.OpIntToDouble:
-		return setConst(value.Double(float64(c(0).Int32())), ir.TypeDouble)
+		return setConst(value.Double(float64(x(0))), ir.TypeDouble)
 	}
 	return false
 }

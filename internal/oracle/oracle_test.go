@@ -101,6 +101,50 @@ func TestSweepEnumeratesAndInjects(t *testing.T) {
 	}
 }
 
+// raisingProgram's property read goes megamorphic (twelve receiver shapes), so
+// compiled code runs it as the generic getprop runtime entry; the poison step
+// plants a null receiver, and the post-poison call raises from that entry —
+// directly in Base, as an irrevocable abort and Baseline re-execution inside
+// a transaction.
+var raisingProgram = Program{
+	Name: "raise-megamorphic",
+	Setup: `
+var objs = [];
+for (var i = 0; i < 48; i++) {
+  var o = {};
+  o["k" + (i % 12)] = i;
+  o.v = i;
+  objs.push(o);
+}
+function run(n) {
+  var s = 0;
+  for (var i = 0; i < n; i++) s = s + objs[i].v;
+  return s;
+}
+`,
+	Calls:     60,
+	Arg:       48,
+	Poison:    `objs[30] = null;`,
+	PostCalls: 1,
+}
+
+// A program that ends in a JavaScript error is swept like any other: the
+// error is part of the observation, and every configuration and injected
+// fault must raise the reference's error text.
+func TestSweepProgramThatRaises(t *testing.T) {
+	ref := Reference(raisingProgram)
+	if !strings.Contains(ref.Err, "cannot read property") || len(ref.Results) != raisingProgram.Calls {
+		t.Fatalf("reference: %d results, error %q", len(ref.Results), ref.Err)
+	}
+	rep, err := Sweep(raisingProgram, Config{Archs: vm.AllArchs, MaxTier: profile.TierFTL, CapacityPoints: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range rep.Failures {
+		t.Errorf("failure: %s", f)
+	}
+}
+
 func TestSweepBaseArchHasNoTxSites(t *testing.T) {
 	rep, err := Sweep(hotProgram, Config{Archs: []vm.Arch{vm.ArchBase}, CapacityPoints: 0})
 	if err != nil {

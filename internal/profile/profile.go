@@ -123,9 +123,12 @@ type ElemFeedback struct {
 	Count     int64
 }
 
-// Observe merges one executed element access. app flags a store at exactly
-// the array length (legal growth, not an out-of-bounds miss).
-func (f *ElemFeedback) Observe(obj value.Value, idx value.Value, inBounds, app, hole bool) {
+// Observe merges one executed element access by how it resolved; a
+// string's character read is not an element-site observation.
+func (f *ElemFeedback) Observe(obj, idx value.Value, acc value.ElemAccess) {
+	if acc.Path == value.ElemString {
+		return
+	}
 	if obj.IsObject() && obj.Object().IsArray {
 		f.SawArray = true
 	} else {
@@ -134,14 +137,14 @@ func (f *ElemFeedback) Observe(obj value.Value, idx value.Value, inBounds, app, 
 	if !idx.IsInt32() {
 		f.SawNonInt = true
 	}
-	if !inBounds {
-		if app {
+	if !acc.InBounds {
+		if acc.Append {
 			f.SawAppend = true
 		} else {
 			f.SawOOB = true
 		}
 	}
-	if hole {
+	if acc.Hole {
 		f.SawHole = true
 	}
 	f.Count++

@@ -62,11 +62,11 @@ func TestElemFeedback(t *testing.T) {
 	table := value.NewShapeTable()
 	arr := value.Obj(value.NewArray(table, 4))
 	var f ElemFeedback
-	f.Observe(arr, value.Int(1), true, false, false)
+	f.Observe(arr, value.Int(1), value.ElemAccess{InBounds: true})
 	if !f.FastArray() {
 		t.Error("dense int access must be FastArray")
 	}
-	f.Observe(arr, value.Double(1.5), true, false, false)
+	f.Observe(arr, value.Double(1.5), value.ElemAccess{InBounds: true})
 	if f.FastArray() {
 		t.Error("non-int index must disable the fast path")
 	}
@@ -80,14 +80,14 @@ func TestElemFeedbackAppendVsOOB(t *testing.T) {
 	table := value.NewShapeTable()
 	arr := value.Obj(value.NewArray(table, 4))
 	var f ElemFeedback
-	f.Observe(arr, value.Int(4), false, true, false) // store at length: append
+	f.Observe(arr, value.Int(4), value.ElemAccess{Append: true}) // store at length: append
 	if !f.SawAppend || f.SawOOB {
 		t.Errorf("append store: SawAppend=%v SawOOB=%v, want true/false", f.SawAppend, f.SawOOB)
 	}
 	if !f.FastArray() {
 		t.Error("append alone must not disable the fast array path")
 	}
-	f.Observe(arr, value.Int(9), false, false, false) // past length: true OOB
+	f.Observe(arr, value.Int(9), value.ElemAccess{}) // past length: true OOB
 	if !f.SawOOB {
 		t.Error("out-of-bounds store must set SawOOB")
 	}

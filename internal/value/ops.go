@@ -1,6 +1,10 @@
 package value
 
-import "math"
+import (
+	"cmp"
+	"fmt"
+	"math"
+)
 
 // Generic operator semantics. These are the "runtime calls" the Baseline
 // tier emits (paper Figure 4(b): loadProperty, loadArrayValue, add, ...):
@@ -70,74 +74,102 @@ func Mod(a, b Value) Value {
 
 // Neg implements unary minus.
 func Neg(a Value) Value {
-	if a.kind == KindInt32 && a.i != 0 && a.i != math.MinInt32 {
-		return Int(-a.i)
+	if a.kind == KindInt32 {
+		if n, ok := NegInt32(a.i); ok {
+			return Int(n)
+		}
 	}
 	return Number(-a.ToNumber())
 }
 
-// AddInt32 adds with overflow detection (the FTL fast path; the overflow
-// flag result is what the paper's SMP-guarded overflow checks test).
-func AddInt32(a, b int32) (int32, bool) {
+// The int32 kernels below are the one definition of integer arithmetic: the
+// generic operators above, the bytecode tiers' int32 fast paths, the
+// machine's integer IR ops and the optimizer's constant folder all call
+// them. The arithmetic kernels return the wrapped 32-bit result and whether
+// it is the exact one; fits=false is the overflow flag the paper's
+// SMP-guarded overflow checks test.
+
+// AddInt32 adds with overflow detection.
+func AddInt32(a, b int32) (r int32, fits bool) {
 	s := int64(a) + int64(b)
-	if s < math.MinInt32 || s > math.MaxInt32 {
-		return 0, false
-	}
-	return int32(s), true
+	return int32(s), s == int64(int32(s))
 }
 
 // SubInt32 subtracts with overflow detection.
-func SubInt32(a, b int32) (int32, bool) {
+func SubInt32(a, b int32) (r int32, fits bool) {
 	d := int64(a) - int64(b)
-	if d < math.MinInt32 || d > math.MaxInt32 {
-		return 0, false
-	}
-	return int32(d), true
+	return int32(d), d == int64(int32(d))
 }
 
 // MulInt32 multiplies with overflow detection. A zero result with a negative
 // operand must be -0, which int32 cannot represent, so it reports overflow —
 // the same corner JavaScriptCore deoptimizes on.
-func MulInt32(a, b int32) (int32, bool) {
+func MulInt32(a, b int32) (r int32, fits bool) {
 	p := int64(a) * int64(b)
-	if p < math.MinInt32 || p > math.MaxInt32 {
-		return 0, false
-	}
-	if p == 0 && (a < 0 || b < 0) {
-		return 0, false
-	}
-	return int32(p), true
+	return int32(p), p == int64(int32(p)) && !(p == 0 && (a < 0 || b < 0))
 }
 
-// Compare evaluates a relational operator; op is one of "<", "<=", ">", ">=".
-func Compare(a, b Value, op string) Value {
+// NegInt32 negates with overflow detection: -0 and -MinInt32 do not fit.
+func NegInt32(a int32) (r int32, fits bool) {
+	return -a, a != 0 && a != math.MinInt32
+}
+
+// ShlInt32 is <<: the count is taken mod 32.
+func ShlInt32(a, b int32) int32 { return a << (uint32(b) & 31) }
+
+// ShrInt32 is the sign-propagating >>.
+func ShrInt32(a, b int32) int32 { return a >> (uint32(b) & 31) }
+
+// UShrInt32 is the zero-fill >>>; its result is a uint32.
+func UShrInt32(a, b int32) uint32 { return uint32(a) >> (uint32(b) & 31) }
+
+// Cmp is a comparison operator. It is the one comparison of the engine: the
+// generic relational operators, the bytecode tiers' int32 fast paths, the
+// machine's CmpInt/CmpDouble and the constant folder all evaluate through
+// Ordered.
+type Cmp int64
+
+const (
+	CmpLT Cmp = iota
+	CmpLE
+	CmpGT
+	CmpGE
+	CmpEQ
+	CmpNE
+)
+
+// String returns the comparison mnemonic.
+func (c Cmp) String() string {
+	return [...]string{"lt", "le", "gt", "ge", "eq", "ne"}[c]
+}
+
+// Ordered reports whether a c b holds. A NaN operand makes every operator
+// false except CmpNE, as JavaScript's comparisons require.
+func Ordered[T cmp.Ordered](c Cmp, a, b T) bool {
+	switch c {
+	case CmpLT:
+		return a < b
+	case CmpLE:
+		return a <= b
+	case CmpGT:
+		return a > b
+	case CmpGE:
+		return a >= b
+	case CmpEQ:
+		return a == b
+	case CmpNE:
+		return a != b
+	}
+	return false
+}
+
+// Compare evaluates a relational operator: two strings compare by code
+// units, anything else by ToNumber.
+func Compare(a, b Value, c Cmp) Value {
 	if a.kind == KindString && b.kind == KindString {
-		switch op {
-		case "<":
-			return Boolean(a.s < b.s)
-		case "<=":
-			return Boolean(a.s <= b.s)
-		case ">":
-			return Boolean(a.s > b.s)
-		case ">=":
-			return Boolean(a.s >= b.s)
-		}
+		return Boolean(Ordered(c, a.s, b.s))
 	}
-	x, y := a.ToNumber(), b.ToNumber()
-	if math.IsNaN(x) || math.IsNaN(y) {
-		return Boolean(false)
-	}
-	switch op {
-	case "<":
-		return Boolean(x < y)
-	case "<=":
-		return Boolean(x <= y)
-	case ">":
-		return Boolean(x > y)
-	case ">=":
-		return Boolean(x >= y)
-	}
-	return Boolean(false)
+	return Boolean(Ordered(c, a.ToNumber(), b.ToNumber()))
 }
 
 // StrictEquals implements ===.
@@ -205,14 +237,140 @@ func BitXor(a, b Value) Value { return Int(a.ToInt32() ^ b.ToInt32()) }
 func BitNot(a Value) Value { return Int(^a.ToInt32()) }
 
 // Shl implements <<.
-func Shl(a, b Value) Value { return Int(a.ToInt32() << (b.ToUint32() & 31)) }
+func Shl(a, b Value) Value { return Int(ShlInt32(a.ToInt32(), b.ToInt32())) }
 
 // Shr implements the sign-propagating >>.
-func Shr(a, b Value) Value { return Int(a.ToInt32() >> (b.ToUint32() & 31)) }
+func Shr(a, b Value) Value { return Int(ShrInt32(a.ToInt32(), b.ToInt32())) }
 
 // UShr implements the zero-fill >>>. The result is a uint32 and may need the
 // double representation — one of the classic JS overflow corners.
-func UShr(a, b Value) Value {
-	u := a.ToUint32() >> (b.ToUint32() & 31)
-	return Number(float64(u))
+func UShr(a, b Value) Value { return Number(float64(UShrInt32(a.ToInt32(), b.ToInt32()))) }
+
+// ToNumeric implements the unary + (ToNumber) operator.
+func ToNumeric(a Value) Value {
+	if a.IsNumber() {
+		return a
+	}
+	return Number(a.ToNumber())
+}
+
+// Callee returns the function a call (what = "function") or a construction
+// (what = "constructor") invokes, or the error raised when callee is not
+// callable.
+func Callee(callee Value, what string) (*Function, error) {
+	if !callee.IsCallable() {
+		return nil, fmt.Errorf("%s is not a %s", callee.TypeOf(), what)
+	}
+	return callee.o.Fn, nil
+}
+
+// The generic property and element operations below are the loadProperty /
+// loadArrayValue family of runtime calls: the bytecode tiers' slow paths and
+// the machine's runtime entries both run them, and their errors are the
+// JavaScript TypeErrors the executing tier attributes to its source line.
+
+// GetProp implements obj.name: an object's own (or array length) property, a
+// string's length, undefined on other primitives, and an error on undefined
+// and null.
+func GetProp(obj Value, name string) (Value, error) {
+	switch obj.kind {
+	case KindObject:
+		return obj.o.Get(name), nil
+	case KindString:
+		if name == "length" {
+			return Int(int32(len(obj.s))), nil
+		}
+	case KindUndefined, KindNull:
+		return Undefined(), fmt.Errorf("cannot read property %q of %s", name, obj.TypeOf())
+	}
+	return Undefined(), nil
+}
+
+// SetProp implements obj.name = v; a primitive receiver is an error.
+func SetProp(obj Value, name string, v Value) error {
+	if obj.kind != KindObject {
+		return fmt.Errorf("cannot set property %q of %s", name, obj.TypeOf())
+	}
+	obj.o.Set(name, v)
+	return nil
+}
+
+// ElemPath says how an element access resolved.
+type ElemPath uint8
+
+const (
+	// ElemIndex is an integral number index into an array's element store.
+	ElemIndex ElemPath = iota
+	// ElemProperty is any other index on an object: a named-property access.
+	ElemProperty
+	// ElemString is a character read from a string.
+	ElemString
+)
+
+// ElemAccess is what an element access observed, in the shape the tiers'
+// element feedback records it.
+type ElemAccess struct {
+	Path ElemPath
+	// InBounds: the index was within the populated element store.
+	InBounds bool
+	// Append: a store at exactly the element count (elongation, not a miss).
+	Append bool
+	// Hole: an in-bounds read found a hole.
+	Hole bool
+}
+
+// elemIndex returns idx as an element index when it is an integral number.
+func elemIndex(idx Value) (int, bool) {
+	switch idx.kind {
+	case KindInt32:
+		return int(idx.i), true
+	case KindDouble:
+		i := int(idx.f)
+		return i, float64(i) == idx.f
+	}
+	return 0, false
+}
+
+// GetElem implements obj[idx]: array elements (holes and out-of-bounds read
+// undefined), a string's characters, named properties of other objects, and
+// an error on primitives that are not strings.
+func GetElem(obj, idx Value) (Value, ElemAccess, error) {
+	o := obj.Object()
+	if o == nil {
+		if obj.kind != KindString {
+			return Undefined(), ElemAccess{}, fmt.Errorf("cannot index %s", obj.TypeOf())
+		}
+		if i, ok := elemIndex(idx); ok && i >= 0 && i < len(obj.s) {
+			return Str(obj.s[i : i+1]), ElemAccess{Path: ElemString}, nil
+		}
+		return Undefined(), ElemAccess{Path: ElemString}, nil
+	}
+	if i, ok := elemIndex(idx); ok && o.IsArray {
+		if !o.InBounds(i) {
+			return Undefined(), ElemAccess{Path: ElemIndex}, nil
+		}
+		if e := o.Elements[i]; !e.IsHole() {
+			return e, ElemAccess{Path: ElemIndex, InBounds: true}, nil
+		}
+		return Undefined(), ElemAccess{Path: ElemIndex, InBounds: true, Hole: true}, nil
+	}
+	return o.Get(idx.ToStringValue()), ElemAccess{Path: ElemProperty}, nil
+}
+
+// SetElem implements obj[idx] = v: a non-negative integral index stores (and
+// elongates) an array element, anything else sets a named property, and a
+// primitive receiver is an error.
+func SetElem(obj, idx, v Value) (ElemAccess, error) {
+	o := obj.Object()
+	if o == nil {
+		return ElemAccess{}, fmt.Errorf("cannot index-assign %s", obj.TypeOf())
+	}
+	if i, ok := elemIndex(idx); ok && o.IsArray && i >= 0 {
+		acc := ElemAccess{Path: ElemIndex, InBounds: o.InBounds(i)}
+		acc.Append = !acc.InBounds && i == o.ElementCount()
+		o.SetElement(i, v)
+		return acc, nil
+	}
+	o.Set(idx.ToStringValue(), v)
+	return ElemAccess{Path: ElemProperty}, nil
 }

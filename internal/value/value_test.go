@@ -321,8 +321,8 @@ func TestQuickEqualitySymmetry(t *testing.T) {
 func TestQuickCompareTrichotomy(t *testing.T) {
 	f := func(a, b int32) bool {
 		x, y := Int(a), Int(b)
-		lt := Compare(x, y, "<").Bool()
-		gt := Compare(x, y, ">").Bool()
+		lt := Compare(x, y, CmpLT).Bool()
+		gt := Compare(x, y, CmpGT).Bool()
 		eq := StrictEquals(x, y)
 		n := 0
 		for _, v := range []bool{lt, gt, eq} {
@@ -341,8 +341,8 @@ func TestQuickCompareTrichotomy(t *testing.T) {
 func TestQuickCompareDuality(t *testing.T) {
 	f := func(a, b int32) bool {
 		x, y := Int(a), Int(b)
-		return Compare(x, y, "<=").Bool() == !Compare(x, y, ">").Bool() &&
-			Compare(x, y, ">=").Bool() == !Compare(x, y, "<").Bool()
+		return Compare(x, y, CmpLE).Bool() == !Compare(x, y, CmpGT).Bool() &&
+			Compare(x, y, CmpGE).Bool() == !Compare(x, y, CmpLT).Bool()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

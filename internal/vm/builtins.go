@@ -21,44 +21,12 @@ func (vm *VM) installBuiltins() {
 
 	mathObj := value.NewObject(vm.shapes)
 	mathObj.Class = "Math"
-	m1 := func(name string, f func(float64) float64) {
-		mathObj.Set(name, vm.native(name, func(this value.Value, args []value.Value) (value.Value, error) {
-			return value.Number(f(arg(args, 0).ToNumber())), nil
+	for i := range value.MathFuncs {
+		mf := &value.MathFuncs[i]
+		mathObj.Set(mf.Name, vm.native(mf.Name, func(this value.Value, args []value.Value) (value.Value, error) {
+			return mf.Call(args), nil
 		}))
 	}
-	m1("abs", math.Abs)
-	m1("floor", math.Floor)
-	m1("ceil", math.Ceil)
-	m1("sqrt", math.Sqrt)
-	m1("sin", math.Sin)
-	m1("cos", math.Cos)
-	m1("tan", math.Tan)
-	m1("asin", math.Asin)
-	m1("acos", math.Acos)
-	m1("atan", math.Atan)
-	m1("exp", math.Exp)
-	m1("log", math.Log)
-	m1("round", func(f float64) float64 { return math.Floor(f + 0.5) })
-	mathObj.Set("pow", vm.native("pow", func(this value.Value, args []value.Value) (value.Value, error) {
-		return value.Number(math.Pow(arg(args, 0).ToNumber(), arg(args, 1).ToNumber())), nil
-	}))
-	mathObj.Set("atan2", vm.native("atan2", func(this value.Value, args []value.Value) (value.Value, error) {
-		return value.Number(math.Atan2(arg(args, 0).ToNumber(), arg(args, 1).ToNumber())), nil
-	}))
-	mathObj.Set("min", vm.native("min", func(this value.Value, args []value.Value) (value.Value, error) {
-		r := math.Inf(1)
-		for _, a := range args {
-			r = math.Min(r, a.ToNumber())
-		}
-		return value.Number(r), nil
-	}))
-	mathObj.Set("max", vm.native("max", func(this value.Value, args []value.Value) (value.Value, error) {
-		r := math.Inf(-1)
-		for _, a := range args {
-			r = math.Max(r, a.ToNumber())
-		}
-		return value.Number(r), nil
-	}))
 	mathObj.Set("random", vm.native("random", func(this value.Value, args []value.Value) (value.Value, error) {
 		return value.Double(vm.nextRandom()), nil
 	}))

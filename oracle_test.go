@@ -52,6 +52,7 @@ func TestOracleWorkloads(t *testing.T) {
 	wantWrites := map[string]bool{"X01": true, "X05": true}
 	for _, id := range []string{"X01", "X05", "X06"} {
 		t.Run(id, func(t *testing.T) {
+			t.Parallel()
 			w, ok := workloads.ByID(id)
 			if !ok {
 				t.Fatalf("unknown workload %s", id)
@@ -102,6 +103,7 @@ func TestOracleInlinedSites(t *testing.T) {
 	for _, id := range []string{"C01", "C03"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
+			t.Parallel()
 			w, ok := workloads.ByID(id)
 			if !ok {
 				t.Fatalf("unknown workload %s", id)
@@ -150,6 +152,7 @@ func TestOracleInlinedSites(t *testing.T) {
 // injection is a recorded failure), and all six configurations must agree
 // with the interpreter throughout.
 func TestOracleOSREntry(t *testing.T) {
+	t.Parallel()
 	rep, err := oracle.Sweep(oracle.Program{
 		Name: "osr-entry",
 		Setup: `
@@ -200,6 +203,7 @@ function run() {
 func TestOracleBoxing(t *testing.T) {
 	for _, id := range []string{"N01", "N04", "N05"} {
 		t.Run(id, func(t *testing.T) {
+			t.Parallel()
 			w, ok := workloads.ByID(id)
 			if !ok {
 				t.Fatalf("unknown workload %s", id)
@@ -220,6 +224,7 @@ func TestOracleBoxing(t *testing.T) {
 }
 
 func TestOracleGeneratedPrograms(t *testing.T) {
+	t.Parallel()
 	const programs = 50
 	n := programs
 	if testing.Short() {
@@ -252,6 +257,7 @@ func TestOracleGeneratedPrograms(t *testing.T) {
 // the oracle both catches the divergence and shrinks a failing generated
 // program to a minimal reproducer.
 func TestOraclePlantedBug(t *testing.T) {
+	t.Parallel()
 	bug := oracle.NewPlantedBug()
 	fails := func(g *oracle.GenSpec) bool {
 		d, _ := oracle.DivergesUnderInjector(g.Program(40, 3, 16), vm.ArchNoMap, bug)

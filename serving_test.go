@@ -103,6 +103,7 @@ func allServingWorkloads() []workloads.Workload {
 // the pool twice — the second pass warm-started from the first's snapshot —
 // and requires byte-identical observations against a cold engine.
 func TestPoolMatchesColdIsolateAllWorkloads(t *testing.T) {
+	t.Parallel()
 	cfg := servingConfig(vm.ArchNoMap)
 	p := pool.New(pool.Config{Workers: 2, VM: cfg})
 	defer p.Close()
@@ -149,6 +150,7 @@ func TestPoolMatchesColdIsolateAllWorkloads(t *testing.T) {
 // governor-stressing adversarial workloads across all six architecture
 // configurations, using per-request arch overrides on one pool.
 func TestPoolAdversarialAllArchs(t *testing.T) {
+	t.Parallel()
 	p := pool.New(pool.Config{Workers: 2, VM: servingConfig(vm.ArchNoMap), SnapshotMinCalls: 4})
 	defer p.Close()
 	const calls = 6
@@ -181,6 +183,7 @@ func TestPoolAdversarialAllArchs(t *testing.T) {
 // as it does on a dedicated one. The sweep runs unmodified — only the
 // engine supply changes.
 func TestOracleSweepOnPoolIsolates(t *testing.T) {
+	t.Parallel()
 	p := pool.New(pool.Config{Workers: 2, VM: servingConfig(vm.ArchNoMap)})
 	defer p.Close()
 
