@@ -269,6 +269,10 @@ type Function struct {
 	Names  []string    // property / global name pool
 	Funcs  []*Function // nested function literals (OpMakeClosure targets)
 
+	// Index names the function within its program for portable profile
+	// feedback: its position in Preorder from the top-level function (0).
+	Index int
+
 	// UsesClosure pins the function to the lower tiers: it captures outer
 	// variables, provides cells to inner functions, or contains nested
 	// function literals.

@@ -234,3 +234,22 @@ func TestMethodCallEncoding(t *testing.T) {
 		t.Error("no callm instruction emitted")
 	}
 }
+
+// TestFunctionIndexPreorder: every function's Index is its position in a
+// preorder walk from the top-level function, nested literals included.
+func TestFunctionIndexPreorder(t *testing.T) {
+	main := compile(t, `
+function a() { function a1() { return 1; } var a2 = function() { return function a2x() { return 2; }; }; return a1() + a2()(); }
+function b() { return 3; }
+var c = function() { function c1() { return 4; } return c1(); };`)
+	var names []string
+	for i, fn := range Preorder(main) {
+		if fn.Index != i {
+			t.Errorf("%s: Index %d at preorder position %d", fn.Name, fn.Index, i)
+		}
+		names = append(names, fn.Name)
+	}
+	if got, want := strings.Join(names, " "), "<main> a a1 <anonymous> a2x b <anonymous> c1"; got != want {
+		t.Errorf("preorder = %q, want %q", got, want)
+	}
+}

@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"fmt"
+	"slices"
 
 	"nomap/internal/ast"
 	"nomap/internal/value"
@@ -40,7 +41,21 @@ func compileProg(prog *ast.Program) (*Function, error) {
 		}
 	}
 	c.emitImplicitReturn()
-	return c.finish(), nil
+	main := c.finish()
+	for i, fn := range Preorder(main) {
+		fn.Index = i
+	}
+	return main, nil
+}
+
+// Preorder lists main and its nested functions in preorder: the order of
+// Function.Index.
+func Preorder(main *Function) []*Function {
+	out := []*Function{main}
+	for i := 0; i < len(out); i++ {
+		out = slices.Insert(out, i+1, out[i].Funcs...)
+	}
+	return out
 }
 
 // CompileError is a semantic error found during bytecode generation.

@@ -28,8 +28,10 @@ package codecache
 
 import (
 	"container/list"
+	"hash/fnv"
 	"reflect"
 	"slices"
+	"strconv"
 	"sync"
 
 	"nomap/internal/bytecode"
@@ -209,22 +211,21 @@ func (c *Cache) Shards() int { return len(c.shards) }
 
 // shardFor selects the shard owning key by FNV-1a over every key component.
 // The shared-bytecode identity enters as its in-process pointer (stable for
-// the cache's lifetime, exactly as the profile fingerprint hashes it); the
-// hash only steers distribution — entry identity is full Key equality inside
-// the shard's map.
+// the cache's lifetime); the hash only steers distribution — entry identity
+// is full Key equality inside the shard's map.
 func (c *Cache) shardFor(key Key) *shard {
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset)
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {
 			h ^= v & 0xff
-			h *= 1099511628211
+			h *= fnvPrime
 			v >>= 8
 		}
 	}
 	mixStr := func(s string) {
 		for i := 0; i < len(s); i++ {
 			h ^= uint64(s[i])
-			h *= 1099511628211
+			h *= fnvPrime
 		}
 	}
 	mix(uint64(reflect.ValueOf(key.Code).Pointer()))
@@ -527,7 +528,9 @@ func (p *Programs) Load(src string) (*ProgramEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &ProgramEntry{Source: src, Hash: fnv64(src), Main: main}
+	h := fnv.New64a()
+	h.Write([]byte(src))
+	e := &ProgramEntry{Source: src, Hash: h.Sum64(), Main: main}
 	p.m[src] = e
 	return e, nil
 }
@@ -537,16 +540,6 @@ func (p *Programs) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.m)
-}
-
-// fnv64 is FNV-1a over s.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // KeepFingerprint renders a kept-SMP set canonically for use in a Key.
@@ -561,9 +554,9 @@ func KeepFingerprint(keep core.KeepSet) string {
 	slices.SortFunc(sites, core.CheckSite.Compare)
 	buf := make([]byte, 0, len(sites)*8)
 	for _, s := range sites {
-		buf = appendInt(buf, int64(s.PC))
+		buf = strconv.AppendInt(buf, int64(s.PC), 10)
 		buf = append(buf, ':')
-		buf = appendInt(buf, int64(s.Class))
+		buf = strconv.AppendInt(buf, int64(s.Class), 10)
 		if s.Path != "" {
 			buf = append(buf, ':')
 			buf = append(buf, s.Path...)
@@ -575,22 +568,4 @@ func KeepFingerprint(keep core.KeepSet) string {
 		buf = append(buf, ';')
 	}
 	return string(buf)
-}
-
-func appendInt(b []byte, n int64) []byte {
-	if n < 0 {
-		b = append(b, '-')
-		n = -n
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + n%10)
-		n /= 10
-		if n == 0 {
-			break
-		}
-	}
-	return append(b, tmp[i:]...)
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"nomap/internal/bytecode"
 	"nomap/internal/chaos"
 	"nomap/internal/codecache"
 	"nomap/internal/core"
@@ -263,51 +262,6 @@ func TestUncacheable(t *testing.T) {
 	}
 }
 
-// TestFingerprintConsumedLatticeOnly pins the cache-key discipline: the
-// profile fingerprint moves when — and only when — feedback the compilers
-// consume changes. Raw execution counts advance every run without changing
-// codegen; hashing them would make every compile point a distinct key and
-// reduce the shared cache to per-isolate storage.
-func TestFingerprintConsumedLatticeOnly(t *testing.T) {
-	base := func() *codecache.ProfileSnap {
-		return &codecache.ProfileSnap{
-			Invocations: 100,
-			BackEdges:   5000,
-			Arith:       []profile.ArithFeedback{{SawInt32: true, Count: 7}},
-			Elem:        []profile.ElemFeedback{{SawArray: true, Count: 9}},
-			Calls:       []codecache.CallSnap{{Count: 3}},
-			ICs:         []codecache.ICSnap{{Offset: 1, Hits: 40, Misses: 2}},
-		}
-	}
-	fp := base().Fingerprint()
-
-	// Raw counts moving must not move the fingerprint.
-	s := base()
-	s.Invocations, s.BackEdges = 1e6, 1e8
-	s.Arith[0].Count, s.Elem[0].Count, s.Calls[0].Count = 7000, 9000, 3000
-	s.ICs[0].Hits, s.ICs[0].Misses = 99999, 12
-	if s.Fingerprint() != fp {
-		t.Error("raw counts changed the fingerprint; cache keys will never repeat")
-	}
-
-	// Consumed predicates moving must move it.
-	for name, mut := range map[string]func(*codecache.ProfileSnap){
-		"arith flag":      func(s *codecache.ProfileSnap) { s.Arith[0].SawOverflow = true },
-		"elem flag":       func(s *codecache.ProfileSnap) { s.Elem[0].SawOOB = true },
-		"count predicate": func(s *codecache.ProfileSnap) { s.Arith[0].Count = 0 },
-		"call poly":       func(s *codecache.ProfileSnap) { s.Calls[0].Poly = true },
-		"ic offset":       func(s *codecache.ProfileSnap) { s.ICs[0].Offset = 2 },
-		"ic nonobject":    func(s *codecache.ProfileSnap) { s.ICs[0].SawNonObject = true },
-		"jit unsupported": func(s *codecache.ProfileSnap) { s.JITUnsupported = true },
-	} {
-		s := base()
-		mut(s)
-		if s.Fingerprint() == fp {
-			t.Errorf("%s: consumed feedback changed but fingerprint did not", name)
-		}
-	}
-}
-
 // relocProgram tiers all the way to FTL with shape-guarded property access
 // and both native and user-function call targets — the references the
 // relocation manifest must carry.
@@ -385,41 +339,6 @@ func TestShareAcrossIsolates(t *testing.T) {
 		t.Error("recipient isolate not credited with cache hits")
 	}
 	_ = donor
-}
-
-// TestSnapRoundTripFingerprint: Snap → Materialize → Snap must be a
-// fingerprint fixed point, or a restored isolate would miss every cache
-// entry its donor filled.
-func TestSnapRoundTripFingerprint(t *testing.T) {
-	progs := codecache.NewPrograms()
-	entry, err := progs.Load(relocProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := vm.DefaultConfig()
-	cfg.Arch = vm.ArchNoMap
-	iso := isolate.New(cfg)
-	if err := iso.Load(entry); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if _, err := iso.VM().CallGlobal("run", value.Int(32)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checked := 0
-	iso.VM().EachProfile(func(fn *bytecode.Function, p *profile.FunctionProfile) {
-		snap := codecache.SnapProfile(p, iso.VM())
-		mat := snap.Materialize(fn, iso.VM())
-		again := codecache.SnapProfile(mat, iso.VM())
-		if snap.Fingerprint() != again.Fingerprint() {
-			t.Errorf("%s: fingerprint not a fixed point across Materialize", fn.Name)
-		}
-		checked++
-	})
-	if checked == 0 {
-		t.Fatal("no profiles visited")
-	}
 }
 
 // TestFaultProbeFailsFill: an installed fault probe fails exactly the fills

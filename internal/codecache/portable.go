@@ -48,25 +48,26 @@ type Artifact struct {
 	man   *Manifest
 }
 
-// calleeRef names fn portably in realm, or reports that it cannot.
-func calleeRef(fn *value.Function, realm Realm) (CalleeRef, bool) {
+// calleeRef names fn portably in realm; its Kind is CalleeNone when fn is
+// nil or has no portable name.
+func calleeRef(fn *value.Function, realm Realm) CalleeRef {
 	if fn == nil {
-		return CalleeRef{}, false
+		return CalleeRef{}
 	}
 	if id, ok := realm.NativeID(fn); ok {
-		return CalleeRef{Kind: CalleeNative, Native: id}, true
+		return CalleeRef{Kind: CalleeNative, Native: id}
 	}
 	code, ok := fn.Code.(*bytecode.Function)
 	if !ok {
-		return CalleeRef{}, false
+		return CalleeRef{}
 	}
 	// Only the canonical (first-created) closure is portable: a later
 	// closure over the same code may capture a different environment, and
 	// the manifest cannot name environments.
 	if realm.FunctionFor(code) != fn {
-		return CalleeRef{}, false
+		return CalleeRef{}
 	}
-	return CalleeRef{Kind: CalleeCode, Code: code}, true
+	return CalleeRef{Kind: CalleeCode, Code: code}
 }
 
 // resolveCallee is the inverse of calleeRef in the target isolate.
@@ -85,11 +86,10 @@ func resolveCallee(ref CalleeRef, realm Realm) *value.Function {
 // transition tree — there are none today — would fail this and render the
 // artifact uncacheable rather than silently wrong).
 func shapePath(s *value.Shape, realm Realm) ([]string, bool) {
-	path := s.Path()
-	if realm.Shapes().Replay(path) != s {
+	if !realm.Shapes().Holds(s) {
 		return nil, false
 	}
-	return path, true
+	return s.Path(), true
 }
 
 // Extract builds the relocation manifest for a freshly compiled donor graph,
@@ -121,8 +121,8 @@ func Extract(f *ir.Func, realm Realm) (*Manifest, bool) {
 			man.Shapes[v.ID] = path
 		}
 		if v.Callee != nil {
-			ref, cok := calleeRef(v.Callee, realm)
-			if !cok {
+			ref := calleeRef(v.Callee, realm)
+			if ref.Kind == CalleeNone {
 				ok = false
 				return
 			}
@@ -164,8 +164,8 @@ func Extract(f *ir.Func, realm Realm) (*Manifest, bool) {
 		}
 	}
 	for _, inf := range f.Inlines {
-		ref, cok := calleeRef(inf.Callee, realm)
-		if !cok {
+		ref := calleeRef(inf.Callee, realm)
+		if ref.Kind == CalleeNone {
 			return nil, false
 		}
 		man.Inlines = append(man.Inlines, ref)

@@ -16,10 +16,10 @@
 package isolate
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 
 	"nomap/internal/bytecode"
@@ -100,91 +100,100 @@ func (iso *Isolate) Load(entry *codecache.ProgramEntry) error {
 // invisible warmup work (profiling, tier-up, compilation) is skipped.
 func (iso *Isolate) Snapshot() *Snapshot {
 	s := &Snapshot{Program: iso.program, Gov: iso.b.Governor().Export()}
-	iso.v.EachProfile(func(fn *bytecode.Function, p *profile.FunctionProfile) {
-		s.Profiles = append(s.Profiles, ProfileEntry{
-			Code: fn,
-			Snap: codecache.SnapProfile(p, iso.v),
+	if iso.program != nil {
+		funcs := bytecode.Preorder(iso.program.Main)
+		s.Profiles = make([][]byte, len(funcs))
+		iso.v.EachProfile(func(fn *bytecode.Function, p *profile.FunctionProfile) {
+			if fn.Index < len(funcs) && funcs[fn.Index] == fn {
+				s.Profiles[fn.Index] = codecache.AppendProfile(nil, p, iso.v)
+			}
 		})
-	})
-	sort.Slice(s.Profiles, func(i, j int) bool {
-		return s.Profiles[i].Code.Name < s.Profiles[j].Code.Name
-	})
+	}
 	s.Seal = s.seal()
 	return s
 }
 
 // ErrSnapshotCorrupt reports a snapshot whose payload no longer matches the
-// integrity seal computed at capture. Restore refuses such a snapshot, so a
-// damaged warm-start can only cost a cold start, never wrong profiles or
-// ledgers.
+// integrity seal computed at capture, or does not decode. Restore refuses
+// such a snapshot, so a damaged warm-start can only cost a cold start, never
+// wrong profiles or ledgers.
 var ErrSnapshotCorrupt = errors.New("isolate: snapshot failed integrity check")
 
-// seal hashes the snapshot's payload — program identity, governor ledgers,
-// and every profile — into the integrity fingerprint Restore verifies. The
-// governor export and the profile list are deterministically ordered, so the
-// seal is a pure function of the captured state.
+// seal is FNV-1a over the snapshot's payload — program hash, governor
+// ledgers and every profile encoding, each deterministically ordered — the
+// integrity fingerprint Restore verifies.
 func (s *Snapshot) seal() uint64 {
 	h := fnv.New64a()
+	var n [binary.MaxVarintLen64]byte
 	if s.Program != nil {
-		fmt.Fprintf(h, "program:%016x\n", s.Program.Hash)
+		h.Write(binary.LittleEndian.AppendUint64(n[:0], s.Program.Hash))
 	}
 	fmt.Fprintf(h, "gov:%+v\n", s.Gov)
-	for _, e := range s.Profiles {
-		fmt.Fprintf(h, "profile:%s:%+v\n", e.Code.Name, *e.Snap)
+	for _, b := range s.Profiles {
+		// Encodings are never empty, so length 0 marks an absent profile.
+		h.Write(binary.AppendUvarint(n[:0], uint64(len(b))))
+		h.Write(b)
 	}
 	return h.Sum64()
 }
 
-// CorruptCopy returns a copy of the snapshot with one payload field damaged
+// CorruptCopy returns a copy of the snapshot with one payload byte damaged
 // but the original seal retained — the exact shape of an in-flight
 // corruption, for the chaos harness. The receiver is untouched.
 func (s *Snapshot) CorruptCopy() *Snapshot {
 	c := *s
-	switch {
-	case len(c.Profiles) > 0:
-		c.Profiles = append([]ProfileEntry(nil), s.Profiles...)
-		snap := *c.Profiles[0].Snap
-		snap.Invocations++
-		c.Profiles[0].Snap = &snap
-	case len(c.Gov) > 0:
-		c.Gov = append(governor.Snapshot(nil), s.Gov...)
-		c.Gov[0].Window++
-	default:
-		c.Seal ^= 1
+	c.Profiles = append([][]byte(nil), s.Profiles...)
+	for i, b := range c.Profiles {
+		if b != nil {
+			c.Profiles[i] = append([]byte{^b[0]}, b[1:]...)
+			return &c
+		}
 	}
+	c.Seal ^= 1
 	return &c
 }
 
 // Restore installs a snapshot's profiles and governor ledgers into this
 // isolate, which must have Loaded the same interned program (so the
-// snapshot's bytecode identities resolve).
+// snapshot's function indices resolve). Nothing is installed unless the
+// seal verifies and every profile decodes.
 func (iso *Isolate) Restore(s *Snapshot) error {
 	if iso.program == nil || iso.program != s.Program {
 		return fmt.Errorf("isolate: snapshot is for a different program")
 	}
-	if s.Seal != s.seal() {
-		iso.v.Counters().SnapshotRejects++
-		return fmt.Errorf("restore %q: %w", s.Program.Main.Name, ErrSnapshotCorrupt)
+	funcs := bytecode.Preorder(s.Program.Main)
+	profs := make([]*profile.FunctionProfile, len(funcs))
+	var err error
+	if s.Seal != s.seal() || len(s.Profiles) > len(funcs) {
+		err = errors.New("seal mismatch")
 	}
-	for _, e := range s.Profiles {
-		iso.v.SetProfile(e.Code, e.Snap.Materialize(e.Code, iso.v))
+	for i, b := range s.Profiles {
+		if err == nil && b != nil {
+			profs[i], err = codecache.DecodeProfile(b, funcs[i], funcs, iso.v)
+		}
+	}
+	if err != nil {
+		iso.v.Counters().SnapshotRejects++
+		return fmt.Errorf("restore %q: %w: %v", s.Program.Main.Name, ErrSnapshotCorrupt, err)
+	}
+	for i, p := range profs {
+		if p != nil {
+			iso.v.SetProfile(funcs[i], p)
+		}
 	}
 	iso.b.Governor().Restore(s.Gov)
 	iso.v.Counters().SnapshotRestores++
 	return nil
 }
 
-// ProfileEntry pairs a shared bytecode function with its portable profile.
-type ProfileEntry struct {
-	Code *bytecode.Function
-	Snap *codecache.ProfileSnap
-}
-
 // Snapshot is an isolate's portable warm state. It is immutable once built
 // and safe to restore into any number of isolates concurrently.
 type Snapshot struct {
-	Program  *codecache.ProgramEntry
-	Profiles []ProfileEntry
+	Program *codecache.ProgramEntry
+	// Profiles holds each function's full profile encoding
+	// (codecache.AppendProfile), indexed by bytecode.Function.Index; nil
+	// where the function has no profile.
+	Profiles [][]byte
 	Gov      governor.Snapshot
 	// Seal is the integrity fingerprint of the fields above, computed at
 	// capture; Restore recomputes it and rejects a mismatch with

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"nomap/internal/bytecode"
 	"nomap/internal/codecache"
+	"nomap/internal/profile"
 	"nomap/internal/value"
 	"nomap/internal/vm"
 )
@@ -161,7 +163,7 @@ func TestSnapshotWarmStart(t *testing.T) {
 		cold = append(cold, v.ToStringValue())
 	}
 	snap := donor.Snapshot()
-	if len(snap.Profiles) == 0 {
+	if captured(snap) == 0 {
 		t.Fatal("snapshot captured no profiles")
 	}
 
@@ -269,7 +271,7 @@ func TestSnapshotSealRejectsCorruption(t *testing.T) {
 		}
 	}
 	snap := donor.Snapshot()
-	if len(snap.Profiles) == 0 {
+	if captured(snap) == 0 {
 		t.Fatal("snapshot captured no profiles")
 	}
 	bad := snap.CorruptCopy()
@@ -291,5 +293,140 @@ func TestSnapshotSealRejectsCorruption(t *testing.T) {
 	// The original is untouched by CorruptCopy and still verifies.
 	if err := victim.Restore(snap); err != nil {
 		t.Fatalf("original snapshot rejected after CorruptCopy: %v", err)
+	}
+}
+
+// captured counts the profiles a snapshot holds.
+func captured(s *Snapshot) int {
+	n := 0
+	for _, b := range s.Profiles {
+		if b != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRestoreRejectsUndecodableSnapshot: a snapshot whose seal verifies but
+// whose profile bytes do not decode is refused as ErrSnapshotCorrupt and
+// counted in SnapshotRejects, and nothing from it is installed.
+func TestRestoreRejectsUndecodableSnapshot(t *testing.T) {
+	cfg := vm.DefaultConfig()
+	cfg.Arch = vm.ArchNoMap
+	progs := codecache.NewPrograms()
+	entry, err := progs.Load(seedProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor := New(cfg)
+	if err := donor.Load(entry); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if _, err := donor.VM().CallGlobal("run", value.Int(int32(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := donor.Snapshot()
+	bad := *snap
+	bad.Profiles = append([][]byte(nil), snap.Profiles...)
+	for i, b := range bad.Profiles {
+		if b != nil {
+			bad.Profiles[i] = b[:len(b)-1]
+		}
+	}
+	bad.Seal = bad.seal()
+
+	victim := New(cfg)
+	if err := victim.Load(entry); err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.Restore(&bad); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("Restore(undecodable) = %v, want ErrSnapshotCorrupt", err)
+	}
+	c := victim.VM().Counters()
+	if c.SnapshotRejects != 1 || c.SnapshotRestores != 0 {
+		t.Errorf("SnapshotRejects = %d, SnapshotRestores = %d; want 1, 0", c.SnapshotRejects, c.SnapshotRestores)
+	}
+	victim.VM().EachProfile(func(fn *bytecode.Function, p *profile.FunctionProfile) {
+		if p.InvocationCount > 0 && fn.Name == "run" {
+			t.Errorf("rejected snapshot installed %s's profile", fn.Name)
+		}
+	})
+}
+
+// sameNameProgram has two functions of one name ("<anonymous>"), so a
+// snapshot ordered by name alone would depend on map iteration order.
+const sameNameProgram = `
+var inc = function(x) { return x + 1; };
+var dbl = function(x) { return x * 2; };
+function run(n) {
+  var s = 0;
+  for (var i = 0; i < n; i++) { s = (inc(s) + dbl(i)) | 0; }
+  return s;
+}
+`
+
+// TestSnapshotDeterministic: repeated captures of one warm isolate give
+// identical profile bytes and seal, even with same-named functions.
+func TestSnapshotDeterministic(t *testing.T) {
+	cfg := vm.DefaultConfig()
+	cfg.Arch = vm.ArchNoMap
+	for src, want := range map[string]int{seedProgram: 2, sameNameProgram: 4} {
+		progs := codecache.NewPrograms()
+		entry, err := progs.Load(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iso := New(cfg)
+		if err := iso.Load(entry); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			if _, err := iso.VM().CallGlobal("run", value.Int(int32(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first := iso.Snapshot()
+		if captured(first) != want {
+			t.Fatalf("captured %d profiles, want %d: every function run", captured(first), want)
+		}
+		for k := 0; k < 8; k++ {
+			again := iso.Snapshot()
+			if again.Seal != first.Seal || !reflect.DeepEqual(again.Profiles, first.Profiles) {
+				t.Fatalf("capture %d differs from the first", k+1)
+			}
+		}
+	}
+}
+
+// BenchmarkSnapshotRestore measures the warm-start round trip a pool worker
+// pays: one op captures a warm isolate's snapshot and restores it into a
+// loaded isolate of the same program.
+func BenchmarkSnapshotRestore(b *testing.B) {
+	cfg := vm.DefaultConfig()
+	cfg.Arch = vm.ArchNoMap
+	progs := codecache.NewPrograms()
+	entry, err := progs.Load(sameNameProgram)
+	if err != nil {
+		b.Fatal(err)
+	}
+	donor, warm := New(cfg), New(cfg)
+	for _, iso := range []*Isolate{donor, warm} {
+		if err := iso.Load(entry); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		if _, err := donor.VM().CallGlobal("run", value.Int(int32(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := warm.Restore(donor.Snapshot()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -106,6 +106,17 @@ func (t *ShapeTable) Replay(path []string) *Shape {
 	return s
 }
 
+// Holds reports whether s is a node of t's transition tree — exactly when
+// Replay(s.Path()) returns s — without creating any shape.
+func (t *ShapeTable) Holds(s *Shape) bool {
+	for ; s.Key != ""; s = s.Parent {
+		if s.Parent == nil || s.Parent.transitions[s.Key] != s {
+			return false
+		}
+	}
+	return s == t.Root
+}
+
 // Lookup returns the slot offset of key in s, or -1 when absent.
 func (s *Shape) Lookup(key string) int {
 	if s.table == nil {
