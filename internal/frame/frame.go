@@ -71,21 +71,3 @@ type Frame struct {
 	// the reconstructed chain on aborts.
 	InlineIndex int
 }
-
-// New allocates a frame for fn at pc 0 with arguments boxed into the
-// parameter registers and everything else undefined (the zero Boxed is +0.0,
-// so the fill is explicit).
-func New(fn *bytecode.Function, env *value.Environment, args []value.Value, h *value.Handles) *Frame {
-	fr := &Frame{Fn: fn, Locals: make([]value.Boxed, fn.NumRegs), Env: env}
-	for i := range fr.Locals {
-		fr.Locals[i] = value.BoxedUndefined
-	}
-	n := fn.NumParams
-	if len(args) < n {
-		n = len(args)
-	}
-	for i := 0; i < n; i++ {
-		fr.Locals[i] = h.Box(args[i])
-	}
-	return fr
-}

@@ -42,6 +42,10 @@ type Host interface {
 	// InvokeMethod performs recv.name(args), dispatching to own properties
 	// or builtin prototypes (strings, arrays, Math, ...).
 	InvokeMethod(recv value.Value, name string, args []value.Value) (value.Value, error)
+	// ArgWindow lends the current call depth's argument window, sized n, to
+	// one call made from this depth. The callee copies what it keeps out of
+	// it; the next call from the same depth overwrites it.
+	ArgWindow(n int) []value.Value
 	// MakeClosure wraps a nested bytecode function and its defining
 	// environment into a callable value.
 	MakeClosure(fn *bytecode.Function, env *value.Environment) value.Value
@@ -67,9 +71,9 @@ type Host interface {
 const osrPollMask = 63
 
 // unboxArgs converts a boxed argument window to the fat representation the
-// call boundary uses.
-func unboxArgs(hd *value.Handles, rs []value.Boxed) []value.Value {
-	out := make([]value.Value, len(rs))
+// call boundary uses, in the host's argument window for the current depth.
+func unboxArgs(h Host, hd *value.Handles, rs []value.Boxed) []value.Value {
+	out := h.ArgWindow(len(rs))
 	for i, r := range rs {
 		out[i] = hd.Unbox(r)
 	}
@@ -358,7 +362,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			}
 			instrs += costCall(baseline)
 			flush()
-			res, err := h.Call(cf, value.Undefined(), unboxArgs(hd, regs[in.C:in.C+in.D]))
+			res, err := h.Call(cf, value.Undefined(), unboxArgs(h, hd, regs[in.C:in.C+in.D]))
 			if err != nil {
 				return value.Undefined(), err
 			}
@@ -381,7 +385,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			}
 			instrs += costCall(baseline) + 4
 			flush()
-			res, err := h.InvokeMethod(recv, fn.Names[in.E], unboxArgs(hd, regs[in.C:in.C+in.D]))
+			res, err := h.InvokeMethod(recv, fn.Names[in.E], unboxArgs(h, hd, regs[in.C:in.C+in.D]))
 			if err != nil {
 				return value.Undefined(), err
 			}
@@ -395,7 +399,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			}
 			instrs += costCall(baseline) + 6
 			flush()
-			res, err := h.Construct(cf, unboxArgs(hd, regs[in.C:in.C+in.D]))
+			res, err := h.Construct(cf, unboxArgs(h, hd, regs[in.C:in.C+in.D]))
 			if err != nil {
 				return value.Undefined(), err
 			}
@@ -461,12 +465,15 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			instrs += costElem(baseline)
 
 		case bytecode.OpGetGlobal:
+			// One shape lookup: the global object is never an array, so
+			// no synthesized property can hide behind a missing offset.
 			g := h.Globals()
 			name := fn.Names[in.B]
-			if !g.Has(name) {
+			off := g.OffsetOf(name)
+			if off < 0 {
 				return value.Undefined(), errf("%s is not defined", name)
 			}
-			regs[in.A] = hd.Box(g.Get(name))
+			regs[in.A] = hd.Box(g.GetSlot(off))
 			instrs += costGlobal(baseline)
 
 		case bytecode.OpSetGlobal:

@@ -211,6 +211,18 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 	return res, d, err
 }
 
+// gatherArgs unboxes a call's argument operands into fb's argument window.
+// The callee copies its arguments out (the VM's activation set-up, natives);
+// a nested activation runs one depth deeper, on its own buffer.
+func (fb *frameBuf) gatherArgs(hd *value.Handles, operands []*ir.Value, vals []value.Boxed) []value.Value {
+	args := fb.args[:0]
+	for _, a := range operands {
+		args = append(args, hd.Unbox(vals[a.ID]))
+	}
+	fb.args = args
+	return args
+}
+
 // exec runs one activation of f on the scratch buffer fb.
 func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value.Value, osr *frame.Frame) (value.Value, *Deopt, error) {
 	w := WeightsFor(tier)
@@ -690,22 +702,28 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 				vals[v.ID] = value.BoxInt(int32(o.Length))
 				extra += m.load(m.Mem.LengthAddr(o))
 			case ir.OpLoadGlobal:
+				// One shape lookup per access: the global object is never
+				// an array, so its offset alone decides presence.
 				g := m.host.Globals()
-				if !g.Has(v.AuxStr) {
+				off := g.OffsetOf(v.AuxStr)
+				if off < 0 {
 					account(instr, extra)
 					d, err := raise(v, raisedAt(f, v, fmt.Errorf("%s is not defined", v.AuxStr)))
 					return value.Undefined(), d, err
 				}
-				vals[v.ID] = hd.Box(g.Get(v.AuxStr))
-				if off := g.OffsetOf(v.AuxStr); off >= 0 {
-					extra += m.load(m.Mem.SlotAddr(g, off))
-				}
+				vals[v.ID] = hd.Box(g.GetSlot(off))
+				extra += m.load(m.Mem.SlotAddr(g, off))
 			case ir.OpStoreGlobal:
 				g := m.host.Globals()
-				g.Set(v.AuxStr, hd.Unbox(vals[v.Args[0].ID]))
-				if off := g.OffsetOf(v.AuxStr); off >= 0 {
-					extra += m.Cache.Access(m.Mem.SlotAddr(g, off))
+				x := hd.Unbox(vals[v.Args[0].ID])
+				off := g.OffsetOf(v.AuxStr)
+				if off >= 0 {
+					g.SetSlot(off, x)
+				} else {
+					g.Set(v.AuxStr, x)
+					off = g.OffsetOf(v.AuxStr)
 				}
+				extra += m.Cache.Access(m.Mem.SlotAddr(g, off))
 
 			case ir.OpMathOp:
 				mf := &value.MathFuncs[v.AuxInt]
@@ -717,13 +735,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 
 			case ir.OpCallDirect:
 				this := hd.Unbox(vals[v.Args[0].ID])
-				// The callee copies its arguments out (frame.New, natives);
-				// a nested activation runs one depth deeper, on its own buffer.
-				callArgs := fb.args[:0]
-				for _, a := range v.Args[1:] {
-					callArgs = append(callArgs, hd.Unbox(vals[a.ID]))
-				}
-				fb.args = callArgs
+				callArgs := fb.gatherArgs(hd, v.Args[1:], vals)
 				account(instr, extra)
 				if m.HTM.InTx() {
 					m.txHadCalls = true
@@ -738,7 +750,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 
 			case ir.OpCallRuntime:
 				account(instr, extra)
-				res, err := m.runtimeCall(f, v, vals)
+				res, err := m.runtimeCall(fb, f, v, vals)
 				if err != nil {
 					d, err2 := handleCallErr(v, err)
 					return value.Undefined(), d, err2

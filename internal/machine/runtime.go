@@ -13,7 +13,7 @@ import (
 // runtime entries that optimized code falls back to when speculation is not
 // worthwhile (paper Figure 4(b)). Their cost is attributed to the NoFTL
 // instruction class, like the paper's C runtime code.
-func (m *Machine) runtimeCall(f *ir.Func, v *ir.Value, vals []value.Boxed) (value.Value, error) {
+func (m *Machine) runtimeCall(fb *frameBuf, f *ir.Func, v *ir.Value, vals []value.Boxed) (value.Value, error) {
 	ctrs := m.host.Counters()
 	hd := m.host.Handles()
 	charge := func(n int64) {
@@ -71,12 +71,12 @@ func (m *Machine) runtimeCall(f *ir.Func, v *ir.Value, vals []value.Boxed) (valu
 			return value.Undefined(), raisedAt(f, v, err)
 		}
 		m.noteUserCall()
-		return m.host.Call(fn, value.Undefined(), gatherArgs(hd, v, vals, 1))
+		return m.host.Call(fn, value.Undefined(), fb.gatherArgs(hd, v.Args[1:], vals))
 	case "callmethod":
 		charge(28)
 		m.noteUserCall()
 		recv, name := a(0), a(1).StringVal()
-		args := gatherArgs(hd, v, vals, 2)
+		args := fb.gatherArgs(hd, v.Args[2:], vals)
 		return m.host.InvokeMethod(recv, name, args)
 	case "construct":
 		charge(36)
@@ -85,7 +85,7 @@ func (m *Machine) runtimeCall(f *ir.Func, v *ir.Value, vals []value.Boxed) (valu
 			return value.Undefined(), raisedAt(f, v, err)
 		}
 		m.noteUserCall()
-		return m.host.Construct(fn, gatherArgs(hd, v, vals, 1))
+		return m.host.Construct(fn, fb.gatherArgs(hd, v.Args[1:], vals))
 
 	case "newobject":
 		charge(28)
@@ -137,12 +137,4 @@ func (m *Machine) noteUserCall() {
 	if m.HTM.InTx() {
 		m.txHadCalls = true
 	}
-}
-
-func gatherArgs(hd *value.Handles, v *ir.Value, vals []value.Boxed, from int) []value.Value {
-	args := make([]value.Value, 0, len(v.Args)-from)
-	for i := from; i < len(v.Args); i++ {
-		args = append(args, hd.Unbox(vals[v.Args[i].ID]))
-	}
-	return args
 }

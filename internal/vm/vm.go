@@ -7,6 +7,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nomap/internal/bytecode"
 	"nomap/internal/frame"
@@ -67,7 +68,12 @@ type VM struct {
 	jit JITBackend
 
 	callDepth int
-	rng       uint64
+	// acts holds one reusable activation per call depth: acts[d] is lent to
+	// the bytecode activation running at callDepth d (RunMain's at depth 0)
+	// and to the calls it makes, the way the machine lends its per-depth
+	// frameBuf. Reset drops them.
+	acts []*activation
+	rng  uint64
 
 	// interrupt, when non-nil, is polled at every tier boundary (the single
 	// Call path). A non-nil error cancels execution: it propagates out like
@@ -140,6 +146,7 @@ func (vm *VM) Reset() {
 	vm.profiles = make(map[*bytecode.Function]*profile.FunctionProfile)
 	vm.rng = vm.cfg.RandomSeed
 	vm.callDepth = 0
+	vm.acts = nil
 	vm.counters.Reset()
 	vm.Output = nil
 	vm.natives = nil
@@ -251,7 +258,7 @@ func (vm *VM) Run(src string) (value.Value, error) {
 
 // RunMain executes a previously compiled top-level function.
 func (vm *VM) RunMain(main *bytecode.Function) (value.Value, error) {
-	fr := frame.New(main, nil, nil, vm.handles)
+	fr := vm.activation().enter(main, nil, nil, vm.handles)
 	if _, err := interp.Exec(vm, fr, profile.TierInterp); err != nil {
 		return value.Undefined(), err
 	}
@@ -314,9 +321,63 @@ func (vm *VM) Call(fn *value.Function, this value.Value, args []value.Value) (va
 		tier = profile.TierBaseline
 	}
 
-	env := value.NewEnvironment(fn.Env, bcFn.NumCells)
-	fr := frame.New(bcFn, env, args, vm.handles)
-	return interp.Exec(vm, fr, tier)
+	a := vm.activation()
+	var env *value.Environment
+	if bcFn.NumCells > 0 || len(bcFn.Funcs) > 0 {
+		// Cells or closures may outlive the call: the environment must too.
+		env = value.NewEnvironment(fn.Env, bcFn.NumCells)
+	} else {
+		a.env = value.Environment{Parent: fn.Env}
+		env = &a.env
+	}
+	return interp.Exec(vm, a.enter(bcFn, env, args, vm.handles), tier)
+}
+
+// activation is the storage of the bytecode activation running at one call
+// depth: its frame, whose Locals is the reused register file, its environment
+// (when no closure can capture it) and the window its own calls unbox their
+// arguments into. Everything
+// here is lent for the duration of one activation, so nothing may keep any
+// of it after the call that lent it returns: natives copy their arguments
+// out, OSR entry runs to completion inside the lending call, and deopt
+// frames are materialized fresh.
+type activation struct {
+	fr   frame.Frame
+	env  value.Environment
+	args []value.Value
+}
+
+// activation returns the current call depth's activation, allocating it on
+// first use.
+func (vm *VM) activation() *activation {
+	for len(vm.acts) <= vm.callDepth {
+		vm.acts = append(vm.acts, new(activation))
+	}
+	return vm.acts[vm.callDepth]
+}
+
+// enter sets a's frame up in place as a fresh activation of fn at pc 0:
+// arguments boxed into the parameter registers and everything else undefined
+// (the zero Boxed is +0.0, so the fill is explicit).
+func (a *activation) enter(fn *bytecode.Function, env *value.Environment, args []value.Value, h *value.Handles) *frame.Frame {
+	regs := slices.Grow(a.fr.Locals[:0], fn.NumRegs)[:fn.NumRegs]
+	n := min(fn.NumParams, len(args))
+	for i, arg := range args[:n] {
+		regs[i] = h.Box(arg)
+	}
+	for i := n; i < len(regs); i++ {
+		regs[i] = value.BoxedUndefined
+	}
+	a.fr = frame.Frame{Fn: fn, Locals: regs, Env: env}
+	return &a.fr
+}
+
+// ArgWindow lends the current depth's argument window, sized n, for one call
+// made from this depth; the next call from the same depth overwrites it.
+func (vm *VM) ArgWindow(n int) []value.Value {
+	a := vm.activation()
+	a.args = slices.Grow(a.args[:0], n)[:n]
+	return a.args
 }
 
 // OSREntry is the bytecode tiers' hot-loop hook: every 64 back edges the
