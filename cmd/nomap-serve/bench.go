@@ -125,16 +125,15 @@ func measureServeBench(cfg vm.Config) (serveBenchFile, error) {
 	for i := range scens {
 		s := &scens[i]
 		s.Result = loadgen.Run(loadgen.SimConfig{
-			Workers:        s.Workers,
-			QueueDepth:     256,
-			QPS:            s.QPS,
-			Requests:       s.Requests,
-			Seed:           s.Seed,
-			Keys:           s.Keys,
-			ColdKeys:       s.ColdKeys,
-			Async:          s.Async,
-			CompileWorkers: 2,
-			Coalesce:       s.Coalesce,
+			Workers:    s.Workers,
+			QueueDepth: 256,
+			QPS:        s.QPS,
+			Requests:   s.Requests,
+			Seed:       s.Seed,
+			Keys:       s.Keys,
+			ColdKeys:   s.ColdKeys,
+			Async:      s.Async,
+			Coalesce:   s.Coalesce,
 		})
 	}
 	out.Scenarios = scens
@@ -272,15 +271,14 @@ func runLoadgen(cfg vm.Config, mix []workloads.Workload, workers, queueDepth, ca
 			kp.Name, kp.ColdCycles, kp.WarmCycles, kp.BaselineCycles, kp.CompileCycles)
 	}
 	res := loadgen.Run(loadgen.SimConfig{
-		Workers:        workers,
-		QueueDepth:     queueDepth,
-		QPS:            qps,
-		Requests:       requests,
-		Seed:           seed,
-		Keys:           keys,
-		Async:          async,
-		CompileWorkers: 2,
-		Coalesce:       coalesce,
+		Workers:    workers,
+		QueueDepth: queueDepth,
+		QPS:        qps,
+		Requests:   requests,
+		Seed:       seed,
+		Keys:       keys,
+		Async:      async,
+		Coalesce:   coalesce,
 	})
 	fmt.Printf("nomap-serve loadgen: %d arrivals at %d qps on %d workers [%s] (seed %d, coalesce=%v, async=%v)\n",
 		requests, qps, workers, cfg.Arch, seed, coalesce, async)

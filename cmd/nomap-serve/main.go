@@ -40,11 +40,8 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "per-request deadline (0 = none)")
 		minHitRate = flag.Float64("min-hit-rate", 0, "exit nonzero if code-cache hit rate falls below this")
 		verify     = flag.Bool("verify", true, "check every response against a dedicated cold isolate")
-		noCache    = flag.Bool("no-cache", false, "disable the shared code cache")
-		noSnap     = flag.Bool("no-snapshots", false, "disable warm-start snapshots")
 		chaosSpec  = flag.String("chaos", "", `deterministic fault plan, e.g. "panic@3,compile-fail@1,slow-isolate@5" (injected failures are expected and reported per class)`)
 
-		shards       = flag.Int("shards", 0, "code-cache shards (0 = default; 1 = unsharded A/B configuration)")
 		coalesce     = flag.Bool("coalesce", false, "coalesce concurrent cold starts of one key behind a single leader")
 		asyncCompile = flag.Bool("async-compile", false, "move tier-up compilation off the request path onto the background compile queue")
 		slo          = flag.Duration("slo", 0, "latency SLO for compile-queue admission control (0 = no admission gating)")
@@ -106,16 +103,13 @@ func main() {
 		}
 	}
 	p := pool.New(pool.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		VM:               cfg,
-		DisableCodeCache: *noCache,
-		DisableSnapshots: *noSnap,
-		CacheShards:      *shards,
-		Coalesce:         *coalesce,
-		AsyncCompile:     *asyncCompile,
-		SLO:              *slo,
-		Chaos:            plan,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		VM:           cfg,
+		Coalesce:     *coalesce,
+		AsyncCompile: *asyncCompile,
+		SLO:          *slo,
+		Chaos:        plan,
 	})
 
 	// Cold references, one dedicated isolate per program: the behaviour the
@@ -267,7 +261,7 @@ func main() {
 	} else if failed > 0 {
 		fatalf("%d requests failed", failed)
 	}
-	if *minHitRate > 0 && !*noCache && st.Cache.HitRate() < *minHitRate {
+	if *minHitRate > 0 && st.Cache.HitRate() < *minHitRate {
 		fatalf("code-cache hit rate %.3f below required %.3f", st.Cache.HitRate(), *minHitRate)
 	}
 }
@@ -276,11 +270,7 @@ func main() {
 // counts per (function, arch) group, flagging any group compiled more than
 // once.
 func ftlCompileSummary(p *pool.Pool) string {
-	c := p.Cache()
-	if c == nil {
-		return "cache disabled"
-	}
-	fills := c.FillCounts()
+	fills := p.Cache().FillCounts()
 	total, groups, worst := int64(0), 0, int64(0)
 	for g, n := range fills {
 		if g.Tier != profile.TierFTL {

@@ -167,6 +167,27 @@ func TestIrrevocableKeepsFTL(t *testing.T) {
 	}
 }
 
+// maxA01SquashedCycles bounds A01's wasted work over 200 calls. Surgical SMP
+// restoration squashes at most CheckAbortBudget aborts' worth of work;
+// aborting on every call squashes ~50 cycles per call forever, so a
+// governor regressing toward that crosses this ceiling.
+const maxA01SquashedCycles = 1000
+
+// TestGovernorSmoke runs each adversarial workload under the engine protocol
+// of `nomap-run -calls`: A01's abort storm must stay under the squashed-cycle
+// ceiling, and A04 under NoMap_RTM and A03 must run to completion.
+func TestGovernorSmoke(t *testing.T) {
+	v, _ := newGovVM(t, vm.ArchNoMap)
+	runWorkload(t, v, mustWorkload(t, "A01"), 200)
+	if sq := v.Counters().CyclesSquashed; sq > maxA01SquashedCycles {
+		t.Errorf("A01: CyclesSquashed %d exceeds ceiling %d", sq, maxA01SquashedCycles)
+	}
+	v, _ = newGovVM(t, vm.ArchNoMapRTM)
+	runWorkload(t, v, mustWorkload(t, "A04"), 120)
+	v, _ = newGovVM(t, vm.ArchNoMap)
+	runWorkload(t, v, mustWorkload(t, "A03"), 200)
+}
+
 // TestGovernorOracleSweep runs the PR-1 fault-injection oracle over the
 // phase-change workload with the governor active: injected aborts land
 // before, during, and after probationary windows across all six

@@ -20,6 +20,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"nomap/internal/governor"
 )
 
 // Kind names one registered fault point. Every kind must be survivable:
@@ -149,9 +151,7 @@ func Spread(seed int64, kind Kind, n int, span int64) *Plan {
 	pts := make([]Point, 0, n)
 	seen := make(map[int64]bool)
 	for len(pts) < n {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
+		x = governor.XorShift64(x)
 		k := 1 + int64(x%uint64(span))
 		if !seen[k] {
 			seen[k] = true

@@ -76,6 +76,11 @@ func TestSpreadDeterministicAndBounded(t *testing.T) {
 	if a.Scheduled(KindPanic) != 4 {
 		t.Fatalf("scheduled %d points, want 4", a.Scheduled(KindPanic))
 	}
+	// The plan itself is pinned: a change to the seeded draw would silently
+	// move every chaos soak's fault points.
+	if got, want := a.String(), "panic@8,panic@29,panic@37,panic@42"; got != want {
+		t.Errorf("Spread(11, KindPanic, 4, 50) = %s, want %s", got, want)
+	}
 	c := Spread(12, KindPanic, 4, 50)
 	if a.String() == c.String() {
 		t.Errorf("different seeds produced identical plans: %s", a)

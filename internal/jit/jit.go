@@ -168,7 +168,7 @@ func (b *Backend) TxLevelOf(fn *bytecode.Function) core.TxLevel {
 }
 
 // CompiledFunctions returns the currently cached speculative-tier code, for
-// diagnostics (nomap-profile's IR dumps), ordered by function name and then
+// diagnostics (nomap-run -dump-ir), ordered by function name and then
 // entry pc so a function's invocation-entry artifact precedes its OSR
 // artifacts and the dump does not vary from run to run.
 func (b *Backend) CompiledFunctions() []*ir.Func {

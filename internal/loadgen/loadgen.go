@@ -108,9 +108,9 @@ type SimConfig struct {
 	ColdKeys bool
 	// Async routes tier-up compilation to the background compile queue
 	// (requests pay BaselineCycles until the key's rehearsal finishes);
-	// otherwise cold requests compile on the request path.
-	Async          bool
-	CompileWorkers int // background compile workers (0 → 1)
+	// otherwise cold requests compile on the request path. One background
+	// worker compiles, as in the pool.
+	Async bool
 	// Coalesce merges concurrent cold starts of one key: one leader pays the
 	// cold cost, followers wait for it and then run warm.
 	Coalesce bool
@@ -189,9 +189,6 @@ func Run(cfg SimConfig) SimResult {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.Workers
 	}
-	if cfg.CompileWorkers <= 0 {
-		cfg.CompileWorkers = 1
-	}
 	rng := NewRand(cfg.Seed)
 	meanGap := CyclesPerSecond / cfg.QPS
 
@@ -220,7 +217,7 @@ func Run(cfg SimConfig) SimResult {
 		seq          int64
 		freeWorkers  = cfg.Workers
 		queue        []int // request indices, FIFO
-		freeCompile  = cfg.CompileWorkers
+		compiling    bool  // the compile worker is busy
 		compileQueue []int // key indices, FIFO
 		hist         stats.Histogram
 		res          SimResult
@@ -248,8 +245,8 @@ func Run(cfg SimConfig) SimResult {
 			// background once per key.
 			if !k.compileQueued {
 				k.compileQueued = true
-				if freeCompile > 0 {
-					freeCompile--
+				if !compiling {
+					compiling = true
 					push(now+p.ColdCycles+p.CompileCycles, evCompileDone, 0, reqs[ri].key)
 					res.CompileJobs++
 				} else {
@@ -309,7 +306,7 @@ func Run(cfg SimConfig) SimResult {
 				push(e.t+p.ColdCycles+p.CompileCycles, evCompileDone, 0, nk)
 				res.CompileJobs++
 			} else {
-				freeCompile++
+				compiling = false
 			}
 		}
 	}

@@ -127,7 +127,6 @@ func TestSimColdBurstAsyncBeatsSync(t *testing.T) {
 
 	async := base
 	async.Async = true
-	async.CompileWorkers = 2
 	ar := loadgen.Run(async)
 
 	t.Logf("sync:  %+v", sync)

@@ -170,10 +170,8 @@ func (p *Pool) runCompileJob(job compileJob) {
 	}
 	restored := false
 	skey := isolate.KeyFor(iso.Config(), job.entry)
-	if !p.cfg.DisableSnapshots {
-		if snap := p.snaps.Get(skey); snap != nil {
-			restored = iso.Restore(snap) == nil
-		}
+	if snap := p.snaps.Get(skey); snap != nil {
+		restored = iso.Restore(snap) == nil
 	}
 	for i := 0; i < p.cfg.CompileWarmCalls; i++ {
 		if _, err := iso.VM().CallGlobal("run", value.Int(int32(job.arg))); err != nil {
@@ -183,7 +181,7 @@ func (p *Pool) runCompileJob(job compileJob) {
 	// Publish the rehearsal's warm state so the whole fleet cold-starts from
 	// it — but only when the rehearsal ran at the spec's full tier (a
 	// down-tiered rehearsal's key would not match serving isolates anyway).
-	if !p.cfg.DisableSnapshots && !restored && s.maxTier == job.s.maxTier {
+	if !restored && s.maxTier == job.s.maxTier {
 		p.snaps.SaveOnce(skey, iso.Snapshot())
 	}
 }

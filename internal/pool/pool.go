@@ -60,9 +60,6 @@ type Config struct {
 	// and MaxTier; everything else (policy, seed, call depth) is shared so
 	// snapshots and cache entries transfer.
 	VM vm.Config
-	// CacheShards sets the code cache's shard count (0 → default; 1 is the
-	// unsharded A/B configuration; rounded up to a power of two).
-	CacheShards int
 	// Coalesce enables cold-start request coalescing: concurrent requests
 	// for the same warm-start key elect one leader to serve cold and save
 	// the snapshot while the others wait and then start warm, so a fleet
@@ -88,10 +85,6 @@ type Config struct {
 	// worth capturing (default 8): tiny requests never reach the
 	// speculative tiers, and their snapshots would freeze cold profiles.
 	SnapshotMinCalls int
-	// DisableCodeCache serves every request with per-isolate compilation.
-	DisableCodeCache bool
-	// DisableSnapshots serves every request cold (no warm-start restore).
-	DisableSnapshots bool
 	// Resilience tunes the recovery state machine; zero fields take
 	// DefaultResiliencePolicy values, and a zero Seed inherits VM.RandomSeed
 	// so a pool's failure decisions replay with its execution.
@@ -337,6 +330,7 @@ func New(cfg Config) *Pool {
 	p := &Pool{
 		cfg:          cfg,
 		programs:     codecache.NewPrograms(),
+		cache:        codecache.NewCache(codecache.DefaultCapacity),
 		snaps:        isolate.NewStore(),
 		res:          governor.NewResilience(pol, cfg.VM.MaxTier),
 		queue:        make(chan *job, cfg.QueueDepth),
@@ -345,17 +339,14 @@ func New(cfg Config) *Pool {
 		latWin:       stats.NewLatencyWindow(0),
 		flights:      make(map[isolate.StoreKey]*coldFlight),
 	}
-	if !cfg.DisableCodeCache {
-		p.cache = codecache.NewCacheSharded(codecache.DefaultCapacity, cfg.CacheShards)
-		if cfg.Chaos != nil {
-			plan := cfg.Chaos
-			p.cache.SetFaultProbe(func() error {
-				if plan.Arm(chaos.KindCompileFail) {
-					return &chaos.CompileFault{Occurrence: plan.Armed(chaos.KindCompileFail)}
-				}
-				return nil
-			})
-		}
+	if cfg.Chaos != nil {
+		plan := cfg.Chaos
+		p.cache.SetFaultProbe(func() error {
+			if plan.Arm(chaos.KindCompileFail) {
+				return &chaos.CompileFault{Occurrence: plan.Armed(chaos.KindCompileFail)}
+			}
+			return nil
+		})
 	}
 	if cfg.AsyncCompile {
 		p.compileQ = make(chan compileJob, compileQueueDepth)
@@ -456,9 +447,7 @@ func (p *Pool) Stats() Stats {
 	p.mergedMu.Unlock()
 	s.P99Latency = p.latencyP99()
 	s.Health = p.res.Export()
-	if p.cache != nil {
-		s.Cache = p.cache.Stats()
-	}
+	s.Cache = p.cache.Stats()
 	s.Snapshots = p.snaps.Stats()
 	return s
 }
@@ -470,7 +459,7 @@ func (p *Pool) latencyP99() time.Duration {
 	return time.Duration(p.latWin.Quantile(0.99)) * time.Microsecond
 }
 
-// Cache exposes the shared code cache (nil when disabled) for reporting.
+// Cache exposes the shared code cache for reporting.
 func (p *Pool) Cache() *codecache.Cache { return p.cache }
 
 // Programs exposes the program registry (for reporting and tests).
@@ -586,9 +575,7 @@ func (p *Pool) newIsolate(s spec) *isolate.Isolate {
 	cfg.Arch = s.arch
 	cfg.MaxTier = s.maxTier
 	iso := isolate.New(cfg)
-	if p.cache != nil {
-		iso.UseCache(p.cache)
-	}
+	iso.UseCache(p.cache)
 	return iso
 }
 
@@ -818,7 +805,7 @@ func (p *Pool) serveOnce(req *Request, entry *codecache.ProgramEntry, deadline t
 	// Off-path compilation: a cache miss in any speculative tier offers a
 	// background compile job and the request proceeds at its current-best
 	// tier. The isolate's Reset clears the sink before it is recycled.
-	if p.cfg.AsyncCompile && p.cache != nil {
+	if p.cfg.AsyncCompile {
 		iso.Backend().SetCompileSink(func(tier profile.Tier) {
 			p.offerCompile(compileJob{entry: entry, s: s, arg: req.Arg, tier: tier})
 		})
@@ -831,40 +818,38 @@ func (p *Pool) serveOnce(req *Request, entry *codecache.ProgramEntry, deadline t
 	}
 
 	skey := isolate.KeyFor(iso.Config(), entry)
-	if !p.cfg.DisableSnapshots {
-		snap := p.snaps.Get(skey)
-		if snap == nil && p.cfg.Coalesce && req.Calls >= p.cfg.SnapshotMinCalls {
-			// Cold-start coalescing: the first request for a key serves cold
-			// as the flight leader and saves the snapshot; concurrent
-			// requests for the same key wait for it (bounded by their own
-			// deadline) and then start warm, so a fleet cold-start replays
-			// the profiling warmup once per key rather than once per worker.
-			// Small requests (below SnapshotMinCalls) never join: their
-			// leader would not save a snapshot, so waiting buys nothing.
-			if fl, leader := p.joinCold(skey); leader {
-				p.coalesceLeads.Add(1)
-				// The flight closes on every exit from this attempt —
-				// including a contained panic (LIFO defers run this before
-				// the recover above) — so followers can never hang.
-				defer p.leaveCold(skey, fl)
-			} else {
-				p.coalesceWaits.Add(1)
-				p.waitCold(fl, deadline, req.Ctx)
-				snap = p.snaps.Get(skey)
-			}
+	snap := p.snaps.Get(skey)
+	if snap == nil && p.cfg.Coalesce && req.Calls >= p.cfg.SnapshotMinCalls {
+		// Cold-start coalescing: the first request for a key serves cold
+		// as the flight leader and saves the snapshot; concurrent
+		// requests for the same key wait for it (bounded by their own
+		// deadline) and then start warm, so a fleet cold-start replays
+		// the profiling warmup once per key rather than once per worker.
+		// Small requests (below SnapshotMinCalls) never join: their
+		// leader would not save a snapshot, so waiting buys nothing.
+		if fl, leader := p.joinCold(skey); leader {
+			p.coalesceLeads.Add(1)
+			// The flight closes on every exit from this attempt —
+			// including a contained panic (LIFO defers run this before
+			// the recover above) — so followers can never hang.
+			defer p.leaveCold(skey, fl)
+		} else {
+			p.coalesceWaits.Add(1)
+			p.waitCold(fl, deadline, req.Ctx)
+			snap = p.snaps.Get(skey)
 		}
-		if snap != nil {
-			if plan.Arm(chaos.KindSnapshotCorrupt) {
-				snap = snap.CorruptCopy()
-			}
-			if err := iso.Restore(snap); err == nil {
-				resp.Warm = true
-			} else if errors.Is(err, isolate.ErrSnapshotCorrupt) {
-				// A damaged warm start degrades to a cold one: the request
-				// still serves byte-identical results.
-				p.snapshotRejects.Add(1)
-				p.trace(Event{Kind: EventSnapshotReject, Program: entry.Hash})
-			}
+	}
+	if snap != nil {
+		if plan.Arm(chaos.KindSnapshotCorrupt) {
+			snap = snap.CorruptCopy()
+		}
+		if err := iso.Restore(snap); err == nil {
+			resp.Warm = true
+		} else if errors.Is(err, isolate.ErrSnapshotCorrupt) {
+			// A damaged warm start degrades to a cold one: the request
+			// still serves byte-identical results.
+			p.snapshotRejects.Add(1)
+			p.trace(Event{Kind: EventSnapshotReject, Program: entry.Hash})
 		}
 	}
 
@@ -885,8 +870,7 @@ func (p *Pool) serveOnce(req *Request, entry *codecache.ProgramEntry, deadline t
 	if req.Observe != nil {
 		req.Observe(iso.VM())
 	}
-	if resp.Err == nil && !resp.Warm && !p.cfg.DisableSnapshots &&
-		req.Calls >= p.cfg.SnapshotMinCalls {
+	if resp.Err == nil && !resp.Warm && req.Calls >= p.cfg.SnapshotMinCalls {
 		p.snaps.SaveOnce(skey, iso.Snapshot())
 	}
 	resp.Output = append([]string(nil), iso.VM().Output...)
