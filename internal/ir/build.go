@@ -92,6 +92,8 @@ type builder struct {
 	factNum map[*Value]bool
 
 	undef *Value
+
+	maps mapArena // snapshot's stack maps
 }
 
 func (b *builder) run() error {
@@ -458,9 +460,9 @@ func ReplaceUses(f *Func, old, new *Value) {
 // snapshot captures the Stack Map for the current bytecode pc: the Baseline
 // register state that deoptimization must materialize.
 func (b *builder) snapshot() *StackMap {
-	sm := &StackMap{PC: b.pc}
-	for r := 0; r < b.bc.NumRegs; r++ {
-		sm.Entries = append(sm.Entries, StackMapEntry{Reg: r, Val: b.readVar(b.cur, r)})
+	sm := b.maps.newMap(b.pc, b.bc.NumRegs)
+	for r := range sm.Entries {
+		sm.Entries[r] = StackMapEntry{Reg: r, Val: b.readVar(b.cur, r)}
 	}
 	return sm
 }

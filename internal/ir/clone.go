@@ -35,11 +35,20 @@ func (f *Func) Clone() (*Func, map[*Value]*Value) {
 	bmap := make(map[*Block]*Block, len(f.Blocks))
 	vmap := make(map[*Value]*Value, f.nextValueID)
 	smmap := make(map[*StackMap]*StackMap)
-	for _, b := range f.Blocks {
-		nb := &Block{ID: b.ID, Kind: b.Kind, StartPC: b.StartPC, BackEdge: b.BackEdge, Inline: imap[b.Inline], Fn: nf}
+	// The copies come from one slice of blocks and one chunk sized by the
+	// placed values; only orphans start a further chunk.
+	live := 0
+	blocks := make([]Block, len(f.Blocks))
+	nf.Blocks = make([]*Block, len(f.Blocks))
+	for i, b := range f.Blocks {
+		live += len(b.Values)
+		nb := &blocks[i]
+		*nb = Block{ID: b.ID, Kind: b.Kind, StartPC: b.StartPC, BackEdge: b.BackEdge, Inline: imap[b.Inline], Fn: nf}
 		bmap[b] = nb
-		nf.Blocks = append(nf.Blocks, nb)
+		nf.Blocks[i] = nb
 	}
+	nf.values = make([]Value, 0, live)
+	var maps mapArena
 	// remap tolerates references to values no longer placed in any block
 	// (e.g. a stale EntryState surviving DCE) by cloning them as orphans:
 	// they are reachable only through the referencing stack map, exactly
@@ -53,7 +62,8 @@ func (f *Func) Clone() (*Func, map[*Value]*Value) {
 		if nv, ok := vmap[v]; ok {
 			return nv
 		}
-		nv := &Value{
+		nv := nf.allocValue()
+		*nv = Value{
 			ID: v.ID, Op: v.Op, Type: v.Type,
 			AuxInt: v.AuxInt, AuxFloat: v.AuxFloat, AuxStr: v.AuxStr,
 			AuxVal: v.AuxVal, Shape: v.Shape, Callee: v.Callee,
@@ -79,7 +89,8 @@ func (f *Func) Clone() (*Func, map[*Value]*Value) {
 		if nsm, ok := smmap[sm]; ok {
 			return nsm
 		}
-		nsm := &StackMap{PC: sm.PC, Inline: imap[sm.Inline], Entries: make([]StackMapEntry, len(sm.Entries))}
+		nsm := maps.newMap(sm.PC, len(sm.Entries))
+		nsm.Inline = imap[sm.Inline]
 		smmap[sm] = nsm
 		for i, e := range sm.Entries {
 			nsm.Entries[i] = StackMapEntry{Reg: e.Reg, Val: remap(e.Val)}

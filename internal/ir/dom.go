@@ -4,6 +4,8 @@ package ir
 // loop discovery, used by LICM, the bounds-check combining pass, and
 // NoMap's transaction formation around loop nests.
 
+import "slices"
+
 // DomTree holds immediate dominators indexed by block ID.
 type DomTree struct {
 	idom []*Block
@@ -13,25 +15,6 @@ type DomTree struct {
 
 // BuildDom computes the dominator tree of f.
 func BuildDom(f *Func) *DomTree {
-	// Reverse postorder over reachable blocks.
-	seen := make([]bool, len(f.Blocks)+16)
-	var post []*Block
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		if seen[b.ID] {
-			return
-		}
-		seen[b.ID] = true
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-		post = append(post, b)
-	}
-	dfs(f.Entry)
-	rpo := make([]*Block, len(post))
-	for i := range post {
-		rpo[len(post)-1-i] = post[i]
-	}
 	maxID := 0
 	for _, b := range f.Blocks {
 		if b.ID > maxID {
@@ -40,19 +23,23 @@ func BuildDom(f *Func) *DomTree {
 	}
 	t := &DomTree{
 		idom: make([]*Block, maxID+1),
-		rpo:  rpo,
+		rpo:  make([]*Block, 0, len(f.Blocks)),
 		rpoN: make([]int, maxID+1),
 	}
+	// Reverse postorder over reachable blocks: the postorder, reversed in
+	// place. rpoN marks visited blocks until it is numbered.
 	for i := range t.rpoN {
 		t.rpoN[i] = -1
 	}
-	for i, b := range rpo {
+	t.postorder(f.Entry)
+	slices.Reverse(t.rpo)
+	for i, b := range t.rpo {
 		t.rpoN[b.ID] = i
 	}
 	t.idom[f.Entry.ID] = f.Entry
 	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo[1:] {
+		for _, b := range t.rpo[1:] {
 			var newIdom *Block
 			for _, p := range b.Preds {
 				if t.rpoN[p.ID] < 0 || t.idom[p.ID] == nil {
@@ -71,6 +58,18 @@ func BuildDom(f *Func) *DomTree {
 		}
 	}
 	return t
+}
+
+// postorder appends the blocks reachable from b, unvisited so far, to t.rpo
+// in postorder.
+func (t *DomTree) postorder(b *Block) {
+	t.rpoN[b.ID] = 0
+	for _, s := range b.Succs {
+		if t.rpoN[s.ID] < 0 {
+			t.postorder(s)
+		}
+	}
+	t.rpo = append(t.rpo, b)
 }
 
 func (t *DomTree) intersect(a, b *Block) *Block {

@@ -81,6 +81,38 @@ type StackMap struct {
 	Caller *StackMap
 }
 
+// Map chunks grow from minMapChunk to maxMapChunk maps by doubling; an entry
+// chunk holds a map chunk's worth of the requested map's entries.
+const (
+	minMapChunk = 8
+	maxMapChunk = 128
+)
+
+// mapArena carves StackMaps and their entries from chunks, so a pass that
+// makes many maps allocates a few times. Like a value chunk, a map chunk
+// stays reachable while any map or entry in it is.
+type mapArena struct {
+	maps    []StackMap
+	entries []StackMapEntry
+}
+
+// newMap returns a map at pc with n zeroed entries. Entries is capped at n,
+// so a later append copies instead of writing into the next map's entries.
+func (a *mapArena) newMap(pc, n int) *StackMap {
+	if len(a.maps) == cap(a.maps) {
+		a.maps = make([]StackMap, 0, min(max(2*cap(a.maps), minMapChunk), maxMapChunk))
+	}
+	a.maps = append(a.maps, StackMap{PC: pc})
+	sm := &a.maps[len(a.maps)-1]
+	if cap(a.entries)-len(a.entries) < n {
+		a.entries = make([]StackMapEntry, 0, cap(a.maps)*n)
+	}
+	start := len(a.entries)
+	a.entries = a.entries[:start+n]
+	sm.Entries = a.entries[start : start+n : start+n]
+	return sm
+}
+
 // InlineFrame describes one callee activation flattened into a compiled
 // function by the speculative inlining pass. Deopt maps reference it so the
 // machine can rebuild the logical interpreter frame stack; the machine also
@@ -255,6 +287,11 @@ type Func struct {
 	nextValueID int
 	nextBlockID int
 
+	// values is the chunk NewValue and InsertValueAt carve their Values
+	// from: one allocation holds many values, and a full chunk is left to
+	// the values that point into it while the next one is allocated.
+	values []Value
+
 	// TxAware is set once NoMap has formed transactions in this function.
 	TxAware bool
 
@@ -331,18 +368,42 @@ func splitAt(b *Block, ci int) *Block {
 	return cont
 }
 
+// Value chunks grow from minValueChunk to maxValueChunk values by doubling,
+// so a small function allocates little and a wide one a few times.
+const (
+	minValueChunk = 16
+	maxValueChunk = 512
+)
+
+// allocValue returns a zeroed Value from f's chunk. A chunk is never
+// reallocated, so the pointers it hands out stay valid; it stays reachable
+// while any of its values is.
+func (f *Func) allocValue() *Value {
+	if len(f.values) == cap(f.values) {
+		f.values = make([]Value, 0, min(max(2*cap(f.values), minValueChunk), maxValueChunk))
+	}
+	f.values = f.values[:len(f.values)+1]
+	return &f.values[len(f.values)-1]
+}
+
+// newValue creates an unplaced value of b with the next ID.
+func (b *Block) newValue(op Op, t Type, args []*Value) *Value {
+	v := b.Fn.allocValue()
+	*v = Value{ID: b.Fn.nextValueID, Op: op, Type: t, Args: args, Block: b}
+	b.Fn.nextValueID++
+	return v
+}
+
 // NewValue creates a value in block b.
 func (b *Block) NewValue(op Op, t Type, args ...*Value) *Value {
-	v := &Value{ID: b.Fn.nextValueID, Op: op, Type: t, Args: args, Block: b}
-	b.Fn.nextValueID++
+	v := b.newValue(op, t, args)
 	b.Values = append(b.Values, v)
 	return v
 }
 
 // InsertValueAt creates a value placed at index i within b.
 func (b *Block) InsertValueAt(i int, op Op, t Type, args ...*Value) *Value {
-	v := &Value{ID: b.Fn.nextValueID, Op: op, Type: t, Args: args, Block: b}
-	b.Fn.nextValueID++
+	v := b.newValue(op, t, args)
 	b.Values = append(b.Values, nil)
 	copy(b.Values[i+1:], b.Values[i:])
 	b.Values[i] = v

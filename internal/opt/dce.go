@@ -10,11 +10,11 @@ import "nomap/internal/ir"
 // abort, its stack map disappears, and values kept alive only for
 // deoptimization die here.
 func DCE(f *ir.Func) {
-	live := map[*ir.Value]bool{}
-	var work []*ir.Value
+	live := make([]bool, f.NumValues())
+	work := make([]*ir.Value, 0, f.NumValues())
 	mark := func(v *ir.Value) {
-		if v != nil && !live[v] {
-			live[v] = true
+		if v != nil && !live[v.ID] {
+			live[v.ID] = true
 			work = append(work, v)
 		}
 	}
@@ -46,7 +46,7 @@ func DCE(f *ir.Func) {
 	for _, b := range f.Blocks {
 		kept := b.Values[:0]
 		for _, v := range b.Values {
-			if live[v] {
+			if live[v.ID] {
 				kept = append(kept, v)
 			}
 		}

@@ -1,7 +1,8 @@
 package opt
 
 import (
-	"fmt"
+	"encoding/binary"
+	"math"
 
 	"nomap/internal/ir"
 	"nomap/internal/value"
@@ -16,63 +17,46 @@ import (
 // check (paper §III-A3) — bumps every class. Eliminating a dominated
 // identical check removes its instructions entirely, which is one of the
 // two benefits NoMap unlocks (paper §IV-C).
+//
+// A value that duplicates a dominating one is removed and forwarded to it;
+// later values read their arguments through the forwarding table, and one
+// walk at the end rewrites every remaining use.
 func GVN(f *ir.Func) {
-	dom := ir.BuildDom(f)
-	gen := map[memKey]int{}
-	allGen := 0
-	table := map[string]*ir.Value{}
-
-	keyOf := func(v *ir.Value) (string, bool) {
-		pure := v.Op.IsPure() && v.Op != ir.OpPhi && v.Op != ir.OpParam
-		load := v.Op.ReadsMemory() && !v.Op.WritesMemory() && !v.Op.IsCall()
-		check := v.Op.IsCheck()
-		if !pure && !load && !check {
-			return "", false
-		}
-		if check && v.Deopt != nil {
-			// An SMP is a barrier and is never deduplicated across itself;
-			// conservatively leave SMP-carrying checks alone.
-			return "", false
-		}
-		k := fmt.Sprintf("%d|%d|%q|%g", v.Op, v.AuxInt, v.AuxStr, v.AuxFloat)
-		if v.Op == ir.OpConst {
-			k += "|" + v.AuxVal.ToStringValue() + "|" + v.AuxVal.Kind().String()
-		}
-		if v.Shape != nil {
-			k += fmt.Sprintf("|s%d", v.Shape.ID)
-		}
-		if v.Callee != nil {
-			k += fmt.Sprintf("|c%p", v.Callee)
-		}
-		for _, a := range v.Args {
-			k += fmt.Sprintf("|v%d", a.ID)
-		}
-		// Reads incorporate their alias-class generations.
-		for _, rk := range readKeys(v) {
-			k += fmt.Sprintf("|g%d.%d.%s=%d.%d", rk.kind, rk.off, rk.name, gen[rk], allGen)
-		}
-		return k, true
+	placed := 0
+	for _, b := range f.Blocks {
+		placed += len(b.Values)
 	}
-
-	for _, b := range dom.RPO() {
+	// The table is sized once for every placed value, so numbering a wider
+	// function allocates no more often.
+	g := &gvn{
+		dom:   ir.BuildDom(f),
+		gen:   map[memKey]int32{},
+		table: make(map[gvnKey]*ir.Value, placed),
+		fwd:   make([]*ir.Value, f.NumValues()),
+	}
+	forwarded := false
+	for _, b := range g.dom.RPO() {
 		for i := 0; i < len(b.Values); i++ {
 			v := b.Values[i]
-			if folded := foldConst(v); folded {
-				// Constant-folded in place; fall through to numbering so
-				// identical constants merge.
-			}
+			g.forwardArgs(v)
+			// Constant-folded in place; numbering follows, so identical
+			// constants merge.
+			foldConst(v)
 			if v.IsBarrier() {
-				allGen++
+				g.allGen++
 				continue
 			}
 			for _, wk := range writeKeys(v) {
-				gen[wk]++
+				g.gen[wk]++
 			}
-			k, ok := keyOf(v)
+			k, ok := g.key(v)
+			if gvnHooks.onKey != nil {
+				gvnHooks.onKey(g, v, k, ok)
+			}
 			if !ok {
 				continue
 			}
-			if prev, hit := table[k]; hit && dom.Dominates(prev.Block, b) && prev != v {
+			if prev, hit := g.table[k]; hit && g.dom.Dominates(prev.Block, b) && prev != v {
 				if v.Op.IsCheck() {
 					// A dominating identical check makes this one redundant.
 					b.RemoveValue(v)
@@ -80,13 +64,171 @@ func GVN(f *ir.Func) {
 					continue
 				}
 				if v.Type != ir.TypeNone {
-					ir.ReplaceUses(f, v, prev)
+					g.fwd[v.ID] = prev
+					forwarded = true
 					b.RemoveValue(v)
 					i--
 					continue
 				}
 			}
-			table[k] = v
+			g.table[k] = v
+		}
+	}
+	if forwarded {
+		g.rewrite(f)
+	}
+}
+
+// gvn is one GVN run's state. fwd maps a removed value's ID to the
+// dominating value that replaces it; a replacement is never itself removed,
+// so one lookup resolves any use.
+type gvn struct {
+	dom    *ir.DomTree
+	gen    map[memKey]int32
+	allGen int32
+	table  map[gvnKey]*ir.Value
+	fwd    []*ir.Value
+	rest   []byte // reused buffer for argument IDs past the inline ones
+}
+
+// gvnKey is a value's identity for numbering: equal keys mean equal
+// results. It partitions values exactly as rendering the same fields to a
+// string would: AuxFloat and a double constant compare by bits, with every
+// NaN one value and -0 apart from +0, and a constant's kind keeps the
+// string "1" apart from the number 1.
+type gvnKey struct {
+	op    ir.Op
+	kind  value.Kind // OpConst payload kind
+	nargs uint16
+	shape uint32 // Shape.ID+1, or 0 without a shape
+	// gen and allGen are a read's alias-class and barrier generations.
+	gen, allGen int32
+	auxInt      int64
+	auxFloat    uint64
+	auxStr      string
+	callee      *value.Function
+	// num is an OpConst's bool, int32 or double bits.
+	num  uint64
+	args [4]int32
+	// str is an OpConst's string or object string value, and otherwise
+	// the argument IDs past len(args) as little-endian uint32s.
+	str string
+}
+
+// forwardArgs points v's arguments at their surviving values.
+func (g *gvn) forwardArgs(v *ir.Value) {
+	for i, a := range v.Args {
+		v.Args[i] = g.resolve(a)
+	}
+}
+
+// resolve returns the value that replaces v, or v itself.
+func (g *gvn) resolve(v *ir.Value) *ir.Value {
+	if v != nil {
+		if r := g.fwd[v.ID]; r != nil {
+			return r
+		}
+	}
+	return v
+}
+
+// key returns v's numbering key, or false for a value GVN leaves alone.
+func (g *gvn) key(v *ir.Value) (gvnKey, bool) {
+	pure := v.Op.IsPure() && v.Op != ir.OpPhi && v.Op != ir.OpParam
+	load := v.Op.ReadsMemory() && !v.Op.WritesMemory() && !v.Op.IsCall()
+	check := v.Op.IsCheck()
+	if !pure && !load && !check {
+		return gvnKey{}, false
+	}
+	if check && v.Deopt != nil {
+		// An SMP is a barrier and is never deduplicated across itself;
+		// conservatively leave SMP-carrying checks alone.
+		return gvnKey{}, false
+	}
+	k := gvnKey{
+		op:       v.Op,
+		nargs:    uint16(len(v.Args)),
+		auxInt:   v.AuxInt,
+		auxFloat: floatBits(v.AuxFloat),
+		auxStr:   v.AuxStr,
+		callee:   v.Callee,
+	}
+	if v.Op == ir.OpConst {
+		k.kind = v.AuxVal.Kind()
+		switch k.kind {
+		case value.KindBool:
+			if v.AuxVal.Bool() {
+				k.num = 1
+			}
+		case value.KindInt32:
+			k.num = uint64(v.AuxVal.Int32())
+		case value.KindDouble:
+			k.num = floatBits(v.AuxVal.Float())
+		case value.KindString, value.KindObject:
+			k.str = v.AuxVal.ToStringValue()
+		}
+	}
+	if v.Shape != nil {
+		k.shape = v.Shape.ID + 1
+	}
+	for i, a := range v.Args {
+		if i < len(k.args) {
+			k.args[i] = int32(a.ID)
+		} else {
+			g.rest = binary.LittleEndian.AppendUint32(g.rest, uint32(a.ID))
+		}
+	}
+	if len(g.rest) > 0 {
+		k.str = string(g.rest)
+		g.rest = g.rest[:0]
+	}
+	// A read carries its alias class's generation; the class itself follows
+	// from the op and aux fields already in the key.
+	for _, rk := range readKeys(v) {
+		k.gen, k.allGen = g.gen[rk], g.allGen
+	}
+	return k, true
+}
+
+// floatBits returns f's bits with every NaN mapped to one pattern.
+func floatBits(f float64) uint64 {
+	if math.IsNaN(f) {
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
+}
+
+// gvnHooks are set only by tests (export_test.go): onKey observes every
+// key GVN computes, and skipMapForward plants a bug in the final rewrite,
+// stack maps left pointing at removed values, for ir.Verify to catch.
+var gvnHooks struct {
+	onKey          func(g *gvn, v *ir.Value, k gvnKey, ok bool)
+	skipMapForward bool
+}
+
+// rewrite applies the forwarding table to every argument list, block
+// control and stack map in f.
+func (g *gvn) rewrite(f *ir.Func) {
+	for _, b := range f.Blocks {
+		for _, v := range b.Values {
+			g.forwardArgs(v)
+			g.forwardMap(v.Deopt)
+		}
+		b.Control = g.resolve(b.Control)
+		g.forwardMap(b.EntryState)
+	}
+}
+
+// forwardMap forwards the entries of sm and its inline Caller chain.
+// Chained maps can be shared between deopt points; forwarding is
+// idempotent, so a shared map is simply visited again.
+func (g *gvn) forwardMap(sm *ir.StackMap) {
+	if gvnHooks.skipMapForward {
+		return
+	}
+	for ; sm != nil; sm = sm.Caller {
+		for i, e := range sm.Entries {
+			sm.Entries[i].Val = g.resolve(e.Val)
 		}
 	}
 }
