@@ -233,9 +233,9 @@ func (in Instr) String() string {
 	case OpNop, OpLoadUndef, OpNewObject:
 		return fmt.Sprintf("%-8s r%d", in.Op, in.A)
 	case OpJump:
-		return fmt.Sprintf("%-8s @%d", in.Op, in.A)
+		return fmt.Sprintf("%-8s @%d", in.Op, in.Target())
 	case OpJumpIfTrue, OpJumpIfFalse:
-		return fmt.Sprintf("%-8s r%d @%d", in.Op, in.A, in.B)
+		return fmt.Sprintf("%-8s r%d @%d", in.Op, in.A, in.Target())
 	case OpReturn:
 		return fmt.Sprintf("%-8s r%d", in.Op, in.A)
 	case OpCallMethod:
@@ -247,9 +247,9 @@ func (in Instr) String() string {
 	case OpIncr:
 		return fmt.Sprintf("%-8s r%d, %+d", in.Op, in.A, in.B)
 	case OpCmpJF, OpCmpJT:
-		return fmt.Sprintf("%-8s %s r%d, r%d @%d", in.Op, Op(in.D), in.A, in.B, in.C)
+		return fmt.Sprintf("%-8s %s r%d, r%d @%d", in.Op, Op(in.D), in.A, in.B, in.Target())
 	case OpCmpKJF, OpCmpKJT:
-		return fmt.Sprintf("%-8s %s r%d, #%d @%d", in.Op, Op(in.D), in.A, in.B, in.C)
+		return fmt.Sprintf("%-8s %s r%d, #%d @%d", in.Op, Op(in.D), in.A, in.B, in.Target())
 	default:
 		return fmt.Sprintf("%-8s r%d, %d, %d, %d", in.Op, in.A, in.B, in.C, in.D)
 	}

@@ -134,20 +134,7 @@ func (c *compiler) emit(in Instr) int {
 	return len(c.fn.Code) - 1
 }
 
-func (c *compiler) patchJump(at int) {
-	target := int32(len(c.fn.Code))
-	in := &c.fn.Code[at]
-	switch in.Op {
-	case OpJump:
-		in.A = target
-	case OpJumpIfTrue, OpJumpIfFalse:
-		in.B = target
-	default:
-		panic("patching non-jump")
-	}
-}
-
-func (c *compiler) here() int32 { return int32(len(c.fn.Code)) }
+func (c *compiler) patchJump(at int) { c.fn.Code[at].SetTarget(len(c.fn.Code)) }
 
 // alloc reserves one temporary register.
 func (c *compiler) alloc() int {
@@ -410,7 +397,7 @@ func (c *compiler) loop(init ast.Stmt, cond ast.Expr, post ast.Expr, body ast.St
 	if isDoWhile {
 		skipFirstCond = c.emit(Instr{Op: OpJump})
 	}
-	head := c.here()
+	head := len(c.fn.Code)
 	var condJump = -1
 	if cond != nil {
 		m := c.mark()
@@ -441,7 +428,7 @@ func (c *compiler) loop(init ast.Stmt, cond ast.Expr, post ast.Expr, body ast.St
 		}
 		c.release(m)
 	}
-	c.emit(Instr{Op: OpJump, A: head})
+	c.fn.Code[c.emit(Instr{Op: OpJump})].SetTarget(head)
 	if condJump >= 0 {
 		c.patchJump(condJump)
 	}

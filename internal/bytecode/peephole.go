@@ -10,14 +10,14 @@ package bytecode
 // space.
 //
 // Safety rules:
-//   - A pattern's interior instructions must not be jump targets: fusion
-//     never crosses a basic-block boundary, so OSR-entry headers and branch
-//     targets stay addressable.
+//   - No block starts inside a pattern: fusion never crosses a basic-block
+//     boundary, so OSR-entry headers and branch targets stay addressable.
+//     (No pattern holds a block-ending instruction before its last, so the
+//     blocks starting inside one would be exactly its jump targets.)
 //   - Eliminated intermediate registers must be expression temporaries
 //     (>= NumLocals) and dead after the pattern, proven by a backward
-//     liveness datafow over the instruction-level CFG — not just by their
-//     register range, since logical-operator codegen branches on live
-//     registers.
+//     liveness dataflow over the CFG — not just by their register range,
+//     since logical-operator codegen branches on live registers.
 //   - The fused instruction occupies the pattern's first pc; every later
 //     profile (arith feedback, IC slots) and deopt/OSR site is allocated
 //     against the fused code, so there are no profiling-site seams.
@@ -28,15 +28,15 @@ func Fuse(fn *Function) {
 	if len(fn.Code) == 0 {
 		return
 	}
-	liveOut := liveness(fn)
-	target := jumpTargets(fn)
+	g := NewCFG(fn)
+	liveOut := liveness(fn, g)
 
 	code := fn.Code
 	out := make([]Instr, 0, len(code))
 	oldToNew := make([]int, len(code)+1)
 	pc := 0
 	for pc < len(code) {
-		in, n := fuseAt(fn, pc, liveOut, target)
+		in, n := fuseAt(fn, pc, liveOut, g)
 		if n == 0 {
 			oldToNew[pc] = len(out)
 			out = append(out, code[pc])
@@ -52,13 +52,8 @@ func Fuse(fn *Function) {
 	oldToNew[len(code)] = len(out)
 
 	for i := range out {
-		switch out[i].Op {
-		case OpJump:
-			out[i].A = int32(oldToNew[out[i].A])
-		case OpJumpIfTrue, OpJumpIfFalse:
-			out[i].B = int32(oldToNew[out[i].B])
-		case OpCmpJF, OpCmpJT, OpCmpKJF, OpCmpKJT:
-			out[i].C = int32(oldToNew[out[i].C])
+		if t := out[i].Target(); t >= 0 {
+			out[i].SetTarget(oldToNew[t])
 		}
 	}
 	fn.Code = out
@@ -74,7 +69,7 @@ func FuseTree(fn *Function) {
 
 // fuseAt tries every pattern anchored at pc, longest first, and returns the
 // fused instruction plus the number of instructions consumed (0 = no match).
-func fuseAt(fn *Function, pc int, liveOut []bitset, target []bool) (Instr, int) {
+func fuseAt(fn *Function, pc int, liveOut []bitset, g *CFG) (Instr, int) {
 	code := fn.Code
 	nl := fn.NumLocals
 	temp := func(r int32) bool { return int(r) >= nl }
@@ -87,7 +82,7 @@ func fuseAt(fn *Function, pc int, liveOut []bitset, target []bool) (Instr, int) 
 			return false
 		}
 		for i := 1; i < n; i++ {
-			if target[pc+i] {
+			if g.Leader(pc + i) {
 				return false
 			}
 		}
@@ -134,7 +129,9 @@ func fuseAt(fn *Function, pc int, liveOut []bitset, target []bool) (Instr, int) 
 				if i2.Op == OpJumpIfTrue {
 					op = OpCmpKJT
 				}
-				return Instr{Op: op, A: i1.B, B: in0.B, C: i2.B, D: int32(i1.Op), Line: i1.Line}, 3
+				fused := Instr{Op: op, A: i1.B, B: in0.B, D: int32(i1.Op), Line: i1.Line}
+				fused.SetTarget(i2.Target())
+				return fused, 3
 			}
 		}
 	}
@@ -172,7 +169,9 @@ func fuseAt(fn *Function, pc int, liveOut []bitset, target []bool) (Instr, int) 
 			if i1.Op == OpJumpIfTrue {
 				op = OpCmpJT
 			}
-			return Instr{Op: op, A: in0.B, B: in0.C, C: i1.B, D: int32(in0.Op), Line: in0.Line}, 2
+			fused := Instr{Op: op, A: in0.B, B: in0.C, D: int32(in0.Op), Line: in0.Line}
+			fused.SetTarget(i1.Target())
+			return fused, 2
 		}
 	}
 
@@ -187,47 +186,11 @@ func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 
-// or unions src into b, reporting whether b changed.
-func (b bitset) or(src bitset) bool {
-	changed := false
+// or unions src into b.
+func (b bitset) or(src bitset) {
 	for i, w := range src {
-		if b[i]|w != b[i] {
-			b[i] |= w
-			changed = true
-		}
+		b[i] |= w
 	}
-	return changed
-}
-
-// jumpTargets marks every pc that some jump lands on.
-func jumpTargets(fn *Function) []bool {
-	t := make([]bool, len(fn.Code)+1)
-	for _, in := range fn.Code {
-		switch in.Op {
-		case OpJump:
-			t[in.A] = true
-		case OpJumpIfTrue, OpJumpIfFalse:
-			t[in.B] = true
-		case OpCmpJF, OpCmpJT, OpCmpKJF, OpCmpKJT:
-			t[in.C] = true
-		}
-	}
-	return t
-}
-
-// succs appends the control-flow successors of code[pc] to dst.
-func succs(pc int, in Instr, dst []int) []int {
-	switch in.Op {
-	case OpJump:
-		return append(dst, int(in.A))
-	case OpJumpIfTrue, OpJumpIfFalse:
-		return append(dst, pc+1, int(in.B))
-	case OpCmpJF, OpCmpJT, OpCmpKJF, OpCmpKJT:
-		return append(dst, pc+1, int(in.C))
-	case OpReturn:
-		return dst
-	}
-	return append(dst, pc+1)
 }
 
 // instrDef returns the register defined by in, or -1.
@@ -253,12 +216,7 @@ func instrUses(in Instr, use func(int)) {
 		use(int(in.B))
 	case OpJumpIfTrue, OpJumpIfFalse, OpReturn:
 		use(int(in.A))
-	case OpCall, OpNew:
-		use(int(in.B))
-		for i := int32(0); i < in.D; i++ {
-			use(int(in.C + i))
-		}
-	case OpCallMethod:
+	case OpCall, OpNew, OpCallMethod:
 		use(int(in.B))
 		for i := int32(0); i < in.D; i++ {
 			use(int(in.C + i))
@@ -299,39 +257,58 @@ func instrUses(in Instr, use func(int)) {
 	}
 }
 
-// liveness computes per-instruction live-out register sets by backward
-// fixpoint over the instruction-level CFG.
-func liveness(fn *Function) []bitset {
-	n := len(fn.Code)
+// liveness computes per-instruction live-out register sets: a backward
+// fixpoint over g's blocks on their use/def summaries, then one backward pass
+// per block from its live-out. Every set is carved from one arena.
+func liveness(fn *Function, g *CFG) []bitset {
 	words := (fn.NumRegs + 64) / 64
-	liveIn := make([]bitset, n)
-	liveOut := make([]bitset, n)
-	for i := range liveIn {
-		liveIn[i] = make(bitset, words)
-		liveOut[i] = make(bitset, words)
+	arena := make(bitset, (len(fn.Code)+3*len(g.Blocks))*words)
+	sets := func(k int) []bitset {
+		s := make([]bitset, k)
+		for i := range s {
+			s[i], arena = arena[:words:words], arena[words:]
+		}
+		return s
 	}
-	scratch := make([]int, 0, 2)
-	tmp := make(bitset, words)
-	for changed := true; changed; {
-		changed = false
-		for pc := n - 1; pc >= 0; pc-- {
-			in := fn.Code[pc]
-			out := liveOut[pc]
-			scratch = succs(pc, in, scratch[:0])
-			for _, s := range scratch {
-				if s < n && out.or(liveIn[s]) {
-					changed = true
-				}
-			}
-			copy(tmp, out)
-			if d := instrDef(in); d >= 0 {
-				tmp.clear(d)
-			}
-			instrUses(in, func(r int) { tmp.set(r) })
-			if liveIn[pc].or(tmp) {
-				changed = true
+	// A block's live-out is its last instruction's. use holds the registers
+	// a block reads before writing them, def those it writes.
+	liveOut := sets(len(fn.Code))
+	use, def, in := sets(len(g.Blocks)), sets(len(g.Blocks)), sets(len(g.Blocks))
+	for b, blk := range g.Blocks {
+		for pc := blk.End - 1; pc >= blk.Start; pc-- {
+			transfer(fn.Code[pc], use[b])
+			if d := instrDef(fn.Code[pc]); d >= 0 {
+				def[b].set(d)
 			}
 		}
 	}
+	for changed := true; changed; {
+		changed = false
+		for b := len(g.Blocks) - 1; b >= 0; b-- {
+			out := liveOut[g.Blocks[b].End-1]
+			for _, s := range g.Blocks[b].Succs {
+				out.or(in[s])
+			}
+			for w := range in[b] {
+				if live := use[b][w] | out[w]&^def[b][w]; live != in[b][w] {
+					in[b][w], changed = live, true
+				}
+			}
+		}
+	}
+	for _, blk := range g.Blocks {
+		for pc := blk.End - 1; pc > blk.Start; pc-- {
+			copy(liveOut[pc-1], liveOut[pc])
+			transfer(fn.Code[pc], liveOut[pc-1])
+		}
+	}
 	return liveOut
+}
+
+// transfer turns the registers live after in into those live before it.
+func transfer(in Instr, live bitset) {
+	if d := instrDef(in); d >= 0 {
+		live.clear(d)
+	}
+	instrUses(in, live.set)
 }

@@ -312,7 +312,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			}
 
 		case bytecode.OpJump:
-			if int(in.A) <= fr.PC { // loop back edge
+			if in.IsBackEdge(fr.PC) {
 				prof.BackEdgeCount++
 				instrs++
 				fr.PC = int(in.A)

@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nomap/internal/bytecode"
 	"nomap/internal/ic"
@@ -44,14 +45,12 @@ func build(bc *bytecode.Function, prof *profile.FunctionProfile, osrPC int) (*Fu
 		return nil, &UnsupportedError{Fn: bc.Name, Reason: "uses closures; pinned to Baseline"}
 	}
 	b := &builder{
-		bc:         bc,
-		prof:       prof,
-		f:          NewFunc(bc.Name, bc),
-		osrPC:      osrPC,
-		defs:       make(map[*Block]map[int]*Value),
-		sealed:     make(map[*Block]bool),
-		filled:     make(map[*Block]bool),
-		incomplete: make(map[*Block]map[int]*Value),
+		bc:      bc,
+		prof:    prof,
+		f:       NewFunc(bc.Name, bc),
+		osrPC:   osrPC,
+		factInt: make(map[*Value]bool),
+		factNum: make(map[*Value]bool),
 	}
 	b.f.OSREntryPC = osrPC
 	if err := b.run(); err != nil {
@@ -66,18 +65,12 @@ type builder struct {
 	f    *Func
 
 	// osrPC is the OSR-entry loop-header pc, or -1 for a normal build. An
-	// OSR build only materializes leaders reachable from osrPC, and its
+	// OSR build only materializes blocks reachable from osrPC, and its
 	// synthetic entry defines OSR locals instead of parameters.
 	osrPC int
 
-	leaders  []int          // sorted leader pcs
-	blockAt  map[int]*Block // leader pc -> block
-	blockEnd map[*Block]int // exclusive end pc
-
-	defs       map[*Block]map[int]*Value
-	sealed     map[*Block]bool
-	filled     map[*Block]bool
-	incomplete map[*Block]map[int]*Value
+	// blocks holds each block's construction state, indexed by Block.ID.
+	blocks []blockState
 
 	cur *Block
 	pc  int
@@ -96,50 +89,58 @@ type builder struct {
 	maps mapArena // snapshot's stack maps
 }
 
+// blockState is the builder's state for one block: the bytecode it covers
+// and Braun et al.'s per-block bookkeeping.
+type blockState struct {
+	start, end int // bytecode pcs [start, end); none for the synthetic entry
+
+	sealed, filled bool
+	defs           map[int]*Value // register -> its current value in the block
+	incomplete     map[int]*Value // register -> operand-less phi until sealed
+}
+
 func (b *builder) run() error {
-	b.findLeaders()
-	if b.osrPC >= 0 && !containsInt(b.leaders, b.osrPC) {
-		// An OSR entry is the target of a backward jump, so it must be a
-		// block leader; anything else is a caller bug.
-		return &UnsupportedError{Fn: b.bc.Name, Reason: fmt.Sprintf("OSR entry pc %d is not a block leader", b.osrPC)}
+	g := bytecode.NewCFG(b.bc)
+	first := 0
+	if b.osrPC >= 0 {
+		first = b.osrPC
+		if !g.Leader(first) {
+			// An OSR entry is the target of a backward jump, so it must start
+			// a block; anything else is a caller bug.
+			return &UnsupportedError{Fn: b.bc.Name, Reason: fmt.Sprintf("OSR entry pc %d is not a block leader", b.osrPC)}
+		}
 	}
-	b.buildCFG()
+	header := b.buildCFG(g, first)
 
 	// Synthetic entry holding the initial register state: parameters plus
 	// undefined for a normal build, the incoming frame's locals (as
 	// OpOSRLocal values) for an OSR-entry build.
 	entry := b.f.Blocks[len(b.f.Blocks)-1] // created last in buildCFG
 	b.f.Entry = entry
-	b.sealed[entry] = true
-	b.filled[entry] = true
-	b.defs[entry] = make(map[int]*Value)
+	es := &b.blocks[entry.ID]
+	es.sealed, es.filled = true, true
 	b.undef = entry.NewValue(OpConst, TypeGeneric)
 	b.undef.AuxVal = value.Undefined()
 	if b.osrPC >= 0 {
 		for i := 0; i < b.bc.NumRegs; i++ {
 			p := entry.NewValue(OpOSRLocal, TypeGeneric)
 			p.AuxInt = int64(i)
-			b.defs[entry][i] = p
+			b.writeVar(entry, i, p)
 		}
-		b.maybeSeal(b.blockAt[b.osrPC])
 	} else {
 		for i := 0; i < b.bc.NumParams; i++ {
 			p := entry.NewValue(OpParam, TypeGeneric)
 			p.AuxInt = int64(i)
-			b.defs[entry][i] = p
+			b.writeVar(entry, i, p)
 		}
 		for i := b.bc.NumParams; i < b.bc.NumRegs; i++ {
-			b.defs[entry][i] = b.undef
+			b.writeVar(entry, i, b.undef)
 		}
-		b.maybeSeal(b.blockAt[0])
 	}
+	b.maybeSeal(header)
 
-	for _, leader := range b.leaders {
-		blk := b.blockAt[leader]
-		if blk == nil {
-			continue // leader not reachable from the OSR entry
-		}
-		if err := b.fillBlock(blk, leader); err != nil {
+	for _, blk := range b.f.Blocks[:entry.ID] {
+		if err := b.fillBlock(blk); err != nil {
 			return err
 		}
 	}
@@ -147,169 +148,51 @@ func (b *builder) run() error {
 	return nil
 }
 
-func containsInt(a []int, x int) bool {
-	for _, v := range a {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func (b *builder) findLeaders() {
-	isLeader := map[int]bool{0: true}
-	for pc, in := range b.bc.Code {
-		switch in.Op {
-		case bytecode.OpJump:
-			isLeader[int(in.A)] = true
-			isLeader[pc+1] = true
-		case bytecode.OpJumpIfTrue, bytecode.OpJumpIfFalse:
-			isLeader[int(in.B)] = true
-			isLeader[pc+1] = true
-		case bytecode.OpCmpJF, bytecode.OpCmpJT, bytecode.OpCmpKJF, bytecode.OpCmpKJT:
-			isLeader[int(in.C)] = true
-			isLeader[pc+1] = true
-		case bytecode.OpReturn:
-			isLeader[pc+1] = true
-		}
-	}
-	for pc := range isLeader {
-		if pc < len(b.bc.Code) {
-			b.leaders = append(b.leaders, pc)
-		}
-	}
-	sortInts(b.leaders)
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func (b *builder) buildCFG() {
-	// An OSR build only materializes the leaders reachable from the entry
+// buildCFG creates an IR block for every block of g reachable from the one
+// starting at pc first, in pc order, then the synthetic entry, and wires
+// their edges in g's successor order. It returns the block at first.
+func (b *builder) buildCFG(g *bytecode.CFG, first int) *Block {
+	// An OSR build only materializes the blocks reachable from the entry
 	// header; code before the loop (and anything else unreachable from it)
 	// never gets a block, which keeps the artifact free of dangling phis.
-	first := 0
-	if b.osrPC >= 0 {
-		first = b.osrPC
-	}
-	reach := b.reachableLeaders(first)
-
-	b.blockAt = make(map[int]*Block, len(b.leaders))
-	b.blockEnd = make(map[*Block]int, len(b.leaders))
-	for _, pc := range b.leaders {
-		if reach[pc] {
-			b.blockAt[pc] = b.f.NewBlock()
+	head := g.BlockOf(first)
+	reach := g.Reachable(head)
+	irOf := make([]*Block, len(g.Blocks))
+	for i, cb := range g.Blocks {
+		if reach[i] {
+			irOf[i] = b.f.NewBlock()
+			b.blocks = append(b.blocks, blockState{start: cb.Start, end: cb.End})
 		}
 	}
-	for i, pc := range b.leaders {
-		blk := b.blockAt[pc]
+	for i, cb := range g.Blocks {
+		blk := irOf[i]
 		if blk == nil {
 			continue
 		}
-		end := len(b.bc.Code)
-		if i+1 < len(b.leaders) {
-			end = b.leaders[i+1]
+		for _, s := range cb.Succs {
+			AddEdge(blk, irOf[s])
 		}
-		b.blockEnd[blk] = end
-		last := b.bc.Code[end-1]
-		switch last.Op {
-		case bytecode.OpJump:
-			blk.Kind = BlockPlain
-			AddEdge(blk, b.blockAt[int(last.A)])
-			if int(last.A) <= end-1 {
-				// Backward unconditional jump: the loop back edges the
-				// bytecode tiers count; the machine counts them here too.
-				blk.BackEdge = true
-			}
-		case bytecode.OpJumpIfTrue:
-			blk.Kind = BlockIf
-			AddEdge(blk, b.blockAt[int(last.B)]) // taken when true
-			AddEdge(blk, b.blockAt[end])         // fallthrough when false
-		case bytecode.OpJumpIfFalse:
-			blk.Kind = BlockIf
-			AddEdge(blk, b.blockAt[end])         // fallthrough when true
-			AddEdge(blk, b.blockAt[int(last.B)]) // taken when false
-		case bytecode.OpCmpJT, bytecode.OpCmpKJT:
-			blk.Kind = BlockIf
-			AddEdge(blk, b.blockAt[int(last.C)]) // taken when true
-			AddEdge(blk, b.blockAt[end])         // fallthrough when false
-		case bytecode.OpCmpJF, bytecode.OpCmpKJF:
-			blk.Kind = BlockIf
-			AddEdge(blk, b.blockAt[end])         // fallthrough when true
-			AddEdge(blk, b.blockAt[int(last.C)]) // taken when false
-		case bytecode.OpReturn:
-			blk.Kind = BlockReturn
-		default:
-			blk.Kind = BlockPlain
-			if end < len(b.bc.Code) {
-				AddEdge(blk, b.blockAt[end])
-			} else {
-				// Compiler always emits a trailing return; defensive.
-				blk.Kind = BlockReturn
-			}
-		}
+		blk.Kind = [...]BlockKind{BlockReturn, BlockPlain, BlockIf}[len(blk.Succs)]
+		blk.BackEdge = cb.BackEdge
 	}
 	entry := b.f.NewBlock()
-	AddEdge(entry, b.blockAt[first])
-}
-
-// reachableLeaders computes the leader pcs reachable from the leader at
-// `from` by walking bytecode control flow block-by-block.
-func (b *builder) reachableLeaders(from int) map[int]bool {
-	succs := make(map[int][]int, len(b.leaders))
-	for i, pc := range b.leaders {
-		end := len(b.bc.Code)
-		if i+1 < len(b.leaders) {
-			end = b.leaders[i+1]
-		}
-		last := b.bc.Code[end-1]
-		switch last.Op {
-		case bytecode.OpJump:
-			succs[pc] = []int{int(last.A)}
-		case bytecode.OpJumpIfTrue, bytecode.OpJumpIfFalse:
-			succs[pc] = []int{int(last.B), end}
-		case bytecode.OpCmpJF, bytecode.OpCmpJT, bytecode.OpCmpKJF, bytecode.OpCmpKJT:
-			succs[pc] = []int{int(last.C), end}
-		case bytecode.OpReturn:
-		default:
-			if end < len(b.bc.Code) {
-				succs[pc] = []int{end}
-			}
-		}
-	}
-	reach := map[int]bool{from: true}
-	work := []int{from}
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, s := range succs[pc] {
-			if !reach[s] {
-				reach[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return reach
+	b.blocks = append(b.blocks, blockState{})
+	AddEdge(entry, irOf[head])
+	return irOf[head]
 }
 
 // --- Braun SSA construction ---
 
 func (b *builder) writeVar(blk *Block, reg int, v *Value) {
-	d, ok := b.defs[blk]
-	if !ok {
-		d = make(map[int]*Value)
-		b.defs[blk] = d
+	st := &b.blocks[blk.ID]
+	if st.defs == nil {
+		st.defs = make(map[int]*Value)
 	}
-	d[reg] = v
+	st.defs[reg] = v
 }
 
 func (b *builder) readVar(blk *Block, reg int) *Value {
-	if v, ok := b.defs[blk][reg]; ok {
+	if v, ok := b.blocks[blk.ID].defs[reg]; ok {
 		return v
 	}
 	return b.readVarRecursive(blk, reg)
@@ -317,15 +200,13 @@ func (b *builder) readVar(blk *Block, reg int) *Value {
 
 func (b *builder) readVarRecursive(blk *Block, reg int) *Value {
 	var v *Value
-	switch {
-	case !b.sealed[blk]:
+	switch st := &b.blocks[blk.ID]; {
+	case !st.sealed:
 		phi := blk.InsertValueAt(0, OpPhi, TypeGeneric)
-		inc, ok := b.incomplete[blk]
-		if !ok {
-			inc = make(map[int]*Value)
-			b.incomplete[blk] = inc
+		if st.incomplete == nil {
+			st.incomplete = make(map[int]*Value)
 		}
-		inc[reg] = phi
+		st.incomplete[reg] = phi
 		v = phi
 	case len(blk.Preds) == 1:
 		v = b.readVar(blk.Preds[0], reg)
@@ -362,26 +243,27 @@ func mergeTypes(vals []*Value) Type {
 }
 
 func (b *builder) maybeSeal(blk *Block) {
-	if b.sealed[blk] {
+	st := &b.blocks[blk.ID]
+	if st.sealed {
 		return
 	}
 	for _, p := range blk.Preds {
-		if !b.filled[p] {
+		if !b.blocks[p.ID].filled {
 			return
 		}
 	}
-	b.sealed[blk] = true
+	st.sealed = true
 	// Complete pending phis in register order: operand lookup can create
 	// new values, so map-order iteration would make numbering nondeterministic.
-	regs := make([]int, 0, len(b.incomplete[blk]))
-	for reg := range b.incomplete[blk] {
+	regs := make([]int, 0, len(st.incomplete))
+	for reg := range st.incomplete {
 		regs = append(regs, reg)
 	}
-	sortInts(regs)
+	slices.Sort(regs)
 	for _, reg := range regs {
-		b.addPhiOperands(b.incomplete[blk][reg], reg)
+		b.addPhiOperands(st.incomplete[reg], reg)
 	}
-	delete(b.incomplete, blk)
+	st.incomplete = nil
 }
 
 // removeTrivialPhis iteratively replaces phis whose operands are all the
@@ -469,35 +351,26 @@ func (b *builder) snapshot() *StackMap {
 
 // --- block filling ---
 
-func (b *builder) resetFacts() {
-	b.factShape = make(map[*Value]*value.Shape)
-	b.factArray = make(map[*Value]bool)
-}
-
 func (b *builder) invalidateHeapFacts() {
 	b.factShape = make(map[*Value]*value.Shape)
 	b.factArray = make(map[*Value]bool)
 }
 
-func (b *builder) fillBlock(blk *Block, start int) error {
+func (b *builder) fillBlock(blk *Block) error {
 	b.cur = blk
 	b.maybeSeal(blk) // seals unreachable blocks (no predecessors)
-	b.resetFacts()
-	if b.factInt == nil {
-		b.factInt = make(map[*Value]bool)
-		b.factNum = make(map[*Value]bool)
-	}
-	blk.StartPC = start
-	b.pc = start
+	b.invalidateHeapFacts()
+	st := &b.blocks[blk.ID]
+	blk.StartPC = st.start
+	b.pc = st.start
 	blk.EntryState = b.snapshot()
-	end := b.blockEnd[blk]
-	for pc := start; pc < end; pc++ {
+	for pc := st.start; pc < st.end; pc++ {
 		b.pc = pc
 		if err := b.instr(b.bc.Code[pc]); err != nil {
 			return err
 		}
 	}
-	b.filled[blk] = true
+	st.filled = true
 	for _, s := range blk.Succs {
 		b.maybeSeal(s)
 	}
@@ -601,6 +474,9 @@ func (b *builder) runtimeCall(entry string, aux int64, t Type, args ...*Value) *
 }
 
 func (b *builder) instr(in bytecode.Instr) error {
+	if in.Op.EndsBlock() {
+		return b.terminator(in)
+	}
 	switch in.Op {
 	case bytecode.OpNop:
 		return nil
@@ -670,12 +546,6 @@ func (b *builder) instr(in bytecode.Instr) error {
 				b.writeVar(b.cur, int(in.A), b.runtimeCall("tonumber", 0, TypeGeneric, v))
 			}
 		}
-
-	case bytecode.OpJump, bytecode.OpJumpIfTrue, bytecode.OpJumpIfFalse,
-		bytecode.OpCmpJF, bytecode.OpCmpJT, bytecode.OpCmpKJF, bytecode.OpCmpKJT,
-		bytecode.OpReturn:
-		// Terminators; handled below since they end the block.
-		return b.terminator(in)
 
 	case bytecode.OpAddK, bytecode.OpSubK, bytecode.OpMulK:
 		// Const-fused arithmetic expands to the same speculative IR as the
@@ -752,9 +622,7 @@ func (b *builder) terminator(in bytecode.Instr) error {
 	switch in.Op {
 	case bytecode.OpJump:
 		// Edges prewired.
-	case bytecode.OpJumpIfTrue:
-		b.cur.Control = b.toBool(b.readVar(b.cur, int(in.A)))
-	case bytecode.OpJumpIfFalse:
+	case bytecode.OpJumpIfTrue, bytecode.OpJumpIfFalse:
 		b.cur.Control = b.toBool(b.readVar(b.cur, int(in.A)))
 	case bytecode.OpCmpJF, bytecode.OpCmpJT:
 		l := b.readVar(b.cur, int(in.A))

@@ -1,6 +1,7 @@
 package ir_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -276,5 +277,59 @@ var result = r;
 	}
 	if !outer.Contains(inner.Header) {
 		t.Error("outer loop must contain inner header")
+	}
+}
+
+// An OSR build gets blocks only for the code its loop header reaches, in pc
+// order, then the synthetic entry falling through to the header; the block
+// ending in the backward jump carries the back-edge flag.
+func TestBuildOSRSkipsPreLoopCode(t *testing.T) {
+	fn := &bytecode.Function{Name: "osr", NumLocals: 1, NumRegs: 1, Code: []bytecode.Instr{
+		{Op: bytecode.OpLoadUndef, A: 0},         // 0: pre-loop
+		{Op: bytecode.OpJumpIfFalse, A: 0, B: 4}, // 1: header
+		{Op: bytecode.OpMove, A: 0, B: 0},        // 2
+		{Op: bytecode.OpJump, A: 1},              // 3: back edge
+		{Op: bytecode.OpReturn, A: 0},            // 4
+	}}
+	render := func(f *ir.Func) string {
+		var parts []string
+		for _, b := range f.Blocks {
+			s := fmt.Sprintf("%d", b.StartPC)
+			if b.BackEdge {
+				s += "*"
+			}
+			for _, p := range b.Preds {
+				s += fmt.Sprintf("<%d", p.StartPC)
+			}
+			parts = append(parts, s)
+		}
+		return strings.Join(parts, " ")
+	}
+	for _, c := range []struct {
+		osrPC int
+		want  string
+	}{
+		{-1, "0<-1 1<0<2 2*<1 4<1 -1"},
+		{1, "1<2<-1 2*<1 4<1 -1"},
+	} {
+		var f *ir.Func
+		var err error
+		if c.osrPC < 0 {
+			f, err = ir.Build(fn, profile.New(fn))
+		} else {
+			f, err = ir.BuildOSR(fn, profile.New(fn), c.osrPC)
+		}
+		if err != nil {
+			t.Fatalf("osr pc %d: %v", c.osrPC, err)
+		}
+		if err := ir.Verify(f); err != nil {
+			t.Fatalf("osr pc %d: Verify: %v\n%s", c.osrPC, err, f)
+		}
+		if got := render(f); got != c.want || f.Entry != f.Blocks[len(f.Blocks)-1] {
+			t.Errorf("osr pc %d: blocks %q, want %q with the entry last", c.osrPC, got, c.want)
+		}
+	}
+	if _, err := ir.BuildOSR(fn, profile.New(fn), 3); err == nil {
+		t.Error("BuildOSR accepted pc 3, which starts no block")
 	}
 }

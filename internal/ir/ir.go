@@ -259,8 +259,8 @@ type Block struct {
 	// StartPC is the bytecode pc of the block's first instruction (-1 for
 	// synthetic blocks).
 	StartPC int
-	// BackEdge marks a block whose bytecode terminator is a backward
-	// unconditional jump — the loop back edges the bytecode tiers count in
+	// BackEdge marks a block whose bytecode terminator is a loop back edge
+	// (bytecode.Instr.IsBackEdge), the edges the bytecode tiers count in
 	// BackEdgeCount. The machine counts the same edges when leaving such a
 	// block so loop-trip profiling stays consistent across tiers.
 	BackEdge bool

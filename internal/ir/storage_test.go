@@ -13,11 +13,10 @@ import (
 func TestSnapshotAmortisesToZeroAllocs(t *testing.T) {
 	const regs = 24
 	bc := &bytecode.Function{Name: "wide", NumRegs: regs}
-	b := &builder{bc: bc, f: NewFunc(bc.Name, bc), defs: map[*Block]map[int]*Value{}}
+	b := &builder{bc: bc, f: NewFunc(bc.Name, bc), blocks: []blockState{{defs: map[int]*Value{}}}}
 	b.cur = b.f.NewBlock()
-	b.defs[b.cur] = map[int]*Value{}
 	for r := range regs {
-		b.defs[b.cur][r] = b.cur.NewValue(OpConst, TypeGeneric)
+		b.blocks[b.cur.ID].defs[r] = b.cur.NewValue(OpConst, TypeGeneric)
 	}
 	if n := testing.AllocsPerRun(1000, func() { b.snapshot() }); n != 0 {
 		t.Errorf("snapshot allocates %v per call, want 0", n)

@@ -16,19 +16,27 @@ import (
 // against — and then drives run() through the whole tier ladder as usual.
 func runUnfused(t *testing.T, w workloads.Workload, arch vm.Arch, maxTier profile.Tier, calls int) (*vm.VM, value.Value) {
 	t.Helper()
-	prog, err := parser.Parse(w.Source)
-	if err != nil {
-		t.Fatalf("%s parse: %v", w.ID, err)
-	}
-	main, err := bytecode.CompileNoFuse(prog)
-	if err != nil {
-		t.Fatalf("%s compile: %v", w.ID, err)
-	}
 	v := newEngine(arch, maxTier)
-	if _, err := v.RunMain(main); err != nil {
+	if err := loadUnfused(w)(v); err != nil {
 		t.Fatalf("%s unfused setup: %v", w.ID, err)
 	}
 	return v, callRun(t, w, v, calls)
+}
+
+// loadUnfused returns a loader running w's program compiled without fusion.
+func loadUnfused(w workloads.Workload) func(*vm.VM) error {
+	return func(v *vm.VM) error {
+		prog, err := parser.Parse(w.Source)
+		if err != nil {
+			return err
+		}
+		main, err := bytecode.CompileNoFuse(prog)
+		if err != nil {
+			return err
+		}
+		_, err = v.RunMain(main)
+		return err
+	}
 }
 
 // The numeric suite must agree across every architecture, fused and unfused —
@@ -41,11 +49,12 @@ func TestNumericAgreeAcrossArchs(t *testing.T) {
 			t.Parallel()
 			_, want := runWorkload(t, w, vm.ArchBase, profile.TierInterp, 2)
 			for _, arch := range vm.AllArchs {
-				_, got := runWorkload(t, w, arch, profile.TierFTL, 50)
+				cfg := engineConfig(arch, profile.TierFTL)
+				_, got := runPrinted(t, w, cfg, "", nil, 50)
 				if got.ToStringValue() != want.ToStringValue() {
 					t.Errorf("%v: result %q, want %q", arch, got, want)
 				}
-				if _, got := runUnfused(t, w, arch, profile.TierFTL, 50); got.ToStringValue() != want.ToStringValue() {
+				if _, got := runPrinted(t, w, cfg, "unfused", loadUnfused(w), 50); got.ToStringValue() != want.ToStringValue() {
 					t.Errorf("%v unfused: result %q, want %q", arch, got, want)
 				}
 			}

@@ -16,11 +16,8 @@ import (
 // newPolyEngine builds an engine with the IC subsystem optionally disabled,
 // returning the backend so tests can inspect compiled dispatch trees.
 func newPolyEngine(arch vm.Arch, maxTier profile.Tier, disableIC bool) (*vm.VM, *jit.Backend) {
-	cfg := vm.DefaultConfig()
-	cfg.Arch = arch
-	cfg.MaxTier = maxTier
+	cfg := engineConfig(arch, maxTier)
 	cfg.DisableIC = disableIC
-	cfg.Policy = profile.Policy{BaselineThreshold: 2, DFGThreshold: 8, FTLThreshold: 40, MaxDeopts: 16}
 	v := vm.New(cfg)
 	b := jit.Attach(v)
 	return v, b
@@ -54,12 +51,13 @@ func TestPolyAgreeAcrossArchs(t *testing.T) {
 			t.Parallel()
 			_, want := runWorkload(t, w, vm.ArchBase, profile.TierInterp, 2)
 			for _, arch := range vm.AllArchs {
-				_, got := runWorkload(t, w, arch, profile.TierFTL, 50)
+				cfg := engineConfig(arch, profile.TierFTL)
+				_, got := runPrinted(t, w, cfg, "", nil, 50)
 				if got.ToStringValue() != want.ToStringValue() {
 					t.Errorf("%v: result %q, want %q", arch, got, want)
 				}
-				v, _ := newPolyEngine(arch, profile.TierFTL, true)
-				if got := runPoly(t, w, v, 50); got.ToStringValue() != want.ToStringValue() {
+				cfg.DisableIC = true
+				if _, got := runPrinted(t, w, cfg, "ic-off", nil, 50); got.ToStringValue() != want.ToStringValue() {
 					t.Errorf("%v ic-off: result %q, want %q", arch, got, want)
 				}
 			}

@@ -15,6 +15,8 @@
 // FTL code (generic runtime calls and builtin methods).
 package workloads
 
+import "slices"
+
 // Workload is one benchmark.
 type Workload struct {
 	// ID is the paper's index within its suite ("S01".."S26", "K01".."K14").
@@ -40,13 +42,16 @@ func Kraken() []Workload { return kraken }
 // Shootout returns the Shootout-like workloads used for Figure 1.
 func Shootout() []Workload { return shootout }
 
+// All returns the workloads of every suite.
+func All() []Workload {
+	return slices.Concat(sunspider, kraken, shootout, adversarial, osrEntry, callHeavy, poly, numeric)
+}
+
 // ByID finds a workload by its ID in any suite.
 func ByID(id string) (Workload, bool) {
-	for _, set := range [][]Workload{sunspider, kraken, shootout, adversarial, osrEntry, callHeavy, poly, numeric} {
-		for _, w := range set {
-			if w.ID == id {
-				return w, true
-			}
+	for _, w := range All() {
+		if w.ID == id {
+			return w, true
 		}
 	}
 	return Workload{}, false

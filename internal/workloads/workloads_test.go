@@ -10,13 +10,17 @@ import (
 	"nomap/internal/workloads"
 )
 
-func newEngine(arch vm.Arch, maxTier profile.Tier) *vm.VM {
+func engineConfig(arch vm.Arch, maxTier profile.Tier) vm.Config {
 	cfg := vm.DefaultConfig()
 	cfg.Arch = arch
 	cfg.MaxTier = maxTier
 	// Fast tier-up keeps the test quick without changing steady state.
 	cfg.Policy = profile.Policy{BaselineThreshold: 2, DFGThreshold: 8, FTLThreshold: 40, MaxDeopts: 16}
-	v := vm.New(cfg)
+	return cfg
+}
+
+func newEngine(arch vm.Arch, maxTier profile.Tier) *vm.VM {
+	v := vm.New(engineConfig(arch, maxTier))
 	jit.Attach(v)
 	return v
 }
@@ -112,7 +116,7 @@ func TestOSRWorkloadsAgreeAcrossArchs(t *testing.T) {
 			t.Parallel()
 			_, want := runWorkload(t, w, vm.ArchBase, profile.TierInterp, 1)
 			for _, arch := range vm.AllArchs {
-				v, got := runWorkload(t, w, arch, profile.TierFTL, 1)
+				v, got := runPrinted(t, w, engineConfig(arch, profile.TierFTL), "", nil, 1)
 				if got.ToStringValue() != want.ToStringValue() {
 					t.Errorf("%v: result %q, want %q", arch, got, want)
 				}
@@ -134,7 +138,7 @@ func TestWorkloadsAgreeAcrossArchs(t *testing.T) {
 			t.Parallel()
 			_, want := runWorkload(t, w, vm.ArchBase, profile.TierInterp, 2)
 			for _, arch := range vm.AllArchs {
-				_, got := runWorkload(t, w, arch, profile.TierFTL, 50)
+				_, got := runPrinted(t, w, engineConfig(arch, profile.TierFTL), "", nil, 50)
 				if got.ToStringValue() != want.ToStringValue() {
 					t.Errorf("%v: result %q, want %q", arch, got, want)
 				}
@@ -154,29 +158,14 @@ func TestCallHeavyAgreeAcrossArchs(t *testing.T) {
 			t.Parallel()
 			_, want := runWorkload(t, w, vm.ArchBase, profile.TierInterp, 2)
 			for _, arch := range vm.AllArchs {
-				_, got := runWorkload(t, w, arch, profile.TierFTL, 50)
+				_, got := runPrinted(t, w, engineConfig(arch, profile.TierFTL), "", nil, 50)
 				if got.ToStringValue() != want.ToStringValue() {
 					t.Errorf("%v: result %q, want %q", arch, got, want)
 				}
 			}
-			cfg := vm.DefaultConfig()
-			cfg.Arch = vm.ArchNoMap
+			cfg := engineConfig(vm.ArchNoMap, profile.TierFTL)
 			cfg.DisableInlining = true
-			cfg.Policy = profile.Policy{BaselineThreshold: 2, DFGThreshold: 8, FTLThreshold: 40, MaxDeopts: 16}
-			v := vm.New(cfg)
-			jit.Attach(v)
-			if _, err := v.Run(w.Source); err != nil {
-				t.Fatalf("setup: %v", err)
-			}
-			var got value.Value
-			for i := 0; i < 50; i++ {
-				r, err := v.CallGlobal("run")
-				if err != nil {
-					t.Fatalf("no-inline run #%d: %v", i, err)
-				}
-				got = r
-			}
-			if got.ToStringValue() != want.ToStringValue() {
+			if _, got := runPrinted(t, w, cfg, "no-inline", nil, 50); got.ToStringValue() != want.ToStringValue() {
 				t.Errorf("inlining-off: result %q, want %q", got, want)
 			}
 		})
