@@ -258,6 +258,18 @@ func compareServe(oldPath, jsonOut string, maxRegress float64, cfg vm.Config) er
 // runLoadgen is the exploratory load-generator mode: measure the selected
 // workloads, then simulate the requested open-loop arrival rate and report
 // throughput and tail latency.
+// checkLoadgenFlags rejects arrival settings the simulator cannot run: it
+// spaces arrivals by CyclesPerSecond/qps and draws requests of them.
+func checkLoadgenFlags(qps int64, requests int) error {
+	if qps <= 0 {
+		return fmt.Errorf("-qps must be positive, got %d", qps)
+	}
+	if requests <= 0 {
+		return fmt.Errorf("-requests must be positive, got %d", requests)
+	}
+	return nil
+}
+
 func runLoadgen(cfg vm.Config, mix []workloads.Workload, workers, queueDepth, calls, requests int,
 	qps int64, seed uint64, coalesce, async bool) error {
 	var keys []loadgen.KeyProfile

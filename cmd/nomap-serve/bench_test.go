@@ -34,3 +34,29 @@ func TestServeBaselineComparable(t *testing.T) {
 		}
 	}
 }
+
+// Loadgen mode refuses a rate or a request count it cannot simulate; before
+// this check -qps 0 panicked dividing by zero.
+func TestLoadgenFlagsChecked(t *testing.T) {
+	cases := []struct {
+		qps      int64
+		requests int
+		wantErr  string
+	}{
+		{10000, 10000, ""},
+		{1, 1, ""},
+		{0, 10000, "-qps"},
+		{-5, 10000, "-qps"},
+		{10000, 0, "-requests"},
+		{10000, -1, "-requests"},
+	}
+	for _, c := range cases {
+		err := checkLoadgenFlags(c.qps, c.requests)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("-qps %d -requests %d: refused: %v", c.qps, c.requests, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("-qps %d -requests %d: err = %v, want one naming %s", c.qps, c.requests, err, c.wantErr)
+		}
+	}
+}

@@ -87,6 +87,10 @@ func main() {
 		return
 	}
 	if *loadgenMode {
+		if err := checkLoadgenFlags(*qps, *requests); err != nil {
+			fmt.Fprintf(os.Stderr, "nomap-serve: %v\n", err)
+			os.Exit(2)
+		}
 		if err := runLoadgen(cfg, mix, *workers, *queue, *calls, *requests,
 			*qps, *seed, *coalesce, *asyncCompile); err != nil {
 			fatalf("%v", err)

@@ -267,12 +267,14 @@ func (b *builder) maybeSeal(blk *Block) {
 }
 
 // removeTrivialPhis iteratively replaces phis whose operands are all the
-// same value (or the phi itself) with that value, rewriting every use,
-// including stack maps.
+// same value (or the phi itself) with that value, forwarding every use,
+// including stack maps. Operands are read through the forwarding table, so
+// a phi whose operand was found trivial sees that operand's replacement.
 func (b *builder) removeTrivialPhis() {
+	f := b.f
 	for changed := true; changed; {
 		changed = false
-		for _, blk := range b.f.Blocks {
+		for _, blk := range f.Blocks {
 			for _, v := range blk.Values {
 				if v.Op != OpPhi {
 					continue
@@ -280,6 +282,7 @@ func (b *builder) removeTrivialPhis() {
 				var same *Value
 				trivial := true
 				for _, a := range v.Args {
+					a = f.Resolve(a)
 					if a == v || a == same {
 						continue
 					}
@@ -290,53 +293,14 @@ func (b *builder) removeTrivialPhis() {
 					same = a
 				}
 				if trivial && same != nil {
-					ReplaceUses(b.f, v, same)
+					f.Forward(v, same)
 					blk.RemoveValue(v)
 					changed = true
 				}
 			}
 		}
 	}
-}
-
-// ReplaceUses rewrites every use of old with new across argument lists,
-// block controls, and stack maps (including inline-frame Caller chains;
-// chained maps can be shared between deopt points, so a visited set keeps
-// the rewrite single-pass).
-func ReplaceUses(f *Func, old, new *Value) {
-	var seen map[*StackMap]bool
-	replaceInMap := func(sm *StackMap) {
-		for ; sm != nil; sm = sm.Caller {
-			if seen[sm] {
-				return
-			}
-			if sm.Caller != nil {
-				if seen == nil {
-					seen = make(map[*StackMap]bool)
-				}
-				seen[sm] = true
-			}
-			for i := range sm.Entries {
-				if sm.Entries[i].Val == old {
-					sm.Entries[i].Val = new
-				}
-			}
-		}
-	}
-	for _, blk := range f.Blocks {
-		for _, v := range blk.Values {
-			for i, a := range v.Args {
-				if a == old {
-					v.Args[i] = new
-				}
-			}
-			replaceInMap(v.Deopt)
-		}
-		if blk.Control == old {
-			blk.Control = new
-		}
-		replaceInMap(blk.EntryState)
-	}
+	f.ApplyForwarding()
 }
 
 // snapshot captures the Stack Map for the current bytecode pc: the Baseline

@@ -52,12 +52,16 @@ func ExpandDispatch(f *Func, demoted func(pc int, path string) bool) int {
 			break // b was split at the site; the tail is a later block
 		}
 	}
+	f.ApplyForwarding()
 	return expanded
 }
 
 // expandSite replaces the placeholder call at b.Values[ci] with a dispatch
 // tree for plan.
 func expandSite(f *Func, b *Block, ci int, v *Value, plan *ic.Plan) {
+	// The receiver may be an earlier site's placeholder, forwarded to its
+	// result.
+	f.ResolveArgs(v)
 	trans := 0
 	for _, w := range plan.Ways {
 		if w.NewShape != nil {
@@ -196,7 +200,7 @@ func expandSite(f *Func, b *Block, ci int, v *Value, plan *ic.Plan) {
 	chain.Kind = BlockPlain
 	AddEdge(chain, cont)
 
-	// Merge results and rewrite the placeholder's uses. Store plans produce
+	// Merge results and forward the placeholder's uses. Store plans produce
 	// no value (the bytecode's SetProp has no destination register, so the
 	// placeholder is use-free outside stack maps, where undefined — the
 	// value a re-executed store leaves — is what a Baseline resume expects).
@@ -204,11 +208,11 @@ func expandSite(f *Func, b *Block, ci int, v *Value, plan *ic.Plan) {
 		phi := cont.InsertValueAt(0, OpPhi, TypeGeneric, results...)
 		phi.BCPos = v.BCPos
 		phi.Inline = b.Inline
-		ReplaceUses(f, v, phi)
+		f.Forward(v, phi)
 	} else {
 		undef := newVal(b, OpConst, TypeGeneric)
 		undef.AuxVal = value.Undefined()
-		ReplaceUses(f, v, undef)
+		f.Forward(v, undef)
 	}
 	v.Deopt = nil
 }

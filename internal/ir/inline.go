@@ -69,6 +69,7 @@ func InlineCalls(f *Func, opts InlineOptions) int {
 			}
 		}
 	}
+	f.ApplyForwarding()
 	return inlined
 }
 
@@ -155,6 +156,8 @@ func inlineSite(f *Func, b *Block, ci int, opts InlineOptions) bool {
 	}
 
 	// --- point of no return: mutate f ---
+	// An argument may be an earlier site's call, forwarded to its result.
+	f.ResolveArgs(v)
 	inf := &InlineFrame{
 		Parent: parent, Callee: callee, Source: calleeBc,
 		CallPC: v.BCPos, RetReg: retReg,
@@ -280,6 +283,6 @@ func inlineSite(f *Func, b *Block, ci int, opts InlineOptions) bool {
 		AddEdge(merge, cont)
 		result = phi
 	}
-	ReplaceUses(f, v, result)
+	f.Forward(v, result)
 	return true
 }

@@ -292,6 +292,10 @@ type Func struct {
 	// the values that point into it while the next one is allocated.
 	values []Value
 
+	// fwd maps a forwarded value's ID to the value replacing it; it is
+	// empty unless a pass has forwarded since its last apply (forward.go).
+	fwd []*Value
+
 	// TxAware is set once NoMap has formed transactions in this function.
 	TxAware bool
 

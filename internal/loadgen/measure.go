@@ -8,93 +8,58 @@ package loadgen
 import (
 	"fmt"
 
-	"nomap/internal/codecache"
-	"nomap/internal/isolate"
+	"nomap/internal/pool"
 	"nomap/internal/profile"
-	"nomap/internal/value"
 	"nomap/internal/vm"
 )
 
-// MeasureKey profiles one workload (source, calls, arg) under cfg: a cold
-// isolate (tier-up on path), a warm isolate (snapshot restore plus shared
-// code cache), and a Baseline-capped isolate (the async cold path). The
-// three runs must produce identical results or the workload is rejected —
-// a key whose output depends on warmth could never be served by the pool.
+// MeasureKey profiles one workload (source, calls, arg) under cfg by sending
+// it to a one-worker pool.Pool: the first request serves cold (tier-up on
+// path), the second starts warm (snapshot restore plus shared code cache),
+// and a third capped at Baseline — its own warm-start key — serves cold
+// without speculative tiers (the async cold path). The three runs must
+// produce identical results or the workload is rejected — a key whose
+// output depends on warmth could never be served by the pool.
 func MeasureKey(name, source string, calls, arg int, cfg vm.Config) (KeyProfile, error) {
 	kp := KeyProfile{Name: name}
-	progs := codecache.NewPrograms()
-	entry, err := progs.Load(source)
-	if err != nil {
-		return kp, fmt.Errorf("loadgen: %s: %w", name, err)
-	}
-
-	run := func(iso *isolate.Isolate) (string, error) {
-		var last string
-		for i := 0; i < calls; i++ {
-			v, err := iso.VM().CallGlobal("run", value.Int(int32(arg)))
-			if err != nil {
-				return "", err
-			}
-			last = v.ToStringValue()
+	// Every request is worth a snapshot, so the second always starts warm.
+	p := pool.New(pool.Config{Workers: 1, VM: cfg, SnapshotMinCalls: calls})
+	defer p.Close()
+	serve := func(stage string, maxTier *profile.Tier) (pool.Response, string, error) {
+		resp := p.Do(pool.Request{Source: source, Calls: calls, Arg: arg, MaxTier: maxTier})
+		if resp.Err != nil {
+			return resp, "", fmt.Errorf("loadgen: %s %s: %w", name, stage, resp.Err)
 		}
-		return last, nil
+		return resp, resp.Results[len(resp.Results)-1], nil
 	}
 
-	// Cold: a fresh isolate tiering up on the request path.
-	cold := isolate.New(cfg)
-	if err := cold.Load(entry); err != nil {
+	cold, coldRes, err := serve("cold", nil)
+	if err != nil {
 		return kp, err
 	}
-	coldRes, err := run(cold)
-	if err != nil {
-		return kp, fmt.Errorf("loadgen: %s cold: %w", name, err)
-	}
-	ctrs := cold.VM().Counters()
-	kp.ColdCycles = ctrs.TotalCycles()
-	for tier, n := range ctrs.Compilations {
+	kp.ColdCycles = cold.Counters.TotalCycles()
+	for tier, n := range cold.Counters.Compilations {
 		kp.CompileCycles += n * CompileCost[tier]
 	}
 	kp.Result = coldRes
 
-	// Warm: a donor fills the shared cache and captures a snapshot; the
-	// measured isolate restores and pulls artifacts instead of compiling.
-	cache := codecache.NewCache(0)
-	donor := isolate.New(cfg)
-	donor.UseCache(cache)
-	if err := donor.Load(entry); err != nil {
-		return kp, err
-	}
-	if _, err := run(donor); err != nil {
-		return kp, fmt.Errorf("loadgen: %s donor: %w", name, err)
-	}
-	snap := donor.Snapshot()
-	warm := isolate.New(cfg)
-	warm.UseCache(cache)
-	if err := warm.Load(entry); err != nil {
-		return kp, err
-	}
-	if err := warm.Restore(snap); err != nil {
-		return kp, fmt.Errorf("loadgen: %s restore: %w", name, err)
-	}
-	warmRes, err := run(warm)
+	warm, warmRes, err := serve("warm", nil)
 	if err != nil {
-		return kp, fmt.Errorf("loadgen: %s warm: %w", name, err)
+		return kp, err
 	}
-	kp.WarmCycles = warm.VM().Counters().TotalCycles()
+	if !warm.Warm {
+		return kp, fmt.Errorf("loadgen: %s: second request did not restore a snapshot", name)
+	}
+	kp.WarmCycles = warm.Counters.TotalCycles()
 
 	// Baseline-capped: what an async-mode cold request pays while its
 	// compiles are deferred to the background queue.
-	bcfg := cfg
-	bcfg.MaxTier = profile.TierBaseline
-	base := isolate.New(bcfg)
-	if err := base.Load(entry); err != nil {
+	baseline := profile.TierBaseline
+	base, baseRes, err := serve("baseline", &baseline)
+	if err != nil {
 		return kp, err
 	}
-	baseRes, err := run(base)
-	if err != nil {
-		return kp, fmt.Errorf("loadgen: %s baseline: %w", name, err)
-	}
-	kp.BaselineCycles = base.VM().Counters().TotalCycles()
+	kp.BaselineCycles = base.Counters.TotalCycles()
 
 	if warmRes != coldRes || baseRes != coldRes {
 		return kp, fmt.Errorf("loadgen: %s: results diverge across warmth (cold %q warm %q baseline %q)",

@@ -164,9 +164,6 @@ const (
 
 // SharedOptions configures a shared run.
 type SharedOptions struct {
-	// Policy overrides the contention governor tuning (nil uses
-	// governor.DefaultContentionPolicy(seed)).
-	Policy *governor.ContentionPolicy
 	// Tracer receives machine events from every worker (Fn is tagged
 	// "workload:wN").
 	Tracer Tracer
@@ -234,16 +231,12 @@ func NewSharedRun(wl *SharedWorkload, arch vm.Arch, seed int64, opt SharedOption
 	if err := validateWorkload(wl, heap); err != nil {
 		return nil, err
 	}
-	pol := governor.DefaultContentionPolicy(seed)
-	if opt.Policy != nil {
-		pol = *opt.Policy
-	}
 	r := &SharedRun{
 		Name:  wl.Name,
 		Arch:  arch,
 		Heap:  heap,
 		Dom:   htm.NewDomain(),
-		Gov:   governor.NewContention(pol),
+		Gov:   governor.NewContention(governor.DefaultContentionPolicy(seed)),
 		trace: opt.Tracer,
 	}
 	cfg := htm.ROTConfig()

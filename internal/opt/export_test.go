@@ -23,23 +23,16 @@ type KeyObservation struct {
 // WatchKeys reports every key GVN computes until the returned restore is
 // called.
 func WatchKeys(observe func(KeyObservation)) (restore func()) {
-	gvnHooks.onKey = func(g *gvn, v *ir.Value, k gvnKey, ok bool) {
+	onKeyHook = func(g *gvn, v *ir.Value, k gvnKey, ok bool) {
 		s, sok := stringKey(g, v)
 		observe(KeyObservation{Run: g, Value: v, Key: k, OK: ok, Oracle: s, OracleOK: sok})
 	}
-	return func() { gvnHooks.onKey = nil }
-}
-
-// SkipMapForward plants a bug in GVN until the returned restore is called:
-// its final rewrite leaves every stack map pointing at removed values.
-func SkipMapForward() (restore func()) {
-	gvnHooks.skipMapForward = true
-	return func() { gvnHooks.skipMapForward = false }
+	return func() { onKeyHook = nil }
 }
 
 // stringKey is GVN's key as it was built with fmt and string concatenation,
 // kept as the oracle the struct key must partition values like. Arguments
-// read through the forwarding table, as they did through ReplaceUses.
+// read through the function's forwarding table.
 func stringKey(g *gvn, v *ir.Value) (string, bool) {
 	pure := v.Op.IsPure() && v.Op != ir.OpPhi && v.Op != ir.OpParam
 	load := v.Op.ReadsMemory() && !v.Op.WritesMemory() && !v.Op.IsCall()
@@ -61,7 +54,7 @@ func stringKey(g *gvn, v *ir.Value) (string, bool) {
 		k += fmt.Sprintf("|c%p", v.Callee)
 	}
 	for _, a := range v.Args {
-		k += fmt.Sprintf("|v%d", g.resolve(a).ID)
+		k += fmt.Sprintf("|v%d", v.Block.Fn.Resolve(a).ID)
 	}
 	for _, rk := range readKeys(v) {
 		k += fmt.Sprintf("|g%d.%d.%s=%d.%d", rk.kind, rk.off, rk.name, g.gen[rk], g.allGen)

@@ -19,7 +19,7 @@ import (
 // two benefits NoMap unlocks (paper §IV-C).
 //
 // A value that duplicates a dominating one is removed and forwarded to it;
-// later values read their arguments through the forwarding table, and one
+// later values read their arguments through f's forwarding table, and one
 // walk at the end rewrites every remaining use.
 func GVN(f *ir.Func) {
 	placed := 0
@@ -32,13 +32,11 @@ func GVN(f *ir.Func) {
 		dom:   ir.BuildDom(f),
 		gen:   map[memKey]int32{},
 		table: make(map[gvnKey]*ir.Value, placed),
-		fwd:   make([]*ir.Value, f.NumValues()),
 	}
-	forwarded := false
 	for _, b := range g.dom.RPO() {
 		for i := 0; i < len(b.Values); i++ {
 			v := b.Values[i]
-			g.forwardArgs(v)
+			f.ResolveArgs(v)
 			// Constant-folded in place; numbering follows, so identical
 			// constants merge.
 			foldConst(v)
@@ -50,8 +48,8 @@ func GVN(f *ir.Func) {
 				g.gen[wk]++
 			}
 			k, ok := g.key(v)
-			if gvnHooks.onKey != nil {
-				gvnHooks.onKey(g, v, k, ok)
+			if onKeyHook != nil {
+				onKeyHook(g, v, k, ok)
 			}
 			if !ok {
 				continue
@@ -64,8 +62,7 @@ func GVN(f *ir.Func) {
 					continue
 				}
 				if v.Type != ir.TypeNone {
-					g.fwd[v.ID] = prev
-					forwarded = true
+					f.Forward(v, prev)
 					b.RemoveValue(v)
 					i--
 					continue
@@ -74,20 +71,15 @@ func GVN(f *ir.Func) {
 			g.table[k] = v
 		}
 	}
-	if forwarded {
-		g.rewrite(f)
-	}
+	f.ApplyForwarding()
 }
 
-// gvn is one GVN run's state. fwd maps a removed value's ID to the
-// dominating value that replaces it; a replacement is never itself removed,
-// so one lookup resolves any use.
+// gvn is one GVN run's state.
 type gvn struct {
 	dom    *ir.DomTree
 	gen    map[memKey]int32
 	allGen int32
 	table  map[gvnKey]*ir.Value
-	fwd    []*ir.Value
 	rest   []byte // reused buffer for argument IDs past the inline ones
 }
 
@@ -113,23 +105,6 @@ type gvnKey struct {
 	// str is an OpConst's string or object string value, and otherwise
 	// the argument IDs past len(args) as little-endian uint32s.
 	str string
-}
-
-// forwardArgs points v's arguments at their surviving values.
-func (g *gvn) forwardArgs(v *ir.Value) {
-	for i, a := range v.Args {
-		v.Args[i] = g.resolve(a)
-	}
-}
-
-// resolve returns the value that replaces v, or v itself.
-func (g *gvn) resolve(v *ir.Value) *ir.Value {
-	if v != nil {
-		if r := g.fwd[v.ID]; r != nil {
-			return r
-		}
-	}
-	return v
 }
 
 // key returns v's numbering key, or false for a value GVN leaves alone.
@@ -198,40 +173,9 @@ func floatBits(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-// gvnHooks are set only by tests (export_test.go): onKey observes every
-// key GVN computes, and skipMapForward plants a bug in the final rewrite,
-// stack maps left pointing at removed values, for ir.Verify to catch.
-var gvnHooks struct {
-	onKey          func(g *gvn, v *ir.Value, k gvnKey, ok bool)
-	skipMapForward bool
-}
-
-// rewrite applies the forwarding table to every argument list, block
-// control and stack map in f.
-func (g *gvn) rewrite(f *ir.Func) {
-	for _, b := range f.Blocks {
-		for _, v := range b.Values {
-			g.forwardArgs(v)
-			g.forwardMap(v.Deopt)
-		}
-		b.Control = g.resolve(b.Control)
-		g.forwardMap(b.EntryState)
-	}
-}
-
-// forwardMap forwards the entries of sm and its inline Caller chain.
-// Chained maps can be shared between deopt points; forwarding is
-// idempotent, so a shared map is simply visited again.
-func (g *gvn) forwardMap(sm *ir.StackMap) {
-	if gvnHooks.skipMapForward {
-		return
-	}
-	for ; sm != nil; sm = sm.Caller {
-		for i, e := range sm.Entries {
-			sm.Entries[i].Val = g.resolve(e.Val)
-		}
-	}
-}
+// onKeyHook is set only by tests (export_test.go): it observes every key
+// GVN computes.
+var onKeyHook func(g *gvn, v *ir.Value, k gvnKey, ok bool)
 
 // foldConst rewrites v in place into an OpConst when all args are constants
 // and the operation folds safely. Returns whether folding happened.

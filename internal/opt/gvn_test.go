@@ -51,17 +51,14 @@ func keyPrograms(t *testing.T) []oracle.Program {
 }
 
 // runProgram runs p on a fresh engine under arch with the fast tier-up
-// policy, installing hook as the JIT's pass hook when it is non-nil.
-func runProgram(t *testing.T, p oracle.Program, arch vm.Arch, hook func(pass string, f *ir.Func)) {
+// policy.
+func runProgram(t *testing.T, p oracle.Program, arch vm.Arch) {
 	t.Helper()
 	cfg := vm.DefaultConfig()
 	cfg.Arch = arch
 	cfg.Policy = harness.FastPolicy()
 	v := vm.New(cfg)
-	b := jit.Attach(v)
-	if hook != nil {
-		b.SetPassHook(hook)
-	}
+	jit.Attach(v)
 	if _, err := v.Run(p.Setup); err != nil {
 		t.Fatalf("%s setup: %v", p.Name, err)
 	}
@@ -126,7 +123,7 @@ func TestGVNKeyPartitionMatchesStringKey(t *testing.T) {
 		for _, arch := range []vm.Arch{vm.ArchBase, vm.ArchNoMap} {
 			before := p.runs
 			p.run = nil // a new engine's first run may reuse a freed run's address
-			runProgram(t, prog, arch, nil)
+			runProgram(t, prog, arch)
 			if p.runs == before {
 				t.Errorf("%s under %v: no GVN run", prog.Name, arch)
 			}
@@ -230,45 +227,6 @@ func TestGVNKeyRows(t *testing.T) {
 			t.Errorf("%s: equal string keys = %v (%q, %q), want %v", r.name, got, x.Oracle, y.Oracle, r.sameKeys)
 		}
 	}
-}
-
-// passVerify collects ir.Verify failures after every pass, as the oracle's
-// pass verifier does.
-type passVerify struct{ errs []string }
-
-func (pv *passVerify) hook(pass string, f *ir.Func) {
-	if err := ir.Verify(f); err != nil {
-		pv.errs = append(pv.errs, fmt.Sprintf("after %s: %v", pass, err))
-	}
-}
-
-// A GVN that forwards a removed value everywhere but in stack maps leaves
-// deopt points naming a value that no longer exists. The Verify-after-every-
-// pass hook must catch that on an ordinary run, and must stay quiet on the
-// same run without the planted bug.
-func TestGVNSkippedMapForwardFailsVerify(t *testing.T) {
-	w, ok := workloads.ByID("S13")
-	if !ok {
-		t.Fatal("no workload S13")
-	}
-	prog := oracle.Program{Name: w.ID, Setup: w.Source, Calls: 45}
-
-	clean := &passVerify{}
-	runProgram(t, prog, vm.ArchBase, clean.hook)
-	if len(clean.errs) > 0 {
-		t.Fatalf("clean run fails Verify: %s", clean.errs[0])
-	}
-
-	planted := &passVerify{}
-	restore := opt.SkipMapForward()
-	runProgram(t, prog, vm.ArchBase, planted.hook)
-	restore()
-	for _, e := range planted.errs {
-		if strings.Contains(e, "stack map references dead v") {
-			return
-		}
-	}
-	t.Fatalf("planted skipped forward passed Verify (errors: %q)", planted.errs)
 }
 
 // wideSrc renders a loop whose body repeats one statement group width

@@ -26,8 +26,12 @@ func PromoteLoopStores(f *ir.Func) {
 	for _, l := range loops {
 		promoteLoop(f, dom, l)
 	}
+	f.ApplyForwarding()
 }
 
+// promoteLoop promotes at most one slot of l. A load promoted in an earlier
+// loop is forwarded, not yet rewritten, so arguments are read through
+// f.Resolve.
 func promoteLoop(f *ir.Func, dom *ir.DomTree, l *ir.Loop) {
 	pre := l.Preheader()
 	latches := l.Latches()
@@ -66,7 +70,7 @@ func promoteLoop(f *ir.Func, dom *ir.DomTree, l *ir.Loop) {
 	}
 
 	for _, st := range stores {
-		obj := st.Args[0]
+		obj := f.Resolve(st.Args[0])
 		if l.Contains(obj.Block) {
 			continue // object not invariant
 		}
@@ -85,7 +89,7 @@ func promoteLoop(f *ir.Func, dom *ir.DomTree, l *ir.Loop) {
 		for _, b := range l.BlockList() {
 			for pos, v := range b.Values {
 				if v.Op == ir.OpLoadSlot && v.AuxInt == st.AuxInt {
-					if v.Args[0] != obj {
+					if f.Resolve(v.Args[0]) != obj {
 						ok = false
 					}
 					if b == st.Block {
@@ -103,7 +107,7 @@ func promoteLoop(f *ir.Func, dom *ir.DomTree, l *ir.Loop) {
 			continue
 		}
 		// The stored value must be available at the latch (dominate it).
-		stored := st.Args[1]
+		stored := f.Resolve(st.Args[1])
 		if !dom.Dominates(stored.Block, latch) {
 			continue
 		}
@@ -127,7 +131,7 @@ func promoteLoop(f *ir.Func, dom *ir.DomTree, l *ir.Loop) {
 
 		// In-loop loads of the slot become the accumulator.
 		for _, ld := range loads {
-			ir.ReplaceUses(f, ld, acc)
+			f.Forward(ld, acc)
 			ld.Block.RemoveValue(ld)
 		}
 		// Replace the in-loop store with one in the exit block; since exits

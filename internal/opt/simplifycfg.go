@@ -48,6 +48,7 @@ func SimplifyCFG(f *ir.Func) {
 			}
 		}
 	}
+	f.ApplyForwarding()
 	// Drop unreachable blocks.
 	dom := ir.BuildDom(f)
 	kept := f.Blocks[:0]
@@ -71,13 +72,13 @@ func SimplifyCFG(f *ir.Func) {
 }
 
 // mergeInto appends c's contents to b and rewires edges. c has exactly one
-// pred (b), so its phis are trivial single-arg phis; they are replaced by
+// pred (b), so its phis are trivial single-arg phis; they are forwarded to
 // their argument.
 func mergeInto(f *ir.Func, b, c *ir.Block) {
 	for _, v := range c.Values {
 		if v.Op == ir.OpPhi {
 			if len(v.Args) == 1 {
-				ir.ReplaceUses(f, v, v.Args[0])
+				f.Forward(v, v.Args[0])
 				continue
 			}
 		}

@@ -17,8 +17,8 @@ func (p *Pool) RunShared(wl *machine.SharedWorkload, arch vm.Arch, seed int64, o
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
+	p.mergedMu.Lock()
 	p.merged.Add(&res.Merged)
-	p.mu.Unlock()
+	p.mergedMu.Unlock()
 	return res, nil
 }

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"nomap/internal/machine"
@@ -67,5 +68,53 @@ func TestSharedHeapConcurrentSoak(t *testing.T) {
 		if res.Snapshot != ref.Snapshot {
 			t.Fatalf("run %d: snapshot %q, reference %q", i, res.Snapshot, ref.Snapshot)
 		}
+	}
+}
+
+// A shared run merges its counters into the pool's totals while Stats reads
+// them and a worker merges a served request's: all three must go through
+// the totals' one mutex, which -race checks. The race detector flags any
+// two accesses no synchronization orders, however far apart in time, so
+// the scraper reads before and during the shared runs.
+func TestSharedRunMergesBesideStats(t *testing.T) {
+	wl, _ := workloads.ContentionByID("T02")
+	p := New(Config{Workers: 1})
+	defer p.Close()
+	const rounds = 6
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range rounds {
+			if resp := p.Do(Request{Source: "function run(n) { return n + 1; }", Calls: 2}); resp.Err != nil {
+				t.Error(resp.Err)
+			}
+		}
+	}()
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	defer func() {
+		close(stop)
+		<-scraped
+	}()
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = p.Stats()
+				runtime.Gosched()
+			}
+		}
+	}()
+	for i := range rounds {
+		if _, err := p.RunShared(wl, vm.ArchNoMap, int64(i), machine.SharedOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	if s := p.Stats(); s.Counters.SharedOps == 0 || s.Completed != rounds {
+		t.Errorf("totals: %d shared ops, %d completed requests; want shared ops and %d requests", s.Counters.SharedOps, s.Completed, rounds)
 	}
 }
