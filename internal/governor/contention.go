@@ -80,20 +80,9 @@ type Contention struct {
 	sites map[string]*contentionSite
 }
 
-// NewContention creates a contention governor.
+// NewContention creates a contention governor. The policy is used as given:
+// start from DefaultContentionPolicy and override fields.
 func NewContention(pol ContentionPolicy) *Contention {
-	if pol.MaxAttempts <= 0 {
-		pol.MaxAttempts = 4
-	}
-	if pol.BackoffBase <= 0 {
-		pol.BackoffBase = 16
-	}
-	if pol.BackoffCap < pol.BackoffBase {
-		pol.BackoffCap = pol.BackoffBase
-	}
-	if pol.RepromoteWindow <= 0 {
-		pol.RepromoteWindow = 8
-	}
 	return &Contention{pol: pol, sites: make(map[string]*contentionSite)}
 }
 

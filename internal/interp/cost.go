@@ -15,9 +15,13 @@ const (
 	propICHitCost = 5  // shape compare, load at cached offset
 	propMissCost  = 32 // runtime call with hash lookup
 	elemCost      = 14 // runtime call: type+bounds+hole handling
-)
 
-func costMove(baseline bool) int64 { return 1 }
+	// Costs both tiers pay alike.
+	costMove     int64 = 1
+	costSlowCall int64 = 14
+	costReturn   int64 = 4
+	costAlloc    int64 = 28
+)
 
 // costArith models the arithmetic paths. Baseline inlines an int32 fast path
 // and calls the runtime for anything else; the interpreter always pays
@@ -41,23 +45,12 @@ func costArith(baseline, bothInt, boxed bool) int64 {
 	return 18
 }
 
-func costSlowCall(baseline bool) int64 {
-	if baseline {
-		return 14
-	}
-	return 14
-}
-
 func costCall(baseline bool) int64 {
 	if baseline {
 		return 18 // argument window setup, callee check, call
 	}
 	return 26
 }
-
-func costReturn(baseline bool) int64 { return 4 }
-
-func costAlloc(baseline bool) int64 { return 28 }
 
 func costElem(baseline bool) int64 {
 	if baseline {
@@ -73,4 +66,5 @@ func costGlobal(baseline bool) int64 {
 	return 16
 }
 
-func costCell(baseline bool, depth int) int64 { return int64(4 + 2*depth) }
+// costCell is a closure-cell access at the given scope depth (both tiers).
+func costCell(depth int) int64 { return int64(4 + 2*depth) }

@@ -129,15 +129,15 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 
 		case bytecode.OpLoadConst:
 			regs[in.A] = hd.Box(fn.Consts[in.B])
-			instrs += costMove(baseline)
+			instrs += costMove
 
 		case bytecode.OpLoadUndef:
 			regs[in.A] = value.BoxedUndefined
-			instrs += costMove(baseline)
+			instrs += costMove
 
 		case bytecode.OpMove:
 			regs[in.A] = regs[in.B]
-			instrs += costMove(baseline)
+			instrs += costMove
 
 		case bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul, bytecode.OpDiv,
 			bytecode.OpMod, bytecode.OpBitAnd, bytecode.OpBitOr, bytecode.OpBitXor,
@@ -223,7 +223,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 				xn := hd.Unbox(x)
 				if !xn.IsNumber() {
 					xn = value.ToNumeric(xn)
-					instrs += costSlowCall(baseline)
+					instrs += costSlowCall
 				}
 				if baseline {
 					prof.Arith[fr.PC].Observe(xn, value.Int(delta))
@@ -294,21 +294,21 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			instrs += costArith(baseline, b.IsInt32(), false)
 		case bytecode.OpNot:
 			regs[in.A] = value.BoxBool(!hd.ToBoolean(regs[in.B]))
-			instrs += costMove(baseline) + 1
+			instrs += costMove + 1
 		case bytecode.OpBitNot:
 			regs[in.A] = hd.Box(value.BitNot(hd.Unbox(regs[in.B])))
 			instrs += costArith(baseline, regs[in.B].IsInt32(), false)
 		case bytecode.OpTypeof:
 			regs[in.A] = hd.BoxStr(hd.Unbox(regs[in.B]).TypeOf())
-			instrs += costSlowCall(baseline)
+			instrs += costSlowCall
 		case bytecode.OpToNumber:
 			v := regs[in.B]
 			if v.IsNumber() {
 				regs[in.A] = v
-				instrs += costMove(baseline)
+				instrs += costMove
 			} else {
 				regs[in.A] = hd.Box(value.ToNumeric(hd.Unbox(v)))
-				instrs += costSlowCall(baseline)
+				instrs += costSlowCall
 			}
 
 		case bytecode.OpJump:
@@ -349,7 +349,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			}
 
 		case bytecode.OpReturn:
-			instrs += costReturn(baseline)
+			instrs += costReturn
 			return hd.Unbox(regs[in.A]), nil
 
 		case bytecode.OpCall:
@@ -408,10 +408,10 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 
 		case bytecode.OpNewObject:
 			regs[in.A] = hd.BoxObject(value.NewObject(h.Shapes()))
-			instrs += costAlloc(baseline)
+			instrs += costAlloc
 		case bytecode.OpNewArray:
 			regs[in.A] = hd.BoxObject(value.NewArray(h.Shapes(), int(in.B)))
-			instrs += costAlloc(baseline)
+			instrs += costAlloc
 
 		case bytecode.OpGetProp:
 			obj := hd.Unbox(regs[in.B])
@@ -482,14 +482,14 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 
 		case bytecode.OpGetCell:
 			regs[in.A] = hd.Box(fr.Env.At(int(in.B), int(in.C)).V)
-			instrs += costCell(baseline, int(in.B))
+			instrs += costCell(int(in.B))
 		case bytecode.OpSetCell:
 			fr.Env.At(int(in.A), int(in.B)).V = hd.Unbox(regs[in.C])
-			instrs += costCell(baseline, int(in.A))
+			instrs += costCell(int(in.A))
 
 		case bytecode.OpMakeClosure:
 			regs[in.A] = hd.Box(h.MakeClosure(fn.Funcs[in.B], fr.Env))
-			instrs += costAlloc(baseline) + 4
+			instrs += costAlloc + 4
 
 		default:
 			return value.Undefined(), errf("unknown opcode %v", in.Op)

@@ -332,7 +332,7 @@ func (b *Backend) codeFor(v *vm.VM, key codeKey, prof *profile.FunctionProfile, 
 // materialized — the cache-fill step of the miss → fill → hit IC ladder.
 func (b *Backend) emitFills(fn string, f *ir.Func) {
 	for _, d := range f.Dispatch {
-		b.mach.Emit(machine.Event{Kind: machine.EventICFill, Fn: fn, PC: d.PC, Inline: d.Path, Window: int64(d.Ways)})
+		b.mach.Emit(machine.Event{Kind: machine.EventICFill, Fn: fn, PC: d.PC, Inline: d.Path, N: int64(d.Ways)})
 	}
 }
 

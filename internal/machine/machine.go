@@ -80,9 +80,9 @@ type Machine struct {
 	// unprofiled generic calls that never execute transactionally.
 	txHadCalls bool
 	// icSeen bounds IC trace noise: EventICHit / EventICTransition fire once
-	// per dispatch site per machine reset. Allocated lazily, only while a
-	// tracer is installed.
-	icSeen map[string]bool
+	// per dispatch site and shape per machine reset, keyed by the event
+	// itself. Allocated lazily, only while a tracer is installed.
+	icSeen map[Event]bool
 	// siteKeys memoizes injection-site keys per IR value (inject.go).
 	// Allocated lazily, only while an injector is installed.
 	siteKeys map[*ir.Value]SiteKey
@@ -179,7 +179,7 @@ func (m *Machine) EnterAt(f *ir.Func, tier profile.Tier, fr *frame.Frame) (value
 		return value.Undefined(), nil, fmt.Errorf("machine: %s: OSR entry pc mismatch: frame@%d, artifact@%d", f.Name, fr.PC, f.OSREntryPC)
 	}
 	m.host.Counters().OSREntries++
-	m.emit(Event{Kind: EventOSREntry, Fn: f.Name, PC: fr.PC, Tier: tier})
+	m.Emit(Event{Kind: EventOSREntry, Fn: f.Name, PC: fr.PC, Tier: tier})
 	return m.runFrom(f, tier, nil, fr)
 }
 
@@ -372,7 +372,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 		}
 		owner := t.Owner.(*frameBuf)
 		rec := t.Recover.(*frame.Frame)
-		m.emit(Event{Kind: EventTxAbort, Fn: f.Name, Cause: cause, CheckClass: class, PC: rec.PC, WriteBytes: t.WriteBytes()})
+		m.Emit(Event{Kind: EventTxAbort, Fn: f.Name, Cause: cause, CheckClass: class, PC: rec.PC, WriteBytes: t.WriteBytes()})
 		m.uninstallHook()
 		m.rollback()
 		if err := m.HTM.Abort(cause); err != nil {
@@ -582,7 +582,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 				// Check failed.
 				account(instr, extra)
 				if v.Dispatch {
-					m.emit(Event{Kind: EventICMiss, Fn: f.Name, PC: v.BCPos, Inline: v.InlinePath(), Shape: v.DispatchShape()})
+					m.Emit(Event{Kind: EventICMiss, Fn: f.Name, PC: v.BCPos, Inline: v.InlinePath(), Shape: v.DispatchShape()})
 				}
 				if v.Deopt != nil {
 					// A kept SMP inside this frame's own transaction: the
@@ -598,13 +598,13 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 						m.uninstallHook()
 						m.dropUndo()
 						account(0, m.HTM.Config().CommitCycles)
-						m.emit(Event{Kind: EventTxCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
+						m.Emit(Event{Kind: EventTxCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
 					}
 					ctrs.Deopts++
 					ctrs.OSRExits++
 					rec := materialize(v.Deopt)
 					assignBackEdges(rec)
-					m.emit(Event{Kind: EventDeopt, Fn: f.Name, CheckClass: v.Check, PC: rec.PC, Inline: v.Deopt.InlinePath()})
+					m.Emit(Event{Kind: EventDeopt, Fn: f.Name, CheckClass: v.Check, PC: rec.PC, Inline: v.Deopt.InlinePath()})
 					return value.Undefined(), &Deopt{Frame: rec, Site: core.SiteOf(f.Name, v, v.Check)}, nil
 				}
 				cause := htm.AbortCause(htm.AbortCheck)
@@ -768,7 +768,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 					copy(beCheck, backEdges)
 					m.txHadCalls = false
 					extra += m.HTM.Config().BeginCycles
-					m.emit(Event{Kind: EventTxBegin, Fn: f.Name})
+					m.Emit(Event{Kind: EventTxBegin, Fn: f.Name})
 					if m.inject != nil {
 						act := m.inject.At(Site{SiteKey: m.siteKey(SiteTxBegin, f, v), InTx: true})
 						if cause, ok := act.abortCause(); ok {
@@ -801,7 +801,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 					m.uninstallHook()
 					m.dropUndo()
 					extra += m.HTM.Config().CommitCycles
-					m.emit(Event{Kind: EventTxCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
+					m.Emit(Event{Kind: EventTxCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
 				}
 			case ir.OpTxTile:
 				t := m.HTM.Current()
@@ -821,7 +821,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 						return value.Undefined(), nil, err
 					}
 					m.dropUndo()
-					m.emit(Event{Kind: EventTxTileCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
+					m.Emit(Event{Kind: EventTxTileCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
 					rec := materialize(v.Deopt)
 					m.HTM.Begin(fb, rec)
 					copy(beCheck, backEdges)
@@ -959,15 +959,15 @@ func (m *Machine) checkPasses(v *ir.Value, vals []value.Boxed, oflow []bool) boo
 // icHitOnce emits an IC trace event the first time the (site, shape) pair
 // fires it since the last machine reset, keeping hot-loop traces bounded.
 func (m *Machine) icHitOnce(kind EventKind, fn string, v *ir.Value) {
-	key := fmt.Sprintf("%d|%s|%s@%d|%s", kind, fn, v.InlinePath(), v.BCPos, v.DispatchShape())
-	if m.icSeen[key] {
+	e := Event{Kind: kind, Fn: fn, PC: v.BCPos, Inline: v.InlinePath(), Shape: v.DispatchShape()}
+	if m.icSeen[e] {
 		return
 	}
 	if m.icSeen == nil {
-		m.icSeen = make(map[string]bool)
+		m.icSeen = make(map[Event]bool)
 	}
-	m.icSeen[key] = true
-	m.emit(Event{Kind: kind, Fn: fn, PC: v.BCPos, Inline: v.InlinePath(), Shape: v.DispatchShape()})
+	m.icSeen[e] = true
+	m.Emit(e)
 }
 
 func (m *Machine) footprintNearCapacity(t *htm.Txn) bool {

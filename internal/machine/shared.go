@@ -300,12 +300,6 @@ func (w *SharedWorker) Done() bool { return w.state == wsDone }
 // site identifies the worker's current section to the contention governor.
 func (w *SharedWorker) site() string { return w.sites[w.section] }
 
-func (w *SharedWorker) emit(e Event) {
-	if w.run.trace != nil {
-		w.run.trace(e)
-	}
-}
-
 // opKey resolves a map op's effective key for the current round.
 func opKey(op SharedOp, round int) string {
 	if op.Rotate {
@@ -344,7 +338,7 @@ func (w *SharedWorker) step() (bool, error) {
 	case wsBackoff:
 		// Serve the randomized contention window, then re-attempt.
 		w.Ctrs.AddCycles(w.pendingBackoff, false)
-		w.emit(Event{Kind: EventBackoff, Fn: w.label, Window: w.pendingBackoff})
+		w.run.trace.Emit(Event{Kind: EventBackoff, Fn: w.label, N: w.pendingBackoff})
 		w.Ctrs.SharedBackoffs++
 		w.Ctrs.SharedTxRetries++
 		w.pendingBackoff = 0
@@ -382,7 +376,7 @@ func (w *SharedWorker) stepSectionStart() {
 	w.Ctrs.AddCycles(w.sys.Config().BeginCycles, true)
 	w.accStart = w.Acc
 	w.op = 0
-	w.emit(Event{Kind: EventTxBegin, Fn: w.label})
+	w.run.trace.Emit(Event{Kind: EventTxBegin, Fn: w.label})
 	w.state = wsTxOp
 }
 
@@ -426,7 +420,7 @@ func (w *SharedWorker) stepTxCommit() {
 	w.Ctrs.AddCycles(w.sys.Config().CommitCycles, true)
 	w.sys.Commit()
 	w.log.reset()
-	w.emit(Event{Kind: EventTxCommit, Fn: w.label, WriteBytes: wb})
+	w.run.trace.Emit(Event{Kind: EventTxCommit, Fn: w.label, WriteBytes: wb})
 	w.run.Gov.OnCommit(w.site(), false)
 	w.sectionDone()
 }
@@ -439,7 +433,7 @@ func (w *SharedWorker) abortTx(cause htm.AbortCause, attr htm.Attribution) {
 	w.log.rollback()
 	w.sys.Abort(cause)
 	w.Acc = w.accStart
-	w.emit(Event{Kind: EventTxAbort, Fn: w.label, Cause: cause, Attr: attr, WriteBytes: wb})
+	w.run.trace.Emit(Event{Kind: EventTxAbort, Fn: w.label, Cause: cause, Attr: attr, WriteBytes: wb})
 }
 
 // onConflict aborts the open transaction with conflict blame and asks the
@@ -475,7 +469,7 @@ func (w *SharedWorker) stepFallbackAcquire() {
 	w.Ctrs.AddCycles(fbAcquireCycles, false)
 	w.accStart = w.Acc
 	w.op = 0
-	w.emit(Event{Kind: EventFallbackAcquire, Fn: w.label})
+	w.run.trace.Emit(Event{Kind: EventFallbackAcquire, Fn: w.label})
 	// Writing the lock word invalidates it in every subscribed transaction:
 	// all open remote speculation dies before the fallback touches data, so
 	// the fallback path never reads dirty speculative state.
@@ -499,7 +493,7 @@ func (w *SharedWorker) stepFallbackOp() error {
 		w.log.rollback()
 		w.Acc = w.accStart
 		w.run.Dom.ReleaseFallback(w.ID)
-		w.emit(Event{Kind: EventFallbackRelease, Fn: w.label})
+		w.run.trace.Emit(Event{Kind: EventFallbackRelease, Fn: w.label})
 		w.state = wsGuardWait
 		return nil
 	}
@@ -516,11 +510,11 @@ func (w *SharedWorker) stepFallbackRelease() {
 	w.run.Dom.ReleaseFallback(w.ID)
 	w.Ctrs.AddCycles(fbReleaseCycles, false)
 	w.log.reset()
-	w.emit(Event{Kind: EventFallbackRelease, Fn: w.label})
+	w.run.trace.Emit(Event{Kind: EventFallbackRelease, Fn: w.label})
 	if w.run.Arch.UsesTransactions() {
 		if w.run.Gov.OnCommit(w.site(), true) {
 			w.Ctrs.SharedRepromotions++
-			w.emit(Event{Kind: EventRepromote, Fn: w.label})
+			w.run.trace.Emit(Event{Kind: EventRepromote, Fn: w.label})
 		}
 	}
 	w.forceFB = false

@@ -8,7 +8,9 @@ import (
 	"nomap/internal/stats"
 )
 
-// EventKind classifies trace events.
+// EventKind classifies trace events. One enum covers the machine's
+// execution events and the serving pool's resilience transitions, so every
+// layer reports through the same Tracer.
 type EventKind uint8
 
 const (
@@ -56,57 +58,102 @@ const (
 	// EventICDemote fires when the governor demotes a megamorphic dispatch
 	// site to the generic runtime path.
 	EventICDemote
+
+	// EventCrash fires when a panic was contained inside a serving isolate.
+	EventCrash
+	// EventQuarantine fires when the crash was charged to its (program,
+	// site) fingerprint in the quarantine ledger.
+	EventQuarantine
+	// EventRetire fires when the fingerprint crossed the retirement budget
+	// and is permanently retired.
+	EventRetire
+	// EventReplace fires when a crashed isolate was discarded and a fresh
+	// replacement installed in the free list.
+	EventReplace
+	// EventRetry fires when a transiently failed request was granted a
+	// fresh-isolate retry after a deterministic backoff window.
+	EventRetry
+	// EventRetryExhausted fires when a request consumed its whole retry
+	// budget.
+	EventRetryExhausted
+	// EventStepDown fires when the degradation ladder dropped the fleet
+	// ceiling one rung.
+	EventStepDown
+	// EventShed / EventShedClear fire when load-shedding begins / ends.
+	EventShed
+	EventShedClear
+	// EventProbe fires when a probationary re-promotion began one rung up.
+	EventProbe
+	// EventProbeFail fires when a fault ended a probation (window doubled).
+	EventProbeFail
+	// EventLadderRepromote fires when a fleet probation survived its window
+	// and the rung is proven (EventRepromote is a shared section's).
+	EventLadderRepromote
+	// EventSnapshotReject fires when a warm-start snapshot failed its
+	// integrity seal and the request was served cold.
+	EventSnapshotReject
+
+	// NumEventKinds sizes per-kind tables; it is not a kind.
+	NumEventKinds
 )
+
+var eventKindNames = [NumEventKinds]string{
+	EventTxBegin:         "tx-begin",
+	EventTxCommit:        "tx-commit",
+	EventTxTileCommit:    "tx-tile-commit",
+	EventTxAbort:         "tx-abort",
+	EventDeopt:           "deopt",
+	EventCompile:         "compile",
+	EventOSREntry:        "osr-entry",
+	EventBackoff:         "contention-backoff",
+	EventFallbackAcquire: "fallback-acquire",
+	EventFallbackRelease: "fallback-release",
+	EventRepromote:       "repromote",
+	EventICMiss:          "ic-miss",
+	EventICFill:          "ic-fill",
+	EventICHit:           "ic-hit",
+	EventICTransition:    "ic-transition",
+	EventICDemote:        "ic-demote",
+	EventCrash:           "crash",
+	EventQuarantine:      "quarantine",
+	EventRetire:          "retire",
+	EventReplace:         "replace",
+	EventRetry:           "retry",
+	EventRetryExhausted:  "retry-exhausted",
+	EventStepDown:        "degrade",
+	EventShed:            "shed",
+	EventShedClear:       "shed-clear",
+	EventProbe:           "probe",
+	EventProbeFail:       "probe-fail",
+	EventLadderRepromote: "repromote",
+	EventSnapshotReject:  "snapshot-reject",
+}
 
 // String names the kind.
 func (k EventKind) String() string {
-	switch k {
-	case EventTxBegin:
-		return "tx-begin"
-	case EventTxCommit:
-		return "tx-commit"
-	case EventTxTileCommit:
-		return "tx-tile-commit"
-	case EventTxAbort:
-		return "tx-abort"
-	case EventDeopt:
-		return "deopt"
-	case EventCompile:
-		return "compile"
-	case EventOSREntry:
-		return "osr-entry"
-	case EventBackoff:
-		return "contention-backoff"
-	case EventFallbackAcquire:
-		return "fallback-acquire"
-	case EventFallbackRelease:
-		return "fallback-release"
-	case EventRepromote:
-		return "repromote"
-	case EventICMiss:
-		return "ic-miss"
-	case EventICFill:
-		return "ic-fill"
-	case EventICHit:
-		return "ic-hit"
-	case EventICTransition:
-		return "ic-transition"
-	case EventICDemote:
-		return "ic-demote"
+	if k < NumEventKinds {
+		return eventKindNames[k]
 	}
 	return "?"
 }
 
-// Event is one trace record. Only the fields relevant to the kind are set.
+// Event is one trace record. Only the fields relevant to the kind are set,
+// and every field is comparable, so an Event can key a map.
 type Event struct {
 	Kind EventKind
-	// Fn is the function involved.
-	Fn string
 	// Cause is the abort cause for EventTxAbort.
 	Cause htm.AbortCause
 	// CheckClass is the failing check's class for aborts and deopts caused
 	// by a check.
 	CheckClass stats.CheckClass
+	// Tier is the tier compiled for EventCompile, the tier an OSR entry
+	// runs, a replaced isolate's tier cap, or the fleet cap after a ladder
+	// move.
+	Tier profile.Tier
+	// Attr is the conflict attribution (shared-heap aborts only).
+	Attr htm.Attribution
+	// Fn is the function involved.
+	Fn string
 	// PC is the Baseline bytecode pc execution transfers to (aborts/deopts).
 	PC int
 	// Inline is the inline path of the deopt's innermost reconstructed frame
@@ -114,18 +161,22 @@ type Event struct {
 	Inline string
 	// WriteBytes is the transactional write footprint (commit/abort/tile).
 	WriteBytes int64
-	// Tier is the tier compiled for EventCompile.
-	Tier profile.Tier
-	// Window is the backoff window in cycles (EventBackoff only).
-	Window int64
-	// Attr is the conflict attribution (shared-heap aborts only).
-	Attr htm.Attribution
+	// N is the kind's count: the backoff window in cycles (EventBackoff,
+	// EventRetry), a dispatch tree's ways (EventICFill) or a fingerprint's
+	// crash charge (EventQuarantine, EventRetire).
+	N int64
 	// Shape names the per-shape dispatch variant (IC events only): the
 	// receiver shape's transition path or the guarded callee's name.
 	Shape string
+	// Program is the interned program's content hash (pool events).
+	Program uint64
+	// Site is the crash fingerprint's site (crash and ledger events).
+	Site string
+	// Attempt is the 1-based serve attempt (crash and retry events).
+	Attempt int
 }
 
-// String renders the event for logs.
+// String renders the event as one stable log and golden-trace line.
 func (e Event) String() string {
 	switch e.Kind {
 	case EventTxBegin:
@@ -149,15 +200,31 @@ func (e Event) String() string {
 	case EventOSREntry:
 		return fmt.Sprintf("[%s] %s header@%d tier=%s", e.Kind, e.Fn, e.PC, e.Tier)
 	case EventBackoff:
-		return fmt.Sprintf("[%s] %s window=%dcy", e.Kind, e.Fn, e.Window)
+		return fmt.Sprintf("[%s] %s window=%dcy", e.Kind, e.Fn, e.N)
 	case EventFallbackAcquire, EventFallbackRelease, EventRepromote:
 		return fmt.Sprintf("[%s] %s", e.Kind, e.Fn)
 	case EventICFill:
-		return fmt.Sprintf("[%s] %s site@%d ways=%d", e.Kind, e.Fn, e.PC, e.Window)
+		return fmt.Sprintf("[%s] %s site@%d ways=%d", e.Kind, e.Fn, e.PC, e.N)
 	case EventICHit, EventICTransition, EventICMiss:
 		return fmt.Sprintf("[%s] %s site@%d shape=%s", e.Kind, e.Fn, e.PC, e.Shape)
 	case EventICDemote:
 		return fmt.Sprintf("[%s] %s site@%d", e.Kind, e.Fn, e.PC)
+	case EventCrash:
+		return fmt.Sprintf("%s prog=%08x site=%s attempt=%d", e.Kind, e.Program, e.Site, e.Attempt)
+	case EventQuarantine, EventRetire:
+		return fmt.Sprintf("%s prog=%08x site=%s crashes=%d", e.Kind, e.Program, e.Site, e.N)
+	case EventReplace:
+		return fmt.Sprintf("%s prog=%08x tier=%v", e.Kind, e.Program, e.Tier)
+	case EventRetry:
+		return fmt.Sprintf("%s prog=%08x attempt=%d backoff=%d", e.Kind, e.Program, e.Attempt, e.N)
+	case EventRetryExhausted:
+		return fmt.Sprintf("%s prog=%08x attempts=%d", e.Kind, e.Program, e.Attempt)
+	case EventStepDown, EventProbe, EventProbeFail, EventLadderRepromote:
+		return fmt.Sprintf("%s cap=%v", e.Kind, e.Tier)
+	case EventShed, EventShedClear:
+		return e.Kind.String()
+	case EventSnapshotReject:
+		return fmt.Sprintf("%s prog=%08x", e.Kind, e.Program)
 	}
 	return "[?]"
 }
@@ -165,15 +232,16 @@ func (e Event) String() string {
 // Tracer receives execution events. It must not call back into the engine.
 type Tracer func(Event)
 
+// Emit sends e to the tracer; a nil Tracer drops it.
+func (t Tracer) Emit(e Event) {
+	if t != nil {
+		t(e)
+	}
+}
+
 // SetTracer installs (or clears, with nil) the event tracer.
 func (m *Machine) SetTracer(t Tracer) { m.trace = t }
 
 // Emit sends an event to the installed tracer. Exposed so the JIT driver
 // can report compile events through the same stream.
-func (m *Machine) Emit(e Event) { m.emit(e) }
-
-func (m *Machine) emit(e Event) {
-	if m.trace != nil {
-		m.trace(e)
-	}
-}
+func (m *Machine) Emit(e Event) { m.trace.Emit(e) }

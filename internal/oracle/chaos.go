@@ -41,18 +41,6 @@ func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{Archs: vm.AllArchs, Seed: 1, Workers: 4}
 }
 
-// ChaosFailure is one violated resilience invariant.
-type ChaosFailure struct {
-	Arch   vm.Arch
-	Phase  string // "serial" | "load" | "converge"
-	Kind   string // "lost-response" | "divergence" | "error-class" | "fault-unfired" | "not-healthy"
-	Detail string
-}
-
-func (f ChaosFailure) String() string {
-	return fmt.Sprintf("[%s] %s: %s: %s", f.Arch, f.Phase, f.Kind, f.Detail)
-}
-
 // ChaosArchReport summarizes one configuration's chaos run.
 type ChaosArchReport struct {
 	Arch      vm.Arch
@@ -65,7 +53,7 @@ type ChaosArchReport struct {
 // ChaosReport is the outcome of a chaos sweep.
 type ChaosReport struct {
 	Archs    []ChaosArchReport
-	Failures []ChaosFailure
+	Failures []Failure
 }
 
 // OK reports a fully clean sweep.
@@ -119,8 +107,8 @@ func ChaosSweep(cfg ChaosConfig) *ChaosReport {
 		ar := ChaosArchReport{Arch: arch}
 		want, err := referenceResults(arch, cfg.Seed)
 		if err != nil {
-			rep.Failures = append(rep.Failures, ChaosFailure{
-				Arch: arch, Phase: "serial", Kind: "divergence",
+			rep.Failures = append(rep.Failures, Failure{
+				Arch: arch, Run: "serial", Kind: "divergence",
 				Detail: fmt.Sprintf("reference run failed: %v", err)})
 			continue
 		}
@@ -149,10 +137,10 @@ func drainCompiles(p *pool.Pool) {
 	}
 }
 
-func chaosSerial(arch vm.Arch, seed int64, async bool, want []string, ar *ChaosArchReport) []ChaosFailure {
-	var fails []ChaosFailure
+func chaosSerial(arch vm.Arch, seed int64, async bool, want []string, ar *ChaosArchReport) []Failure {
+	var fails []Failure
 	fail := func(kind, detail string, args ...any) {
-		fails = append(fails, ChaosFailure{Arch: arch, Phase: "serial", Kind: kind,
+		fails = append(fails, Failure{Arch: arch, Run: "serial", Kind: kind,
 			Detail: fmt.Sprintf(detail, args...)})
 	}
 	vcfg := vm.DefaultConfig()
@@ -235,10 +223,10 @@ func chaosSerial(arch vm.Arch, seed int64, async bool, want []string, ar *ChaosA
 // panics to trip the degradation ladder, asserting only the
 // schedule-independent invariants, then a clean tail that must re-promote
 // the fleet to full health.
-func chaosLoad(arch vm.Arch, seed int64, workers int, async bool, want []string, ar *ChaosArchReport) []ChaosFailure {
-	var fails []ChaosFailure
+func chaosLoad(arch vm.Arch, seed int64, workers int, async bool, want []string, ar *ChaosArchReport) []Failure {
+	var fails []Failure
 	fail := func(phase, kind, detail string, args ...any) {
-		fails = append(fails, ChaosFailure{Arch: arch, Phase: phase, Kind: kind,
+		fails = append(fails, Failure{Arch: arch, Run: phase, Kind: kind,
 			Detail: fmt.Sprintf(detail, args...)})
 	}
 	vcfg := vm.DefaultConfig()

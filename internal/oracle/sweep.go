@@ -44,13 +44,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// Failure is one detected violation: a behavioural divergence from the
-// interpreter reference, a counter-invariant break, an ir.Verify failure, or
-// an injection that did not land.
+// Failure is one detected violation, shared by every sweep: a behavioural
+// divergence from the reference, a counter-invariant break, an ir.Verify
+// failure, an injection that did not land, or a broken resilience
+// invariant of the chaos sweep.
 type Failure struct {
-	Arch   vm.Arch
-	Run    string // which run: "recording", a site description, "capacity@k", "random#i"
-	Kind   string // "divergence" | "counter-invariant" | "ir-verify" | "injection-missed"
+	Arch vm.Arch
+	// Run names the run within its sweep: "recording", a site description,
+	// "capacity@k", "random#i", a schedule, or the chaos sweep's phase
+	// ("serial" | "load" | "converge").
+	Run string
+	// Kind classifies the violation: "divergence" | "counter-invariant" |
+	// "ir-verify" | "injection-missed"; the chaos sweep adds
+	// "lost-response" | "error-class" | "fault-unfired" | "not-healthy".
+	Kind   string
 	Detail string
 }
 

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"nomap/internal/isolate"
+	"nomap/internal/machine"
 	"nomap/internal/profile"
 	"nomap/internal/value"
 )
@@ -161,6 +162,7 @@ func (p *Pool) runCompileJob(job compileJob) {
 			// eagerly install a replacement, and leave the request path
 			// untouched.
 			p.replace(s)
+			p.emit(Event{Kind: machine.EventReplace, Program: job.entry.Hash, Tier: s.maxTier})
 			return
 		}
 		p.put(iso)

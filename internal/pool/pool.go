@@ -37,6 +37,7 @@ import (
 	"nomap/internal/codecache"
 	"nomap/internal/governor"
 	"nomap/internal/isolate"
+	"nomap/internal/machine"
 	"nomap/internal/profile"
 	"nomap/internal/stats"
 	"nomap/internal/value"
@@ -96,10 +97,16 @@ type Config struct {
 	// fault and cost only a nil check).
 	Chaos *chaos.Plan
 	// Tracer, when non-nil, observes every resilience transition. Events
-	// are emitted synchronously from worker goroutines; with one worker the
-	// stream is deterministic (the golden chaos trace relies on this).
-	Tracer func(Event)
+	// are emitted synchronously from worker goroutines (the compile worker
+	// emits a rehearsal crash's EventReplace); with one worker and no
+	// AsyncCompile the stream is deterministic (the golden chaos trace
+	// relies on this).
+	Tracer machine.Tracer
 }
+
+// Event is the engine's one trace event type; the pool emits its
+// resilience kinds (machine.EventCrash through machine.EventSnapshotReject).
+type Event = machine.Event
 
 // Request is one unit of serving work: run an interned program and call its
 // run() entry point Calls times.
@@ -215,13 +222,10 @@ type Pool struct {
 	failed    atomic.Int64
 	failedBy  [numClasses]atomic.Int64
 
-	crashes         atomic.Int64
-	replacements    atomic.Int64
-	retries         atomic.Int64
-	degradeSteps    atomic.Int64
-	repromotions    atomic.Int64
-	sheds           atomic.Int64
-	snapshotRejects atomic.Int64
+	// events counts every emitted event by kind, traced or not: the
+	// resilience fields of Stats read it, so they cannot disagree with
+	// the trace.
+	events [machine.NumEventKinds]atomic.Int64
 
 	coalesceLeads atomic.Int64
 	coalesceWaits atomic.Int64
@@ -278,7 +282,8 @@ type Stats struct {
 	Failed    int64 // responses produced with an error (deadline included)
 	// FailedBy breaks Failed down by taxonomy class (see Classes).
 	FailedBy map[string]int64
-	// Resilience activity.
+	// Resilience activity: each field counts the events of one kind, so
+	// it equals what a Tracer sees.
 	Crashes         int64 // panics contained inside isolates
 	Replacements    int64 // crashed isolates replaced with fresh ones
 	Retries         int64 // fresh-isolate retries granted
@@ -423,13 +428,13 @@ func (p *Pool) Stats() Stats {
 		Completed:        p.completed.Load(),
 		Failed:           p.failed.Load(),
 		FailedBy:         make(map[string]int64, numClasses),
-		Crashes:          p.crashes.Load(),
-		Replacements:     p.replacements.Load(),
-		Retries:          p.retries.Load(),
-		DegradeSteps:     p.degradeSteps.Load(),
-		Repromotions:     p.repromotions.Load(),
-		Sheds:            p.sheds.Load(),
-		SnapshotRejects:  p.snapshotRejects.Load(),
+		Crashes:          p.events[machine.EventCrash].Load(),
+		Replacements:     p.events[machine.EventReplace].Load(),
+		Retries:          p.events[machine.EventRetry].Load(),
+		DegradeSteps:     p.events[machine.EventStepDown].Load(),
+		Repromotions:     p.events[machine.EventLadderRepromote].Load(),
+		Sheds:            p.events[machine.EventShed].Load(),
+		SnapshotRejects:  p.events[machine.EventSnapshotReject].Load(),
 		CoalesceLeads:    p.coalesceLeads.Load(),
 		CoalesceWaits:    p.coalesceWaits.Load(),
 		CompileJobs:      p.compileJobs.Load(),
@@ -506,42 +511,31 @@ func (p *Pool) worker() {
 	}
 }
 
-// trace emits one resilience event to the configured tracer.
-func (p *Pool) trace(e Event) {
-	if p.cfg.Tracer != nil {
-		p.cfg.Tracer(e)
-	}
+// emit counts one resilience event and sends it to the configured tracer.
+func (p *Pool) emit(e Event) {
+	p.events[e.Kind].Add(1)
+	p.cfg.Tracer.Emit(e)
 }
 
-// ladder translates a LadderChange into trace events and stats counters.
+// ladder translates a LadderChange into events. A change carries at most
+// one rung move (Promoted never co-occurs with the other three), plus a
+// shed transition.
 func (p *Pool) ladder(ch governor.LadderChange) {
-	if !ch.Changed() {
-		return
-	}
-	if ch.SteppedDown {
-		p.degradeSteps.Add(1)
-	}
-	if ch.Promoted {
-		p.repromotions.Add(1)
-	}
-	if ch.ShedStarted {
-		p.sheds.Add(1)
-	}
 	switch {
 	case ch.SteppedDown:
-		p.trace(Event{Kind: EventStepDown, Tier: ch.Cap})
+		p.emit(Event{Kind: machine.EventStepDown, Tier: ch.Cap})
 	case ch.ProbeStarted:
-		p.trace(Event{Kind: EventProbe, Tier: ch.Cap})
+		p.emit(Event{Kind: machine.EventProbe, Tier: ch.Cap})
 	case ch.ProbeFailed:
-		p.trace(Event{Kind: EventProbeFail, Tier: ch.Cap})
+		p.emit(Event{Kind: machine.EventProbeFail, Tier: ch.Cap})
 	case ch.Promoted:
-		p.trace(Event{Kind: EventRepromote, Tier: ch.Cap})
+		p.emit(Event{Kind: machine.EventLadderRepromote, Tier: ch.Cap})
 	}
 	if ch.ShedStarted {
-		p.trace(Event{Kind: EventShed})
+		p.emit(Event{Kind: machine.EventShed})
 	}
 	if ch.ShedCleared {
-		p.trace(Event{Kind: EventShedClear})
+		p.emit(Event{Kind: machine.EventShedClear})
 	}
 }
 
@@ -599,9 +593,9 @@ func (p *Pool) put(iso *isolate.Isolate) {
 // replace discards a crashed isolate (its heap may be torn mid-bytecode, so
 // it never rejoins the free list) and eagerly installs a fresh replacement,
 // which warm-starts from the snapshot store on its first serve. The caller
-// emits the EventReplace trace so it lands after the quarantine events.
+// emits EventReplace, which counts the replacement; a serving crash emits it
+// after the quarantine events.
 func (p *Pool) replace(s spec) {
-	p.replacements.Add(1)
 	p.park(s, p.newIsolate(s))
 }
 
@@ -691,18 +685,17 @@ func (p *Pool) serve(req Request) Response {
 			key := governor.CrashKey{Program: entry.Hash, Site: ce.Site}
 			v := p.res.OnCrash(key)
 			ce.Crashes, ce.Retired = v.Crashes, v.Retired
-			p.crashes.Add(1)
 			if v.Retired {
 				p.mu.Lock()
 				p.retiredSites[entry.Hash] = ce.Site
 				p.mu.Unlock()
 			}
-			p.trace(Event{Kind: EventCrash, Program: entry.Hash, Site: ce.Site, Attempt: attempt})
-			p.trace(Event{Kind: EventQuarantine, Program: entry.Hash, Site: ce.Site, N: v.Crashes})
+			p.emit(Event{Kind: machine.EventCrash, Program: entry.Hash, Site: ce.Site, Attempt: attempt})
+			p.emit(Event{Kind: machine.EventQuarantine, Program: entry.Hash, Site: ce.Site, N: v.Crashes})
 			if v.NewlyRetired {
-				p.trace(Event{Kind: EventRetire, Program: entry.Hash, Site: ce.Site, N: v.Crashes})
+				p.emit(Event{Kind: machine.EventRetire, Program: entry.Hash, Site: ce.Site, N: v.Crashes})
 			}
-			p.trace(Event{Kind: EventReplace, Program: entry.Hash, Tier: resp.ServedTier})
+			p.emit(Event{Kind: machine.EventReplace, Program: entry.Hash, Tier: resp.ServedTier})
 			p.ladder(v.Ladder)
 			retryable = !v.Retired
 		case errors.Is(resp.Err, ErrDeadline):
@@ -724,13 +717,12 @@ func (p *Pool) serve(req Request) Response {
 		}
 		if !p.res.RetryAllowed(attempt) {
 			p.ladder(p.res.OnFault())
-			p.trace(Event{Kind: EventRetryExhausted, Program: entry.Hash, Attempt: attempt})
+			p.emit(Event{Kind: machine.EventRetryExhausted, Program: entry.Hash, Attempt: attempt})
 			resp.Err = fmt.Errorf("%w (%d attempts): %w", ErrRetryBudget, attempt, resp.Err)
 			return resp
 		}
 		window := p.res.Backoff(req.Source, attempt)
-		p.retries.Add(1)
-		p.trace(Event{Kind: EventRetry, Program: entry.Hash, Attempt: attempt, N: window})
+		p.emit(Event{Kind: machine.EventRetry, Program: entry.Hash, Attempt: attempt, N: window})
 		attempt++
 	}
 }
@@ -848,8 +840,7 @@ func (p *Pool) serveOnce(req *Request, entry *codecache.ProgramEntry, deadline t
 		} else if errors.Is(err, isolate.ErrSnapshotCorrupt) {
 			// A damaged warm start degrades to a cold one: the request
 			// still serves byte-identical results.
-			p.snapshotRejects.Add(1)
-			p.trace(Event{Kind: EventSnapshotReject, Program: entry.Hash})
+			p.emit(Event{Kind: machine.EventSnapshotReject, Program: entry.Hash})
 		}
 	}
 

@@ -3,12 +3,14 @@ package pool
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"nomap/internal/chaos"
 	"nomap/internal/governor"
+	"nomap/internal/machine"
 	"nomap/internal/profile"
 	"nomap/internal/vm"
 )
@@ -481,5 +483,91 @@ func TestDeadlineAtTierBoundary(t *testing.T) {
 	}
 	if st := p.Stats(); st.FailedBy[ClassDeadline] != 1 {
 		t.Errorf("breakdown: %v", st.FailedBy)
+	}
+}
+
+// TestStatsCountEvents: the resilience counters of Stats are counts of the
+// pool's events. A run that crashes, replaces, retries, sinks the ladder to
+// interp-only, sheds, climbs back and rejects a corrupt snapshot reports
+// each counter equal to the number of events of its kind, and an untraced
+// twin of the run reports identical Stats.
+func TestStatsCountEvents(t *testing.T) {
+	run := func(tracer machine.Tracer) Stats {
+		plan := chaos.NewPlan(1,
+			chaos.At(chaos.KindSnapshotCorrupt, 1), // the first warm start
+			// The first two attempts serve big; the next three are one
+			// request's attempt and both retries, each stepping the ladder
+			// down a rung; the exhausted budget's fault at interp-only sheds.
+			chaos.At(chaos.KindPanic, 3),
+			chaos.At(chaos.KindPanic, 4),
+			chaos.At(chaos.KindPanic, 5),
+		)
+		p := newTestPool(t, Config{
+			Workers: 1,
+			Chaos:   plan,
+			Resilience: governor.ResiliencePolicy{
+				TripThreshold:      1,
+				RetireAfterCrashes: 100,
+				RepromoteWindow:    2,
+				ProbeEvery:         2,
+				Seed:               1,
+			},
+			Tracer: tracer,
+		})
+		// big saves a snapshot, then draws the corrupt copy of it.
+		big := Request{Source: loopProgram, Calls: 12, Arg: 3}
+		for i := 0; i < 2; i++ {
+			if r := p.Do(big); r.Err != nil {
+				t.Fatalf("snapshot serve %d: %v", i, r.Err)
+			}
+		}
+		req := Request{Source: loopProgram, Calls: 2, Arg: 1}
+		if r := p.Do(req); !errors.Is(r.Err, ErrRetryBudget) || r.Attempts != 3 {
+			t.Fatalf("crash storm: err=%v attempts=%d, want retry budget exhausted on attempt 3", r.Err, r.Attempts)
+		}
+		if !p.Resilience().Shedding() {
+			t.Fatal("ladder at interp-only did not shed")
+		}
+		if r := p.Do(req); !errors.Is(r.Err, ErrDegraded) {
+			t.Fatalf("shed request: err=%v, want ErrDegraded", r.Err)
+		}
+		// The probe clears shedding; twelve clean completions climb
+		// interp → Baseline → DFG → FTL, a probe and a repromote per rung.
+		for i := 0; i < 13; i++ {
+			if r := p.Do(req); r.Err != nil {
+				t.Fatalf("recovery request %d: %v", i, r.Err)
+			}
+		}
+		if !plan.Exhausted() {
+			t.Fatalf("plan %v did not fire every scheduled fault", plan)
+		}
+		st := p.Stats()
+		if st.Health.Degraded() {
+			t.Fatalf("fleet did not recover: %+v", st.Health)
+		}
+		st.P99Latency = 0 // wall-clock
+		return st
+	}
+
+	var seen [machine.NumEventKinds]int64
+	traced := run(func(e Event) { seen[e.Kind]++ })
+	for _, c := range []struct {
+		kind machine.EventKind
+		got  int64
+	}{
+		{machine.EventCrash, traced.Crashes},
+		{machine.EventReplace, traced.Replacements},
+		{machine.EventRetry, traced.Retries},
+		{machine.EventStepDown, traced.DegradeSteps},
+		{machine.EventLadderRepromote, traced.Repromotions},
+		{machine.EventShed, traced.Sheds},
+		{machine.EventSnapshotReject, traced.SnapshotRejects},
+	} {
+		if c.got == 0 || c.got != seen[c.kind] {
+			t.Errorf("%s: Stats counts %d, trace holds %d (want equal and non-zero)", c.kind, c.got, seen[c.kind])
+		}
+	}
+	if untraced := run(nil); !reflect.DeepEqual(untraced, traced) {
+		t.Errorf("untraced twin's Stats differ:\n  traced   %+v\n  untraced %+v", traced, untraced)
 	}
 }

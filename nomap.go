@@ -155,13 +155,7 @@ type TraceEvent = machine.Event
 // SetTracer installs a callback receiving execution events (nil clears it).
 // Useful for understanding when the engine forms, commits, and aborts
 // transactions, and when functions move between tiers.
-func (e *Engine) SetTracer(t func(TraceEvent)) {
-	if t == nil {
-		e.jit.Machine().SetTracer(nil)
-		return
-	}
-	e.jit.Machine().SetTracer(machine.Tracer(t))
-}
+func (e *Engine) SetTracer(t func(TraceEvent)) { e.jit.Machine().SetTracer(t) }
 
 // ResetStats zeroes the counters (call between warm-up and measurement).
 func (e *Engine) ResetStats() { e.vm.ResetCounters() }
