@@ -124,7 +124,7 @@ func FuzzBox(f *testing.F) {
 
 		// Objects round-trip to the same referent through the handle slab.
 		shapes := value.NewShapeTable()
-		o := value.NewObject(shapes)
+		o := value.NewObject(shapes, 0)
 		bo := h.Box(value.Obj(o))
 		if !bo.IsObject() {
 			t.Fatal("object box lost its tag")

@@ -65,7 +65,7 @@ const (
 	OpNew        // A=dst, B=callee reg
 
 	// Object model.
-	OpNewObject // A=dst
+	OpNewObject // A=dst, B=literal key count (immediate, sizes the slots)
 	OpNewArray  // A=dst, B=initial length (immediate)
 	OpGetProp   // A=dst, B=obj, C=name index, D=IC slot
 	OpSetProp   // A=obj, B=name index, C=src, D=IC slot

@@ -568,7 +568,7 @@ func (c *compiler) expr(e ast.Expr, dst int) error {
 		}
 		return nil
 	case *ast.ObjectLit:
-		c.emit(Instr{Op: OpNewObject, A: int32(dst)})
+		c.emit(Instr{Op: OpNewObject, A: int32(dst), B: int32(len(n.Keys))})
 		for i, k := range n.Keys {
 			m := c.mark()
 			t, err := c.exprToTemp(n.Values[i])

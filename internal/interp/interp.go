@@ -407,7 +407,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			regs[in.A] = hd.Box(res)
 
 		case bytecode.OpNewObject:
-			regs[in.A] = hd.BoxObject(value.NewObject(h.Shapes()))
+			regs[in.A] = hd.BoxObject(value.NewObject(h.Shapes(), int(in.B)))
 			instrs += costAlloc
 		case bytecode.OpNewArray:
 			regs[in.A] = hd.BoxObject(value.NewArray(h.Shapes(), int(in.B)))

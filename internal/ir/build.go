@@ -547,7 +547,7 @@ func (b *builder) instr(in bytecode.Instr) error {
 		b.writeVar(b.cur, int(in.A), b.runtimeCall("construct", 0, TypeGeneric, append([]*Value{callee}, args...)...))
 
 	case bytecode.OpNewObject:
-		b.writeVar(b.cur, int(in.A), b.runtimeCall("newobject", 0, TypeObject))
+		b.writeVar(b.cur, int(in.A), b.runtimeCall("newobject", int64(in.B), TypeObject))
 	case bytecode.OpNewArray:
 		b.writeVar(b.cur, int(in.A), b.runtimeCall("newarray", int64(in.B), TypeObject))
 

@@ -31,7 +31,7 @@ type stubHost struct {
 func newStubHost() *stubHost {
 	t := value.NewShapeTable()
 	h := &stubHost{shapes: t, handles: value.NewHandles()}
-	h.globals = value.NewObject(t)
+	h.globals = value.NewObject(t, 0)
 	return h
 }
 
@@ -58,7 +58,7 @@ func (h *stubHost) Call(fn *value.Function, this value.Value, args []value.Value
 	return value.Undefined(), fmt.Errorf("stub host cannot run user code")
 }
 func (h *stubHost) Construct(fn *value.Function, args []value.Value) (value.Value, error) {
-	return value.Obj(value.NewObject(h.shapes)), nil
+	return value.Obj(value.NewObject(h.shapes, 0)), nil
 }
 func (h *stubHost) InvokeMethod(recv value.Value, name string, args []value.Value) (value.Value, error) {
 	return value.Undefined(), fmt.Errorf("stub host has no methods")
@@ -288,7 +288,7 @@ func TestNativeCallThroughMachine(t *testing.T) {
 func TestResetStateDropsOpenTransaction(t *testing.T) {
 	h := newStubHost()
 	m := New(h, htm.ROTConfig())
-	o := value.NewObject(h.shapes)
+	o := value.NewObject(h.shapes, 0)
 	o.Set("x", value.Int(1))
 	m.HTM.Begin(nil, nil)
 	m.installHook()

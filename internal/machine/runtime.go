@@ -89,7 +89,7 @@ func (m *Machine) runtimeCall(fb *frameBuf, f *ir.Func, v *ir.Value, vals []valu
 
 	case "newobject":
 		charge(28)
-		return value.Obj(value.NewObject(m.host.Shapes())), nil
+		return value.Obj(value.NewObject(m.host.Shapes(), int(v.AuxInt))), nil
 	case "newarray":
 		charge(28)
 		return value.Obj(value.NewArray(m.host.Shapes(), int(v.AuxInt))), nil

@@ -125,9 +125,9 @@ func TestCallFeedback(t *testing.T) {
 
 func TestMethodFeedbackShapes(t *testing.T) {
 	table := value.NewShapeTable()
-	o1 := value.NewObject(table)
+	o1 := value.NewObject(table, 0)
 	o1.Set("m", value.Int(1))
-	o2 := value.NewObject(table)
+	o2 := value.NewObject(table, 0)
 	o2.Set("z", value.Int(1))
 	fn := &value.Function{Name: "m"}
 	var f CallFeedback

@@ -47,7 +47,7 @@ func TestToBoolean(t *testing.T) {
 		{Double(0.25), true},
 		{Str(""), false},
 		{Str("x"), true},
-		{Obj(NewObject(table)), true},
+		{Obj(NewObject(table, 0)), true},
 	}
 	for _, c := range cases {
 		if got := c.v.ToBoolean(); got != c.want {
@@ -227,7 +227,7 @@ func TestTypeOf(t *testing.T) {
 		{Int(1), "number"},
 		{Double(1.5), "number"},
 		{Str("s"), "string"},
-		{Obj(NewObject(table)), "object"},
+		{Obj(NewObject(table, 0)), "object"},
 		{Obj(fn), "function"},
 	}
 	for _, c := range cases {

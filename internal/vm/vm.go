@@ -152,7 +152,7 @@ func (vm *VM) Reset() {
 	vm.natives = nil
 	vm.nativeIDs = make(map[*value.Function]int)
 	vm.closures = make(map[*bytecode.Function]*value.Function)
-	vm.globals = value.NewObject(vm.shapes)
+	vm.globals = value.NewObject(vm.shapes, 0)
 	vm.installBuiltins()
 }
 
@@ -424,7 +424,7 @@ func (vm *VM) Construct(fn *value.Function, args []value.Value) (value.Value, er
 		// Builtin constructors (Array, Object) construct directly.
 		return fn.Native(value.Undefined(), args)
 	}
-	obj := value.Obj(value.NewObject(vm.shapes))
+	obj := value.Obj(value.NewObject(vm.shapes, 0))
 	res, err := vm.Call(fn, obj, args)
 	if err != nil {
 		return value.Undefined(), err
