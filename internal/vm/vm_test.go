@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -485,6 +486,19 @@ func TestArrayMethodErrors(t *testing.T) {
 		vm := New(DefaultConfig())
 		if _, err := vm.Run(src); err == nil {
 			t.Errorf("%q: expected error", src)
+		}
+	}
+}
+
+// Array(n) allocates its holes at once, so it takes a valid length only up
+// to maxArrayLength; above that, as for an invalid length, it raises.
+func TestArrayLengthCap(t *testing.T) {
+	runExpect(t, fmt.Sprintf(`var result = new Array(%d).length;`, maxArrayLength), maxArrayLength)
+	for _, n := range []float64{maxArrayLength + 1, 4294967295} {
+		vm := New(DefaultConfig())
+		_, err := vm.Run(fmt.Sprintf(`new Array(%v);`, n))
+		if err == nil || !strings.Contains(err.Error(), "RangeError: Invalid array length") {
+			t.Errorf("new Array(%v): error %v, want RangeError: Invalid array length", n, err)
 		}
 	}
 }
