@@ -140,11 +140,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			src += "\nvar result = run();\n"
 		}
 		res, err := v.Run(src)
-		if err != nil {
-			return fail(1, "%v", err)
-		}
+		// What the program printed before an error is part of its output.
 		for _, line := range v.Output {
 			fmt.Fprintln(stdout, line)
+		}
+		if err != nil {
+			return fail(1, "%v", err)
 		}
 		if !res.IsUndefined() {
 			fmt.Fprintf(stdout, "result = %s\n", res.ToStringValue())

@@ -129,3 +129,20 @@ func TestUsageErrorsExit2(t *testing.T) {
 		t.Errorf("unknown arch does not list the valid ones: %q", errOut)
 	}
 }
+
+// A program that prints and then fails shows its output before the error,
+// and still exits 1.
+func TestOutputBeforeError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fail.js")
+	if err := os.WriteFile(path, []byte("print(1);\nvar a = null;\nvar b = a.x;\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := runCLI(t, path)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", code, errOut)
+	}
+	if out != "1\n" {
+		t.Errorf("stdout %q, want the printed line %q", out, "1\n")
+	}
+	mustContain(t, errOut, "runtime error in", "(line 3)")
+}

@@ -202,6 +202,17 @@ func (e *RuntimeError) Error() string {
 	return fmt.Sprintf("runtime error in %s (line %d): %s", e.Fn, e.Line, e.Msg)
 }
 
+// NativeError is an error a builtin raised itself, as opposed to one passing
+// through it from a callback it invoked. It carries no position: the call
+// site that invoked the builtin, in whichever tier, attributes it to its own
+// function and line, as it does its own RuntimeErrors.
+type NativeError struct{ Err error }
+
+func (e *NativeError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the builtin's error.
+func (e *NativeError) Unwrap() error { return e.Err }
+
 // Errorf returns the RuntimeError raised by f's instruction at pc.
 func (f *Function) Errorf(pc int, format string, args ...any) *RuntimeError {
 	e := &RuntimeError{Fn: f.Name, Msg: fmt.Sprintf(format, args...)}

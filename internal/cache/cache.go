@@ -21,10 +21,14 @@ func L1DConfig() Config { return Config{SizeBytes: 32 << 10, Ways: 8, LineSize: 
 // L2Config is the evaluation machine's 256KB 8-way L2 cache.
 func L2Config() Config { return Config{SizeBytes: 256 << 10, Ways: 8, LineSize: 64} }
 
-// Cache is one set-associative level with LRU replacement.
+// Cache is one set-associative level with LRU replacement. Its tags live in
+// one sets×ways array — set i owns tags[i*ways:(i+1)*ways], its first fill[i]
+// entries valid, most-recently-used first — so Reset empties it in place.
 type Cache struct {
 	cfg   Config
-	sets  [][]uint64 // per set: line tags, most-recently-used first
+	ways  int
+	tags  []uint64
+	fill  []uint8
 	shift uint
 	mask  uint64
 
@@ -32,10 +36,10 @@ type Cache struct {
 	Misses int64
 }
 
-// New creates a cache.
+// New creates a cache. A set's fill count is a byte: at most 255 ways.
 func New(cfg Config) *Cache {
 	n := cfg.Sets()
-	c := &Cache{cfg: cfg, sets: make([][]uint64, n), mask: uint64(n - 1)}
+	c := &Cache{cfg: cfg, ways: cfg.Ways, tags: make([]uint64, n*cfg.Ways), fill: make([]uint8, n), mask: uint64(n - 1)}
 	sh := uint(0)
 	for l := cfg.LineSize; l > 1; l >>= 1 {
 		sh++
@@ -57,7 +61,10 @@ func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.shift }
 // evicting LRU.
 func (c *Cache) Access(addr uint64) bool {
 	line := c.LineOf(addr)
-	set := c.sets[c.setIndex(line)]
+	si := c.setIndex(line)
+	base := int(si) * c.ways
+	n := int(c.fill[si])
+	set := c.tags[base : base+n]
 	for i, tag := range set {
 		if tag == line {
 			// Move to front (LRU).
@@ -68,20 +75,19 @@ func (c *Cache) Access(addr uint64) bool {
 		}
 	}
 	c.Misses++
-	if len(set) < c.cfg.Ways {
-		set = append(set, 0)
+	if n < c.ways {
+		n++
+		c.fill[si] = uint8(n)
+		set = c.tags[base : base+n]
 	}
 	copy(set[1:], set)
 	set[0] = line
-	c.sets[c.setIndex(line)] = set
 	return false
 }
 
-// Reset clears contents and statistics.
+// Reset clears contents and statistics in place.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
+	clear(c.fill)
 	c.Hits, c.Misses = 0, 0
 }
 

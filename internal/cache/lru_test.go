@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // one-set geometry: every line maps to set 0, so eviction order is the pure
 // LRU order with no set-index interference.
@@ -110,5 +113,38 @@ func TestReuseAfterReset(t *testing.T) {
 	if gotPattern != wantPattern || gotHits != wantHits || gotMisses != wantMisses {
 		t.Fatalf("reset cache diverges from fresh: %s (%d/%d) vs %s (%d/%d)",
 			gotPattern, gotHits, gotMisses, wantPattern, wantHits, wantMisses)
+	}
+}
+
+// TestHierarchyResetMatchesFresh: a Hierarchy emptied in place by Reset,
+// after random traffic that fills and evicts both levels, gives the same
+// latency for every access of a random stream as a freshly built one.
+func TestHierarchyResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	// Addresses in a window four times the L2, clustered so both hits and
+	// evictions occur at every level.
+	addr := func() uint64 {
+		if rng.Intn(4) == 0 {
+			return uint64(rng.Intn(1 << 20))
+		}
+		return uint64(rng.Intn(16 << 10))
+	}
+	used := NewHierarchy()
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 20000; i++ {
+			used.Access(addr())
+		}
+		used.Reset()
+		fresh := NewHierarchy()
+		for i := 0; i < 20000; i++ {
+			a := addr()
+			if got, want := used.Access(a), fresh.Access(a); got != want {
+				t.Fatalf("round %d access %d (%#x): reset hierarchy %d cycles, fresh %d", round, i, a, got, want)
+			}
+		}
+		if used.L1.Hits != fresh.L1.Hits || used.L2.Misses != fresh.L2.Misses {
+			t.Fatalf("round %d: counters diverge: L1 hits %d/%d, L2 misses %d/%d",
+				round, used.L1.Hits, fresh.L1.Hits, used.L2.Misses, fresh.L2.Misses)
+		}
 	}
 }

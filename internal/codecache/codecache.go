@@ -12,7 +12,8 @@
 // every isolate-bound reference portably — shapes as transition paths from
 // the root (replayable against any shape table), callees as either a
 // builtin's creation-order identity or shared program bytecode. Binding an
-// artifact into an isolate clones the graph and rewrites those references;
+// artifact into an isolate lowers the shared graph into the isolate's own
+// flat machine program with those references resolved;
 // a function whose references cannot be described portably is marked
 // uncacheable and every isolate compiles it locally, degrading exactly to
 // cold-start behaviour.
@@ -37,6 +38,7 @@ import (
 	"nomap/internal/bytecode"
 	"nomap/internal/core"
 	"nomap/internal/ir"
+	"nomap/internal/machine"
 	"nomap/internal/parser"
 	"nomap/internal/profile"
 	"nomap/internal/stats"
@@ -367,13 +369,13 @@ const (
 // waits on another isolate's fill. ctrs, when non-nil, receives per-isolate
 // hit attribution (misses are not charged — the eventual background fill
 // charges its own isolate).
-func (c *Cache) Lookup(key Key, realm Realm, ctrs *stats.Counters) (*ir.Func, LookupStatus) {
+func (c *Cache) Lookup(key Key, realm Realm, ctrs *stats.Counters) (machine.Program, LookupStatus) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
 		if e.uncacheable {
 			s.mu.Unlock()
-			return nil, LookupUncacheable
+			return machine.Program{}, LookupUncacheable
 		}
 		s.lru.MoveToFront(e.elem)
 		art := e.art
@@ -387,23 +389,31 @@ func (c *Cache) Lookup(key Key, realm Realm, ctrs *stats.Counters) (*ir.Func, Lo
 			}
 			return bound, LookupHit
 		}
-		return nil, LookupBindFail
+		return machine.Program{}, LookupBindFail
 	}
 	_, inflight := s.inflight[key]
 	s.mu.Unlock()
 	if inflight {
-		return nil, LookupInflight
+		return machine.Program{}, LookupInflight
 	}
-	return nil, LookupMiss
+	return machine.Program{}, LookupMiss
 }
 
-// Compile returns code for key bound to realm, compiling via fill at most
+// Compile returns code for key lowered for realm, compiling via fill at most
 // once per key across all isolates (uncacheable functions excepted). The
 // returned bool reports whether this caller executed fill — the signal the
 // JIT uses to charge a compilation to its isolate. ctrs, when non-nil,
 // receives the per-isolate hit/miss attribution.
-func (c *Cache) Compile(key Key, realm Realm, ctrs *stats.Counters, fill func() (*ir.Func, error)) (*ir.Func, bool, error) {
+func (c *Cache) Compile(key Key, realm Realm, ctrs *stats.Counters, fill func() (*ir.Func, error)) (machine.Program, bool, error) {
 	fill = c.wrapFill(fill)
+	// A local compile runs in realm, so its program needs no relocation.
+	local := func() (machine.Program, bool, error) {
+		f, err := fill()
+		if err != nil {
+			return machine.Program{}, false, err
+		}
+		return machine.Lower(f, key.Tier), true, nil
+	}
 	s := c.shardFor(key)
 	for {
 		s.mu.Lock()
@@ -415,8 +425,7 @@ func (c *Cache) Compile(key Key, realm Realm, ctrs *stats.Counters, fill func() 
 				if ctrs != nil {
 					ctrs.CodeCacheMisses++
 				}
-				f, err := fill()
-				return f, err == nil, err
+				return local()
 			}
 			s.lru.MoveToFront(e.elem)
 			art := e.art
@@ -439,8 +448,7 @@ func (c *Cache) Compile(key Key, realm Realm, ctrs *stats.Counters, fill func() 
 			if ctrs != nil {
 				ctrs.CodeCacheMisses++
 			}
-			f, err := fill()
-			return f, err == nil, err
+			return local()
 		}
 		if fl, ok := s.inflight[key]; ok {
 			s.stats.Waits++
@@ -459,11 +467,11 @@ func (c *Cache) Compile(key Key, realm Realm, ctrs *stats.Counters, fill func() 
 		if err != nil {
 			s.mu.Unlock()
 			close(fl.done)
-			return nil, true, err
+			return machine.Program{}, true, err
 		}
 		e := &entry{key: key}
 		if man, ok := Extract(f, realm); ok {
-			e.art = &Artifact{donor: f, man: man}
+			e.art = &Artifact{donor: f, tier: key.Tier, man: man}
 		} else {
 			e.uncacheable = true
 		}
@@ -486,7 +494,7 @@ func (c *Cache) Compile(key Key, realm Realm, ctrs *stats.Counters, fill func() 
 			ctrs.CodeCacheMisses++
 			ctrs.CodeCacheEvictions += evicted
 		}
-		return f, true, nil
+		return machine.Lower(f, key.Tier), true, nil
 	}
 }
 

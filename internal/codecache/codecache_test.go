@@ -131,7 +131,7 @@ func TestSingleFlight(t *testing.T) {
 				errs <- err
 				return
 			}
-			if f == nil {
+			if f.Func() == nil {
 				t.Error("nil code from Compile")
 			}
 		}()
@@ -167,7 +167,7 @@ func TestFailedFillRetries(t *testing.T) {
 		t.Fatalf("error not propagated: %v", err)
 	}
 	f, compiled, err := c.Compile(key, realm, nil, trivialFill)
-	if err != nil || f == nil || !compiled {
+	if err != nil || f.Func() == nil || !compiled {
 		t.Fatalf("retry after failed fill: f=%v compiled=%v err=%v", f, compiled, err)
 	}
 }
@@ -249,7 +249,7 @@ func TestUncacheable(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		f, compiled, err := c.Compile(key, realm, nil, counted)
-		if err != nil || f == nil || !compiled {
+		if err != nil || f.Func() == nil || !compiled {
 			t.Fatalf("request %d: f=%v compiled=%v err=%v", i, f, compiled, err)
 		}
 	}
@@ -374,7 +374,7 @@ func TestFaultProbeFailsFill(t *testing.T) {
 	}
 	// The fault was transient: the same key compiles on retry.
 	f, compiled, err := c.Compile(key, realm, nil, counted)
-	if err != nil || f == nil || !compiled || fills != 1 {
+	if err != nil || f.Func() == nil || !compiled || fills != 1 {
 		t.Fatalf("retry after injected fault: f=%v compiled=%v fills=%d err=%v", f, compiled, fills, err)
 	}
 	c.SetFaultProbe(nil)
@@ -383,5 +383,52 @@ func TestFaultProbeFailsFill(t *testing.T) {
 	}
 	if plan.Fired(chaos.KindCompileFail) != 1 {
 		t.Errorf("fired %d faults, want 1", plan.Fired(chaos.KindCompileFail))
+	}
+}
+
+// Binding lowers the shared donor straight into the binding isolate's
+// program: a fixed number of allocations per artifact — the lowering's —
+// with no copy of the graph and no relocation tables, and the donor left as
+// it was.
+func TestBindAllocations(t *testing.T) {
+	progs := codecache.NewPrograms()
+	entry, err := progs.Load(relocProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := vm.DefaultConfig()
+	cfg.Arch = vm.ArchNoMap
+	donor, recipient := isolate.New(cfg), isolate.New(cfg)
+	for _, iso := range []*isolate.Isolate{donor, recipient} {
+		if err := iso.Load(entry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := donor.VM().CallGlobal("run", value.Int(32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	relocated := 0
+	for _, f := range donor.Backend().CompiledFunctions() {
+		man, ok := codecache.Extract(f, donor.VM())
+		if !ok {
+			t.Fatalf("%s: uncacheable", f.Name)
+		}
+		relocated += len(man.Shapes) + len(man.Callees) + len(man.Inlines)
+		before := f.String()
+		art := codecache.NewArtifact(f, profile.TierFTL, man)
+		if _, ok := art.Bind(recipient.VM()); !ok {
+			t.Fatalf("%s: bind failed", f.Name)
+		}
+		if n := testing.AllocsPerRun(20, func() { art.Bind(recipient.VM()) }); n > 3 {
+			t.Errorf("%s: Bind costs %v allocations, want at most 3", f.Name, n)
+		}
+		if f.String() != before {
+			t.Errorf("%s: binding changed the shared donor", f.Name)
+		}
+	}
+	if relocated == 0 {
+		t.Fatal("no artifact carries a reference to relocate; the test would not bite")
 	}
 }

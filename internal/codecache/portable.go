@@ -3,6 +3,8 @@ package codecache
 import (
 	"nomap/internal/bytecode"
 	"nomap/internal/ir"
+	"nomap/internal/machine"
+	"nomap/internal/profile"
 	"nomap/internal/value"
 )
 
@@ -40,11 +42,12 @@ type Manifest struct {
 	Inlines []CalleeRef
 }
 
-// Artifact is one cached compilation: the immutable donor graph plus its
-// relocation manifest. Neither is ever mutated after construction; binding
-// always clones.
+// Artifact is one cached compilation: the immutable donor graph, the tier it
+// was compiled at, and its relocation manifest. None is ever mutated after
+// construction; binding lowers the donor afresh for each isolate.
 type Artifact struct {
 	donor *ir.Func
+	tier  profile.Tier
 	man   *Manifest
 }
 
@@ -94,9 +97,10 @@ func shapePath(s *value.Shape, realm Realm) ([]string, bool) {
 
 // Extract builds the relocation manifest for a freshly compiled donor graph,
 // or reports that the function is uncacheable (some embedded reference has
-// no portable name). It visits the same closure Clone copies — block values
-// plus everything reachable through args, controls, and stack maps (orphans
-// included) — so Bind never meets a reference the manifest is silent about.
+// no portable name). It visits block values plus everything reachable
+// through args, controls, and stack maps (orphans included) — a superset of
+// the values a lowered program executes — so Bind never meets a reference
+// the manifest is silent about.
 // A false return is always safe: the caller simply keeps per-isolate
 // compilation for that key.
 func Extract(f *ir.Func, realm Realm) (*Manifest, bool) {
@@ -176,52 +180,30 @@ func Extract(f *ir.Func, realm Realm) (*Manifest, bool) {
 	return man, true
 }
 
-// Bind clones the artifact into realm, rewriting every manifest reference to
-// the analogous object there. It fails (false) only when the target isolate
-// lacks a referenced function — e.g. the program's setup has not run — in
-// which case the caller compiles locally. Shapes always resolve: Replay
-// creates missing transition-tree nodes, and a shape that the isolate's
-// objects never reach simply means the guard deopts, which is the same
-// outcome a locally compiled stale guard would have.
-func (a *Artifact) Bind(realm Realm) (*ir.Func, bool) {
-	callees := make(map[int]*value.Function, len(a.man.Callees))
-	for id, ref := range a.man.Callees {
-		fn := resolveCallee(ref, realm)
-		if fn == nil {
-			return nil, false
-		}
-		callees[id] = fn
-	}
-	shapes := make(map[int]*value.Shape, len(a.man.Shapes))
-	for id, path := range a.man.Shapes {
-		shapes[id] = realm.Shapes().Replay(path)
-	}
-	nf, vmap := a.donor.Clone()
-	for _, nv := range vmap {
-		if nv.Shape != nil {
-			s, ok := shapes[nv.ID]
-			if !ok {
-				// Extract visits the same closure Clone copies, so every
-				// shape-bearing value is in the manifest; a miss means the
-				// artifact predates a traversal change — refuse to bind.
-				return nil, false
+// Bind lowers the artifact for realm: the shared donor graph, never
+// modified, becomes the isolate's own flat program, with every manifest
+// reference — shapes, callees and inline-frame callees — resolved straight
+// into it. It fails (false) only when the target isolate lacks a referenced
+// function — e.g. the program's setup has not run — in which case the caller
+// compiles locally. Shapes always resolve: Replay creates missing
+// transition-tree nodes, and a shape that the isolate's objects never reach
+// simply means the guard deopts, which is the same outcome a locally
+// compiled stale guard would have.
+func (a *Artifact) Bind(realm Realm) (machine.Program, bool) {
+	// Extract visits every value the program executes, so each reference
+	// the lowering carries has a manifest entry; a miss (nil) means the
+	// artifact predates a traversal change, and the bind is refused.
+	shapes := realm.Shapes()
+	p := machine.Lower(a.donor, a.tier)
+	ok := p.Relocate(
+		func(id int) *value.Shape {
+			if path, ok := a.man.Shapes[id]; ok {
+				return shapes.Replay(path)
 			}
-			nv.Shape = s
-		}
-		if nv.Callee != nil {
-			fn, ok := callees[nv.ID]
-			if !ok {
-				return nil, false
-			}
-			nv.Callee = fn
-		}
-	}
-	for i, ref := range a.man.Inlines {
-		fn := resolveCallee(ref, realm)
-		if fn == nil {
-			return nil, false
-		}
-		nf.Inlines[i].Callee = fn
-	}
-	return nf, true
+			return nil
+		},
+		func(id int) *value.Function { return resolveCallee(a.man.Callees[id], realm) },
+		func(i int) *value.Function { return resolveCallee(a.man.Inlines[i], realm) },
+	)
+	return p, ok
 }

@@ -254,8 +254,10 @@ func (s *System) CountInto(c *stats.Counters) { s.ctrs = c }
 // instrumentation is the caller's to manage.
 func (s *System) Reset() { s.retire() }
 
-// Config returns the configuration.
-func (s *System) Config() Config { return s.cfg }
+// Config returns the system's configuration in place: the simulator reads
+// its geometry on every in-transaction load, so it gets the one copy the
+// system holds rather than its own. Callers must not modify it.
+func (s *System) Config() *Config { return &s.cfg }
 
 // SetCapacityProbe installs (or clears, with nil) the capacity fault probe.
 func (s *System) SetCapacityProbe(p CapacityProbe) { s.probe = p }

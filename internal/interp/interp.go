@@ -116,6 +116,15 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 	errf := func(format string, args ...any) error {
 		return fn.Errorf(fr.PC, format, args...)
 	}
+	// callErr attributes a builtin's own error to the call at fr.PC; any
+	// other error from a call — a callee's RuntimeError, an interrupt, a
+	// transaction abort — passes through unchanged.
+	callErr := func(err error) error {
+		if ne, ok := err.(*bytecode.NativeError); ok {
+			return errf("%v", ne.Err)
+		}
+		return err
+	}
 
 	for {
 		in := code[fr.PC]
@@ -364,7 +373,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			flush()
 			res, err := h.Call(cf, value.Undefined(), unboxArgs(h, hd, regs[in.C:in.C+in.D]))
 			if err != nil {
-				return value.Undefined(), err
+				return value.Undefined(), callErr(err)
 			}
 			inTx = h.InTransaction()
 			regs[in.A] = hd.Box(res)
@@ -387,7 +396,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			flush()
 			res, err := h.InvokeMethod(recv, fn.Names[in.E], unboxArgs(h, hd, regs[in.C:in.C+in.D]))
 			if err != nil {
-				return value.Undefined(), err
+				return value.Undefined(), callErr(err)
 			}
 			inTx = h.InTransaction()
 			regs[in.A] = hd.Box(res)
@@ -401,7 +410,7 @@ func Exec(h Host, fr *frame.Frame, tier profile.Tier) (value.Value, error) {
 			flush()
 			res, err := h.Construct(cf, unboxArgs(h, hd, regs[in.C:in.C+in.D]))
 			if err != nil {
-				return value.Undefined(), err
+				return value.Undefined(), callErr(err)
 			}
 			inTx = h.InTransaction()
 			regs[in.A] = hd.Box(res)

@@ -1,15 +1,14 @@
 package ir
 
 // Clone returns a deep copy of f that shares no mutable IR state with the
-// original, plus the original→copy value mapping. Per-isolate immutable
-// references carried on values — Shape, Callee, AuxVal — are copied verbatim;
-// the caller (the compiled-code cache's bind step) is expected to rewrite
-// them for the target isolate using the returned mapping. Value and block IDs
-// are preserved, so NumValues (which sizes the machine's register file) and
-// diagnostics match the original. Inline frames are deep-copied too (their
-// Callee is also isolate-bound and rewritten at bind), and stack-map Caller
-// chains keep their sharing structure: maps shared between several deopt
-// points in the original stay shared in the copy.
+// original, plus the original→copy value mapping, so a pass can run on the
+// copy while the original stays as it was (the optimizer's and forwarding's
+// tests compare the two). References carried on values — Shape, Callee,
+// AuxVal — are copied verbatim. Value and block IDs are preserved, so
+// NumValues and diagnostics match the original. Inline frames are
+// deep-copied too, and stack-map Caller chains keep their sharing
+// structure: maps shared between several deopt points in the original stay
+// shared in the copy.
 func (f *Func) Clone() (*Func, map[*Value]*Value) {
 	nf := &Func{
 		Name:        f.Name,

@@ -95,7 +95,7 @@ const (
 	OpTxEnd
 	OpTxTile // loop-backedge commit point; Deopt = recovery entry
 
-	numIROps
+	NumOps
 )
 
 type opInfo struct {
@@ -111,7 +111,7 @@ type opInfo struct {
 	check bool
 }
 
-var opInfos = [numIROps]opInfo{
+var opInfos = [NumOps]opInfo{
 	OpInvalid:         {name: "invalid"},
 	OpConst:           {name: "const", pure: true},
 	OpParam:           {name: "param", pure: true},

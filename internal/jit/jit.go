@@ -77,9 +77,10 @@ type Backend struct {
 	sink func(profile.Tier)
 }
 
+// unit is one installed artifact: the program lowered for the tier it was
+// compiled at (or bound from the shared cache).
 type unit struct {
-	tier profile.Tier
-	f    *ir.Func
+	prog machine.Program
 }
 
 // mainKey keys the invocation-entry artifact of fn.
@@ -155,8 +156,8 @@ func (b *Backend) SetGovernorPolicy(p governor.Policy) {
 // it so an injected fault in one run cannot change policy decisions — or
 // cache warmth — in the next.
 func (b *Backend) Reset() {
-	b.code = make(map[codeKey]*unit)
-	b.osrFailed = make(map[codeKey]bool)
+	clear(b.code)
+	clear(b.osrFailed)
 	b.gov.Reset()
 	b.mach.ResetState()
 }
@@ -174,7 +175,7 @@ func (b *Backend) TxLevelOf(fn *bytecode.Function) core.TxLevel {
 func (b *Backend) CompiledFunctions() []*ir.Func {
 	out := make([]*ir.Func, 0, len(b.code))
 	for _, u := range b.code {
-		out = append(out, u.f)
+		out = append(out, u.prog.Func())
 	}
 	slices.SortFunc(out, func(x, y *ir.Func) int {
 		return cmp.Or(strings.Compare(x.Name, y.Name), cmp.Compare(x.OSREntryPC, y.OSREntryPC))
@@ -220,7 +221,7 @@ func (b *Backend) Execute(v *vm.VM, fn *value.Function, prof *profile.FunctionPr
 
 	ctrs := v.Counters()
 	commitsBefore := ctrs.TxCommits
-	res, deopt, err := b.mach.Run(u.f, tier, args)
+	res, deopt, err := b.mach.Run(&u.prog, args)
 	if err != nil {
 		return value.Undefined(), true, err
 	}
@@ -292,7 +293,7 @@ func (b *Backend) ExecuteOSR(v *vm.VM, fr *frame.Frame, prof *profile.FunctionPr
 
 	ctrs := v.Counters()
 	commitsBefore := ctrs.TxCommits
-	res, deopt, err := b.mach.EnterAt(u.f, tier, fr)
+	res, deopt, err := b.mach.EnterAt(&u.prog, fr)
 	if err != nil {
 		return value.Undefined(), true, err
 	}
@@ -312,7 +313,7 @@ func (b *Backend) ExecuteOSR(v *vm.VM, fr *frame.Frame, prof *profile.FunctionPr
 // Only a compilation that actually ran for this isolate is charged and
 // traced; what a compile error means is the caller's policy.
 func (b *Backend) codeFor(v *vm.VM, key codeKey, prof *profile.FunctionProfile, tier profile.Tier) (*unit, error) {
-	if u := b.code[key]; u != nil && u.tier == tier {
+	if u := b.code[key]; u != nil && u.prog.Tier() == tier {
 		return u, nil
 	}
 	u, compiled, err := b.compile(key, prof, tier, v.Counters())
@@ -323,7 +324,7 @@ func (b *Backend) codeFor(v *vm.VM, key codeKey, prof *profile.FunctionProfile, 
 	if compiled {
 		v.Counters().Compilations[tier]++
 		b.mach.Emit(machine.Event{Kind: machine.EventCompile, Fn: key.fn.Name, Tier: tier})
-		b.emitFills(key.fn.Name, u.f)
+		b.emitFills(key.fn.Name, u.prog.Func())
 	}
 	return u, nil
 }
@@ -471,7 +472,10 @@ func (b *Backend) compile(key codeKey, prof *profile.FunctionProfile, tier profi
 	// compiles, so an installed hook bypasses the cache like having none.
 	if b.cache == nil || b.passHook != nil {
 		f, err := fill()
-		return &unit{tier: tier, f: f}, true, err
+		if err != nil {
+			return nil, true, err
+		}
+		return &unit{prog: machine.Lower(f, tier)}, true, nil
 	}
 	// The fingerprints walk the whole profile; they are computed only here,
 	// where the shared cache is actually consulted.
@@ -491,10 +495,10 @@ func (b *Backend) compile(key codeKey, prof *profile.FunctionProfile, tier profi
 		// Deferred compilation: consult the cache without ever filling or
 		// waiting. An absent artifact is offered to the sink, one mid-fill
 		// elsewhere will appear on its own; either way execution declines.
-		f, st := b.cache.Lookup(ckey, b.realm, ctrs)
+		prog, st := b.cache.Lookup(ckey, b.realm, ctrs)
 		switch st {
 		case codecache.LookupHit:
-			return &unit{tier: tier, f: f}, false, nil
+			return &unit{prog: prog}, false, nil
 		case codecache.LookupMiss:
 			b.sink(tier)
 			return nil, false, errDeferred
@@ -506,8 +510,11 @@ func (b *Backend) compile(key codeKey, prof *profile.FunctionProfile, tier profi
 		// Compile, whose local-fill branch keeps the process-wide accounting
 		// and the fault probe the same with and without a sink.
 	}
-	f, compiled, err := b.cache.Compile(ckey, b.realm, ctrs, fill)
-	return &unit{tier: tier, f: f}, compiled, err
+	prog, compiled, err := b.cache.Compile(ckey, b.realm, ctrs, fill)
+	if err != nil {
+		return nil, compiled, err
+	}
+	return &unit{prog: prog}, compiled, nil
 }
 
 func optionsFor(arch vm.Arch, level core.TxLevel) ftl.Options {

@@ -92,7 +92,7 @@ func stubSource(nRegs int) *bytecode.Function {
 func run1(t *testing.T, f *ir.Func, args ...value.Value) value.Value {
 	t.Helper()
 	m := New(newStubHost(), htm.ROTConfig())
-	res, d, err := m.Run(f, profile.TierFTL, args)
+	res, d, err := m.RunIR(f, profile.TierFTL, args)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestOverflowFlagFeedsCheck(t *testing.T) {
 	b.Control = add
 
 	m := New(newStubHost(), htm.ROTConfig())
-	res, d, err := m.Run(f, profile.TierFTL, []value.Value{value.Int(2), value.Int(3)})
+	res, d, err := m.RunIR(f, profile.TierFTL, []value.Value{value.Int(2), value.Int(3)})
 	if err != nil || d != nil {
 		t.Fatalf("clean case: res=%v d=%v err=%v", res, d, err)
 	}
@@ -151,7 +151,7 @@ func TestOverflowFlagFeedsCheck(t *testing.T) {
 	}
 
 	// Overflowing case must deopt with the pre-op state.
-	_, d, err = m.Run(f, profile.TierFTL, []value.Value{value.Int(math.MaxInt32), value.Int(1)})
+	_, d, err = m.RunIR(f, profile.TierFTL, []value.Value{value.Int(math.MaxInt32), value.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,15 +185,15 @@ func TestGarbageTolerantLoads(t *testing.T) {
 	b.Control = ld
 
 	m := New(host, htm.ROTConfig())
-	res, _, err := m.Run(f, profile.TierFTL, []value.Value{value.Obj(arr), value.Int(2)})
+	res, _, err := m.RunIR(f, profile.TierFTL, []value.Value{value.Obj(arr), value.Int(2)})
 	if err != nil || res.Int32() != 20 {
 		t.Fatalf("in bounds: %v %v", res, err)
 	}
-	res, _, err = m.Run(f, profile.TierFTL, []value.Value{value.Obj(arr), value.Int(99)})
+	res, _, err = m.RunIR(f, profile.TierFTL, []value.Value{value.Obj(arr), value.Int(99)})
 	if err != nil || !res.IsUndefined() {
 		t.Fatalf("OOB must yield undefined garbage: %v %v", res, err)
 	}
-	res, _, err = m.Run(f, profile.TierFTL, []value.Value{value.Undefined(), value.Int(0)})
+	res, _, err = m.RunIR(f, profile.TierFTL, []value.Value{value.Undefined(), value.Int(0)})
 	if err != nil || !res.IsUndefined() {
 		t.Fatalf("non-object base must yield undefined garbage: %v %v", res, err)
 	}
@@ -273,7 +273,7 @@ func TestNativeCallThroughMachine(t *testing.T) {
 	b.Control = call
 
 	m := New(host, htm.ROTConfig())
-	res, _, err := m.Run(f, profile.TierFTL, []value.Value{value.Int(21)})
+	res, _, err := m.RunIR(f, profile.TierFTL, []value.Value{value.Int(21)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestFolderMatchesMachine(t *testing.T) {
 		})
 		for _, x := range grid {
 			for _, y := range grid {
-				want, d, err := m.Run(run, profile.TierFTL, []value.Value{value.Int(x), value.Int(y)})
+				want, d, err := m.RunIR(run, profile.TierFTL, []value.Value{value.Int(x), value.Int(y)})
 				if err != nil {
 					t.Fatal(err)
 				}

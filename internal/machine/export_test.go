@@ -1,5 +1,11 @@
 package machine
 
+import (
+	"nomap/internal/ir"
+	"nomap/internal/profile"
+	"nomap/internal/value"
+)
+
 // UndoKind and its values name the undo log's record kinds for the external
 // tests.
 type UndoKind = undoKind
@@ -53,4 +59,11 @@ func (w *SharedWorker) DropSharedUndoKind(k SharedUndoKind) int {
 	clear(w.log[len(kept):])
 	w.log = kept
 	return dropped
+}
+
+// RunIR lowers f for tier and runs the program from its invocation entry:
+// the tests' hand-built and hand-compiled IR takes the installed path.
+func (m *Machine) RunIR(f *ir.Func, tier profile.Tier, args []value.Value) (value.Value, *Deopt, error) {
+	p := Lower(f, tier)
+	return m.Run(&p, args)
 }

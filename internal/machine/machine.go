@@ -102,19 +102,23 @@ func New(host Host, htmCfg htm.Config) *Machine {
 }
 
 // ResetState returns the machine's simulated hardware to its initial
-// condition: a fresh address map, cold caches, and cleared HTM state — an
-// open transaction is dropped without rollback, its write hook uninstalled.
-// The jit backend's Reset calls it so differential runs on a reused engine
-// see the same address stream and cache behaviour as a fresh one.
+// condition: a fresh address map, cold caches (emptied in place), and cleared
+// HTM state — an open transaction is dropped without rollback, its write hook
+// uninstalled. The jit backend's Reset calls it so differential runs on a
+// reused engine see the same address stream and cache behaviour as a fresh
+// one.
 func (m *Machine) ResetState() {
 	m.Mem = NewMemory()
-	m.Cache = cache.NewHierarchy()
+	m.Cache.Reset()
 	m.HTM.Reset()
 	m.uninstallHook()
 	m.dropUndo()
 	m.depth = 0
 	for _, fb := range m.frames {
 		clear(fb.args[:cap(fb.args)]) // the old heap's values
+		for _, fr := range fb.rec {
+			*fr = frame.Frame{Locals: fr.Locals[:0]} // the old heap's environments
+		}
 	}
 	m.pendingCapacity = false
 	m.txHadCalls = false
@@ -163,24 +167,26 @@ func (e *txUnwind) Error() string {
 // this fraction of capacity (paper §V-C tiling so state fits in cache).
 const commitFractionNum, commitFractionDen = 3, 4
 
-// Run executes f from its invocation entry with the given tier's cost model.
-// It returns either a result, a Deopt (OSR exit or abort), or an error.
-func (m *Machine) Run(f *ir.Func, tier profile.Tier, args []value.Value) (value.Value, *Deopt, error) {
-	return m.runFrom(f, tier, args, nil)
+// Run executes p from its invocation entry under the cost model of the tier
+// it was lowered for. It returns either a result, a Deopt (OSR exit or
+// abort), or an error.
+func (m *Machine) Run(p *Program, args []value.Value) (value.Value, *Deopt, error) {
+	return m.runFrom(p, args, nil)
 }
 
 // EnterAt performs an OSR entry: it resumes the materialized frame fr inside
-// the OSR artifact f (compiled with its entry at fr's loop header), binding
+// the OSR artifact p (compiled with its entry at fr's loop header), binding
 // fr's locals to the artifact's OpOSRLocal values and continuing in optimized
 // code without returning to the caller. The artifact's transactions begin at
 // the OSR entry under the same TxLevel rules as invocation-entry code.
-func (m *Machine) EnterAt(f *ir.Func, tier profile.Tier, fr *frame.Frame) (value.Value, *Deopt, error) {
+func (m *Machine) EnterAt(p *Program, fr *frame.Frame) (value.Value, *Deopt, error) {
+	f := p.f
 	if f.OSREntryPC < 0 || fr.PC != f.OSREntryPC {
 		return value.Undefined(), nil, fmt.Errorf("machine: %s: OSR entry pc mismatch: frame@%d, artifact@%d", f.Name, fr.PC, f.OSREntryPC)
 	}
 	m.host.Counters().OSREntries++
-	m.Emit(Event{Kind: EventOSREntry, Fn: f.Name, PC: fr.PC, Tier: tier})
-	return m.runFrom(f, tier, nil, fr)
+	m.Emit(Event{Kind: EventOSREntry, Fn: f.Name, PC: fr.PC, Tier: p.tier})
+	return m.runFrom(p, nil, fr)
 }
 
 // frameBuf is the scratch storage of one activation: everything whose
@@ -195,18 +201,38 @@ type frameBuf struct {
 	backEdges []int64
 	phi       []value.Boxed
 	args      []value.Value
+	// rec is the recovery frame chain the activation's outermost transaction
+	// resumes at, innermost first: materialized in place at every begin and
+	// tile re-begin, and detached when an abort hands it to Baseline.
+	rec []*frame.Frame
+}
+
+// recFrame returns the i-th reusable recovery frame.
+func (fb *frameBuf) recFrame(i int) *frame.Frame {
+	if i == len(fb.rec) {
+		fb.rec = append(fb.rec, new(frame.Frame))
+	}
+	return fb.rec[i]
+}
+
+// detachRec gives the recovery chain up to its new owner, the Baseline
+// resume of an aborted transaction: a later activation at this depth — that
+// resume may call compiled code — materializes into fresh frames.
+func (fb *frameBuf) detachRec() {
+	clear(fb.rec)
+	fb.rec = fb.rec[:0]
 }
 
 // runFrom is the shared execution core behind Run and EnterAt: it lends the
 // activation the frame buffer of its nesting depth. For OSR entries osr is
 // the incoming frame; otherwise args carry the invocation parameters.
-func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr *frame.Frame) (value.Value, *Deopt, error) {
+func (m *Machine) runFrom(p *Program, args []value.Value, osr *frame.Frame) (value.Value, *Deopt, error) {
 	if m.depth == len(m.frames) {
 		m.frames = append(m.frames, new(frameBuf))
 	}
 	fb := m.frames[m.depth]
 	m.depth++
-	res, d, err := m.exec(fb, f, tier, args, osr)
+	res, d, err := m.exec(fb, p, args, osr)
 	m.depth--
 	return res, d, err
 }
@@ -214,18 +240,18 @@ func (m *Machine) runFrom(f *ir.Func, tier profile.Tier, args []value.Value, osr
 // gatherArgs unboxes a call's argument operands into fb's argument window.
 // The callee copies its arguments out (the VM's activation set-up, natives);
 // a nested activation runs one depth deeper, on its own buffer.
-func (fb *frameBuf) gatherArgs(hd *value.Handles, operands []*ir.Value, vals []value.Boxed) []value.Value {
+func (fb *frameBuf) gatherArgs(hd *value.Handles, operands []int32, vals []value.Boxed) []value.Value {
 	args := fb.args[:0]
 	for _, a := range operands {
-		args = append(args, hd.Unbox(vals[a.ID]))
+		args = append(args, hd.Unbox(vals[a]))
 	}
 	fb.args = args
 	return args
 }
 
-// exec runs one activation of f on the scratch buffer fb.
-func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value.Value, osr *frame.Frame) (value.Value, *Deopt, error) {
-	w := WeightsFor(tier)
+// exec runs one activation of p on the scratch buffer fb.
+func (m *Machine) exec(fb *frameBuf, p *Program, args []value.Value, osr *frame.Frame) (value.Value, *Deopt, error) {
+	f, tier := p.f, p.tier
 	ctrs := m.host.Counters()
 	if tier == profile.TierFTL {
 		ctrs.FTLCalls++
@@ -294,19 +320,31 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 	// frames keep their environment on the root frame; invocation-entry
 	// artifacts never touch one (closure-using functions are not compiled)
 	// and leave it nil for the JIT driver to supply. Inline frames carry
-	// their function object so the resume loop can allocate the callee
-	// environment.
-	materialize := func(sm *ir.StackMap) *frame.Frame {
+	// their function object — the program's own, bound to this isolate — so
+	// the resume loop can allocate the callee environment. A transaction's
+	// recovery chain (reuse) is built in fb's frames; a deopt's, handed
+	// straight to Baseline, in new ones.
+	materialize := func(sm *ir.StackMap, reuse bool) *frame.Frame {
 		var innermost, child *frame.Frame
+		n := 0
 		for cur := sm; cur != nil; cur = cur.Caller {
 			src := f.Source
 			var fnObj *value.Function
 			idx, retReg := 0, 0
 			if cur.Inline != nil {
-				src, fnObj = cur.Inline.Source, cur.Inline.Callee
+				src, fnObj = cur.Inline.Source, p.inlines[cur.Inline.Index-1]
 				idx, retReg = cur.Inline.Index, cur.Inline.RetReg
 			}
-			regs := make([]value.Boxed, src.NumRegs)
+			var fr *frame.Frame
+			var regs []value.Boxed
+			if reuse {
+				fr = fb.recFrame(n)
+				regs = slices.Grow(fr.Locals[:0], src.NumRegs)[:src.NumRegs]
+			} else {
+				fr = new(frame.Frame)
+				regs = make([]value.Boxed, src.NumRegs)
+			}
+			n++
 			for i := range regs {
 				regs[i] = value.BoxedUndefined
 			}
@@ -315,7 +353,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 					regs[e.Reg] = vals[e.Val.ID]
 				}
 			}
-			fr := &frame.Frame{Fn: src, PC: cur.PC, Locals: regs,
+			*fr = frame.Frame{Fn: src, PC: cur.PC, Locals: regs,
 				Function: fnObj, InlineIndex: idx, RetReg: retReg}
 			if cur.Inline == nil && osr != nil {
 				fr.Env = osr.Env
@@ -355,8 +393,10 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 	// transaction, whether the abort fired in it or unwound to it from a
 	// callee. Back edges of the squashed iterations roll back to the
 	// transaction-begin checkpoint — Baseline re-executes and re-counts them —
-	// and the surviving counts travel with the recovery frame chain.
+	// and the surviving counts travel with the recovery frame chain, which
+	// leaves fb for good.
 	ownerDeopt := func(rec *frame.Frame, cause htm.AbortCause, site core.Site) *Deopt {
+		fb.detachRec()
 		copy(backEdges, beCheck)
 		assignBackEdges(rec)
 		return &Deopt{Frame: rec, Aborted: true, Cause: cause, HadCalls: m.txHadCalls, Site: site}
@@ -418,457 +458,428 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 		return raise(v, err)
 	}
 
-	block := f.Entry
-	var prev *ir.Block
+	// begin opens this activation's outermost transaction, its recovery
+	// chain materialized from the TxBegin or TxTile value v's stack map.
+	begin := func(v *ir.Value) {
+		m.HTM.Begin(fb, materialize(v.Deopt, true))
+		copy(beCheck, backEdges)
+		m.txHadCalls = false
+	}
+
+	code, data := p.code, p.data
+	pc := p.entry
 	for {
-		// Phi parallel copy on block entry.
-		if prev != nil {
-			k := block.PredIndex(prev)
-			phi := fb.phi[:0]
-			for _, v := range block.Values {
-				if v.Op != ir.OpPhi {
-					break
+		in := &code[pc]
+		pc++
+		instr := in.weight
+		var extra int64
+
+		switch in.op {
+		case ir.OpConst:
+			// A heap payload is boxed at execution time: string and object
+			// handles are per-isolate and per-reset.
+			if in.heap {
+				vals[in.dst] = hd.Box(in.v.AuxVal)
+			} else {
+				vals[in.dst] = value.Boxed(in.aux)
+			}
+		case ir.OpParam:
+			if int(in.aux) < len(args) {
+				vals[in.dst] = hd.Box(args[in.aux])
+			} else {
+				vals[in.dst] = value.BoxedUndefined
+			}
+		case ir.OpOSRLocal:
+			if osr != nil && int(in.aux) < len(osr.Locals) {
+				vals[in.dst] = osr.Locals[in.aux] // already boxed words
+			} else {
+				vals[in.dst] = value.BoxedUndefined
+			}
+
+		case ir.OpAddInt, ir.OpSubInt, ir.OpMulInt, ir.OpNegInt, ir.OpUShr:
+			// The wrapped result flows on; the overflow flag is sticky for
+			// the frame, as the paper's SOF is.
+			a := vals[in.args[0]].Int32()
+			var r int32
+			var fits bool
+			switch in.op {
+			case ir.OpAddInt:
+				r, fits = value.AddInt32(a, vals[in.args[1]].Int32())
+			case ir.OpSubInt:
+				r, fits = value.SubInt32(a, vals[in.args[1]].Int32())
+			case ir.OpMulInt:
+				r, fits = value.MulInt32(a, vals[in.args[1]].Int32())
+			case ir.OpNegInt:
+				r, fits = value.NegInt32(a)
+			default:
+				u := value.UShrInt32(a, vals[in.args[1]].Int32())
+				r, fits = int32(u), u <= math.MaxInt32
+			}
+			if !fits {
+				oflow[in.dst] = true
+			}
+			vals[in.dst] = value.BoxInt(r)
+
+		case ir.OpBitAnd:
+			vals[in.dst] = value.BoxInt(vals[in.args[0]].Int32() & vals[in.args[1]].Int32())
+		case ir.OpBitOr:
+			vals[in.dst] = value.BoxInt(vals[in.args[0]].Int32() | vals[in.args[1]].Int32())
+		case ir.OpBitXor:
+			vals[in.dst] = value.BoxInt(vals[in.args[0]].Int32() ^ vals[in.args[1]].Int32())
+		case ir.OpShl:
+			vals[in.dst] = value.BoxInt(value.ShlInt32(vals[in.args[0]].Int32(), vals[in.args[1]].Int32()))
+		case ir.OpShr:
+			vals[in.dst] = value.BoxInt(value.ShrInt32(vals[in.args[0]].Int32(), vals[in.args[1]].Int32()))
+
+		case ir.OpAddDouble:
+			vals[in.dst] = value.BoxNumber(vals[in.args[0]].NumberValue() + vals[in.args[1]].NumberValue())
+		case ir.OpSubDouble:
+			vals[in.dst] = value.BoxNumber(vals[in.args[0]].NumberValue() - vals[in.args[1]].NumberValue())
+		case ir.OpMulDouble:
+			vals[in.dst] = value.BoxNumber(vals[in.args[0]].NumberValue() * vals[in.args[1]].NumberValue())
+		case ir.OpDivDouble:
+			vals[in.dst] = value.BoxNumber(vals[in.args[0]].NumberValue() / vals[in.args[1]].NumberValue())
+		case ir.OpModDouble:
+			vals[in.dst] = value.BoxNumber(math.Mod(vals[in.args[0]].NumberValue(), vals[in.args[1]].NumberValue()))
+		case ir.OpNegDouble:
+			vals[in.dst] = value.BoxNumber(-vals[in.args[0]].NumberValue())
+
+		case ir.OpIntToDouble, ir.OpNumberToDouble:
+			vals[in.dst] = vals[in.args[0]] // NumberValue() reads either kind
+		case ir.OpTruncDouble:
+			vals[in.dst] = value.BoxInt(value.DoubleToInt32(vals[in.args[0]].NumberValue()))
+		case ir.OpUint32ToDouble:
+			vals[in.dst] = value.BoxNumber(float64(uint32(vals[in.args[0]].Int32())))
+		case ir.OpToBool:
+			vals[in.dst] = value.BoxBool(hd.ToBoolean(vals[in.args[0]]))
+		case ir.OpBoolNot:
+			vals[in.dst] = value.BoxBool(!vals[in.args[0]].Bool())
+		case ir.OpNormalizeHole:
+			x := vals[in.args[0]]
+			if x.IsHole() {
+				x = value.BoxedUndefined
+			}
+			vals[in.dst] = x
+
+		case ir.OpCmpInt:
+			a, b := vals[in.args[0]].Int32(), vals[in.args[1]].Int32()
+			vals[in.dst] = value.BoxBool(value.Ordered(value.Cmp(in.aux), a, b))
+		case ir.OpCmpDouble:
+			a, b := vals[in.args[0]].NumberValue(), vals[in.args[1]].NumberValue()
+			vals[in.dst] = value.BoxBool(value.Ordered(value.Cmp(in.aux), a, b))
+		case ir.OpStrictEqGeneric:
+			vals[in.dst] = value.BoxBool(value.StrictEquals(hd.Unbox(vals[in.args[0]]), hd.Unbox(vals[in.args[1]])))
+
+		case ir.OpCheckInt32, ir.OpCheckNumber, ir.OpCheckShape,
+			ir.OpCheckArray, ir.OpCheckBounds, ir.OpCheckNonNeg,
+			ir.OpCheckOverflow, ir.OpCheckUint32, ir.OpCheckHole,
+			ir.OpCheckCallee:
+			v := in.v
+			if !in.free {
+				if tier == profile.TierFTL {
+					ctrs.AddCheck(in.check)
 				}
-				if k < len(v.Args) {
-					phi = append(phi, vals[v.Args[k].ID])
-				} else {
-					phi = append(phi, value.BoxedUndefined)
+				extra += m.checkMemCost(in, vals)
+			}
+			passed := m.checkPasses(in, vals, oflow)
+			if m.inject != nil {
+				switch m.inject.At(Site{SiteKey: m.siteKey(SiteCheck, f, v), Check: in.check,
+					HasSMP: v.Deopt != nil, InTx: m.HTM.InTx(), Failed: !passed}) {
+				case ActFailCheck:
+					// Only force failure where a recovery path exists:
+					// a stack map to deopt through, or an open
+					// transaction to abort.
+					if v.Deopt != nil || m.HTM.InTx() {
+						passed = false
+					}
+				case ActPassCheck:
+					passed = true
 				}
 			}
-			fb.phi = phi
-			i := 0
-			for _, v := range block.Values {
-				if v.Op != ir.OpPhi {
-					break
-				}
-				vals[v.ID] = phi[i]
-				i++
-			}
-		}
-
-		for _, v := range block.Values {
-			if v.Op == ir.OpPhi {
-				continue
-			}
-			instr := w.Op(v)
-			var extra int64
-
-			switch v.Op {
-			case ir.OpConst:
-				// Boxed at execution time: the ir.Func is shared across
-				// isolates, and string/object handles are per-isolate.
-				vals[v.ID] = hd.Box(v.AuxVal)
-			case ir.OpParam:
-				if int(v.AuxInt) < len(args) {
-					vals[v.ID] = hd.Box(args[v.AuxInt])
-				} else {
-					vals[v.ID] = value.BoxedUndefined
-				}
-			case ir.OpOSRLocal:
-				if osr != nil && int(v.AuxInt) < len(osr.Locals) {
-					vals[v.ID] = osr.Locals[v.AuxInt] // already boxed words
-				} else {
-					vals[v.ID] = value.BoxedUndefined
-				}
-
-			case ir.OpAddInt, ir.OpSubInt, ir.OpMulInt, ir.OpNegInt, ir.OpUShr:
-				// The wrapped result flows on; the overflow flag is sticky for
-				// the frame, as the paper's SOF is.
-				a := vals[v.Args[0].ID].Int32()
-				var r int32
-				var fits bool
-				switch v.Op {
-				case ir.OpAddInt:
-					r, fits = value.AddInt32(a, vals[v.Args[1].ID].Int32())
-				case ir.OpSubInt:
-					r, fits = value.SubInt32(a, vals[v.Args[1].ID].Int32())
-				case ir.OpMulInt:
-					r, fits = value.MulInt32(a, vals[v.Args[1].ID].Int32())
-				case ir.OpNegInt:
-					r, fits = value.NegInt32(a)
-				default:
-					u := value.UShrInt32(a, vals[v.Args[1].ID].Int32())
-					r, fits = int32(u), u <= math.MaxInt32
-				}
-				if !fits {
-					oflow[v.ID] = true
-				}
-				vals[v.ID] = value.BoxInt(r)
-
-			case ir.OpBitAnd:
-				vals[v.ID] = value.BoxInt(vals[v.Args[0].ID].Int32() & vals[v.Args[1].ID].Int32())
-			case ir.OpBitOr:
-				vals[v.ID] = value.BoxInt(vals[v.Args[0].ID].Int32() | vals[v.Args[1].ID].Int32())
-			case ir.OpBitXor:
-				vals[v.ID] = value.BoxInt(vals[v.Args[0].ID].Int32() ^ vals[v.Args[1].ID].Int32())
-			case ir.OpShl:
-				vals[v.ID] = value.BoxInt(value.ShlInt32(vals[v.Args[0].ID].Int32(), vals[v.Args[1].ID].Int32()))
-			case ir.OpShr:
-				vals[v.ID] = value.BoxInt(value.ShrInt32(vals[v.Args[0].ID].Int32(), vals[v.Args[1].ID].Int32()))
-
-			case ir.OpAddDouble:
-				vals[v.ID] = value.BoxNumber(vals[v.Args[0].ID].NumberValue() + vals[v.Args[1].ID].NumberValue())
-			case ir.OpSubDouble:
-				vals[v.ID] = value.BoxNumber(vals[v.Args[0].ID].NumberValue() - vals[v.Args[1].ID].NumberValue())
-			case ir.OpMulDouble:
-				vals[v.ID] = value.BoxNumber(vals[v.Args[0].ID].NumberValue() * vals[v.Args[1].ID].NumberValue())
-			case ir.OpDivDouble:
-				vals[v.ID] = value.BoxNumber(vals[v.Args[0].ID].NumberValue() / vals[v.Args[1].ID].NumberValue())
-			case ir.OpModDouble:
-				vals[v.ID] = value.BoxNumber(math.Mod(vals[v.Args[0].ID].NumberValue(), vals[v.Args[1].ID].NumberValue()))
-			case ir.OpNegDouble:
-				vals[v.ID] = value.BoxNumber(-vals[v.Args[0].ID].NumberValue())
-
-			case ir.OpIntToDouble, ir.OpNumberToDouble:
-				vals[v.ID] = vals[v.Args[0].ID] // NumberValue() reads either kind
-			case ir.OpTruncDouble:
-				vals[v.ID] = value.BoxInt(value.DoubleToInt32(vals[v.Args[0].ID].NumberValue()))
-			case ir.OpUint32ToDouble:
-				vals[v.ID] = value.BoxNumber(float64(uint32(vals[v.Args[0].ID].Int32())))
-			case ir.OpToBool:
-				vals[v.ID] = value.BoxBool(hd.ToBoolean(vals[v.Args[0].ID]))
-			case ir.OpBoolNot:
-				vals[v.ID] = value.BoxBool(!vals[v.Args[0].ID].Bool())
-			case ir.OpNormalizeHole:
-				x := vals[v.Args[0].ID]
-				if x.IsHole() {
-					x = value.BoxedUndefined
-				}
-				vals[v.ID] = x
-
-			case ir.OpCmpInt:
-				a, b := vals[v.Args[0].ID].Int32(), vals[v.Args[1].ID].Int32()
-				vals[v.ID] = value.BoxBool(value.Ordered(value.Cmp(v.AuxInt), a, b))
-			case ir.OpCmpDouble:
-				a, b := vals[v.Args[0].ID].NumberValue(), vals[v.Args[1].ID].NumberValue()
-				vals[v.ID] = value.BoxBool(value.Ordered(value.Cmp(v.AuxInt), a, b))
-			case ir.OpStrictEqGeneric:
-				vals[v.ID] = value.BoxBool(value.StrictEquals(hd.Unbox(vals[v.Args[0].ID]), hd.Unbox(vals[v.Args[1].ID])))
-
-			case ir.OpCheckInt32, ir.OpCheckNumber, ir.OpCheckShape,
-				ir.OpCheckArray, ir.OpCheckBounds, ir.OpCheckNonNeg,
-				ir.OpCheckOverflow, ir.OpCheckUint32, ir.OpCheckHole,
-				ir.OpCheckCallee:
-				free := v.Free
-				if free {
-					instr = 0
-				} else {
-					if tier == profile.TierFTL {
-						ctrs.AddCheck(v.Check)
-					}
-					extra += m.checkMemCost(v, vals)
-				}
-				passed := m.checkPasses(v, vals, oflow)
-				if m.inject != nil {
-					switch m.inject.At(Site{SiteKey: m.siteKey(SiteCheck, f, v), Check: v.Check,
-						HasSMP: v.Deopt != nil, InTx: m.HTM.InTx(), Failed: !passed}) {
-					case ActFailCheck:
-						// Only force failure where a recovery path exists:
-						// a stack map to deopt through, or an open
-						// transaction to abort.
-						if v.Deopt != nil || m.HTM.InTx() {
-							passed = false
-						}
-					case ActPassCheck:
-						passed = true
-					}
-				}
-				if passed {
-					if v.Dispatch && m.trace != nil {
-						m.icHitOnce(EventICHit, f.Name, v)
-					}
-					break
-				}
-				// Check failed.
-				account(instr, extra)
-				if v.Dispatch {
-					m.Emit(Event{Kind: EventICMiss, Fn: f.Name, PC: v.BCPos, Inline: v.InlinePath(), Shape: v.DispatchShape()})
-				}
-				if v.Deopt != nil {
-					// A kept SMP inside this frame's own transaction: the
-					// governor restored this site, so the failure exits
-					// surgically. Every write so far was validated at its
-					// producing check (deferred detection is disabled when a
-					// keep set is present), so the transaction commits before
-					// the deopt instead of squandering its work in an abort.
-					if t := m.HTM.Current(); t != nil && t.Owner == any(fb) {
-						if _, err := m.HTM.Commit(); err != nil {
-							return value.Undefined(), nil, err
-						}
-						m.uninstallHook()
-						m.dropUndo()
-						account(0, m.HTM.Config().CommitCycles)
-						m.Emit(Event{Kind: EventTxCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
-					}
-					ctrs.Deopts++
-					ctrs.OSRExits++
-					rec := materialize(v.Deopt)
-					assignBackEdges(rec)
-					m.Emit(Event{Kind: EventDeopt, Fn: f.Name, CheckClass: v.Check, PC: rec.PC, Inline: v.Deopt.InlinePath()})
-					return value.Undefined(), &Deopt{Frame: rec, Site: core.SiteOf(f.Name, v, v.Check)}, nil
-				}
-				cause := htm.AbortCause(htm.AbortCheck)
-				if free && v.Check == stats.CheckOverflow {
-					cause = htm.AbortSOF
-				}
-				d, err := abort(cause, v.Check, v)
-				return value.Undefined(), d, err
-
-			case ir.OpHasShape, ir.OpHasCallee:
-				var hit bool
-				if v.Op == ir.OpHasShape {
-					o := hd.ObjectOrNil(vals[v.Args[0].ID])
-					hit = o != nil && o.Shape == v.Shape
-					if o != nil {
-						extra += m.load(m.Mem.ShapeAddr(o))
-					}
-				} else {
-					o := hd.ObjectOrNil(vals[v.Args[0].ID])
-					hit = o != nil && o.Fn != nil && o.Fn == v.Callee
-				}
-				if m.inject != nil {
-					switch m.inject.At(Site{SiteKey: m.siteKey(SiteDispatch, f, v), InTx: m.HTM.InTx(), Failed: !hit}) {
-					case ActFailCheck:
-						// The way is skipped; the receiver cascades down the
-						// chain to the deopting tail guard.
-						hit = false
-					case ActPassCheck:
-						// Stale-shape-cache planted bug: the wrong way's
-						// specialized body runs for this receiver.
-						hit = true
-					}
-				}
-				vals[v.ID] = value.BoxBool(hit)
-				if hit && v.Dispatch && m.trace != nil {
+			if passed {
+				if in.dispatch && m.trace != nil {
 					m.icHitOnce(EventICHit, f.Name, v)
 				}
+				break
+			}
+			// Check failed.
+			account(instr, extra)
+			if in.dispatch {
+				m.Emit(Event{Kind: EventICMiss, Fn: f.Name, PC: v.BCPos, Inline: v.InlinePath(), Shape: v.DispatchShape()})
+			}
+			if v.Deopt != nil {
+				// A kept SMP inside this frame's own transaction: the
+				// governor restored this site, so the failure exits
+				// surgically. Every write so far was validated at its
+				// producing check (deferred detection is disabled when a
+				// keep set is present), so the transaction commits before
+				// the deopt instead of squandering its work in an abort.
+				if t := m.HTM.Current(); t != nil && t.Owner == any(fb) {
+					if _, err := m.HTM.Commit(); err != nil {
+						return value.Undefined(), nil, err
+					}
+					m.uninstallHook()
+					m.dropUndo()
+					account(0, m.HTM.Config().CommitCycles)
+					m.Emit(Event{Kind: EventTxCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
+				}
+				ctrs.Deopts++
+				ctrs.OSRExits++
+				rec := materialize(v.Deopt, false)
+				assignBackEdges(rec)
+				m.Emit(Event{Kind: EventDeopt, Fn: f.Name, CheckClass: in.check, PC: rec.PC, Inline: v.Deopt.InlinePath()})
+				return value.Undefined(), &Deopt{Frame: rec, Site: core.SiteOf(f.Name, v, in.check)}, nil
+			}
+			cause := htm.AbortCause(htm.AbortCheck)
+			if in.free && in.check == stats.CheckOverflow {
+				cause = htm.AbortSOF
+			}
+			d, err := abort(cause, in.check, v)
+			return value.Undefined(), d, err
 
-			case ir.OpTransition:
-				// Speculated property add: the way's shape guard proved the
-				// property absent, so this is the append path (the write hook
-				// records slot + shape word for transactional rollback).
-				o := hd.ObjectOrNil(vals[v.Args[0].ID])
+		case ir.OpHasShape, ir.OpHasCallee:
+			o := hd.ObjectOrNil(vals[in.args[0]])
+			var hit bool
+			if in.op == ir.OpHasShape {
+				hit = o != nil && o.Shape == in.shape
 				if o != nil {
-					o.Set(v.AuxStr, hd.Unbox(vals[v.Args[1].ID]))
-					if off := o.OffsetOf(v.AuxStr); off >= 0 {
-						extra += m.Cache.Access(m.Mem.SlotAddr(o, off))
-					}
-					extra += m.Cache.Access(m.Mem.ShapeAddr(o))
-					if m.trace != nil {
-						m.icHitOnce(EventICTransition, f.Name, v)
-					}
+					extra += m.load(m.Mem.ShapeAddr(o))
 				}
+			} else {
+				hit = o != nil && o.Fn != nil && o.Fn == in.callee
+			}
+			if m.inject != nil {
+				switch m.inject.At(Site{SiteKey: m.siteKey(SiteDispatch, f, in.v), InTx: m.HTM.InTx(), Failed: !hit}) {
+				case ActFailCheck:
+					// The way is skipped; the receiver cascades down the
+					// chain to the deopting tail guard.
+					hit = false
+				case ActPassCheck:
+					// Stale-shape-cache planted bug: the wrong way's
+					// specialized body runs for this receiver.
+					hit = true
+				}
+			}
+			vals[in.dst] = value.BoxBool(hit)
+			if hit && in.dispatch && m.trace != nil {
+				m.icHitOnce(EventICHit, f.Name, in.v)
+			}
 
-			case ir.OpLoadSlot:
-				o := hd.ObjectOrNil(vals[v.Args[0].ID])
-				off := int(v.AuxInt)
-				if o == nil || off >= len(o.Slots) {
-					vals[v.ID] = value.BoxedUndefined // garbage pre-abort
-					break
+		case ir.OpTransition:
+			// Speculated property add: the way's shape guard proved the
+			// property absent, so this is the append path (the write hook
+			// records slot + shape word for transactional rollback).
+			o := hd.ObjectOrNil(vals[in.args[0]])
+			if o != nil {
+				o.Set(in.name, hd.Unbox(vals[in.args[1]]))
+				if off := o.OffsetOf(in.name); off >= 0 {
+					extra += m.Cache.Access(m.Mem.SlotAddr(o, off))
 				}
-				vals[v.ID] = hd.Box(o.GetSlot(off))
-				extra += m.load(m.Mem.SlotAddr(o, off))
-			case ir.OpStoreSlot:
-				o := hd.ObjectOrNil(vals[v.Args[0].ID])
-				off := int(v.AuxInt)
-				if o == nil || off >= len(o.Slots) {
-					break
+				extra += m.Cache.Access(m.Mem.ShapeAddr(o))
+				if m.trace != nil {
+					m.icHitOnce(EventICTransition, f.Name, in.v)
 				}
-				o.SetSlot(off, hd.Unbox(vals[v.Args[1].ID]))
-				extra += m.Cache.Access(m.Mem.SlotAddr(o, off))
-			case ir.OpLoadElem:
-				o := hd.ObjectOrNil(vals[v.Args[0].ID])
-				i := int(vals[v.Args[1].ID].Int32())
-				if o == nil || !o.InBounds(i) {
-					vals[v.ID] = value.BoxedUndefined // garbage pre-abort
-					break
-				}
-				vals[v.ID] = hd.Box(o.ElementRaw(i))
-				extra += m.load(m.Mem.ElemAddr(o, i))
-			case ir.OpStoreElem:
-				o := hd.ObjectOrNil(vals[v.Args[0].ID])
-				i := int(vals[v.Args[1].ID].Int32())
-				if o == nil || i < 0 {
-					break
-				}
-				o.SetElement(i, hd.Unbox(vals[v.Args[2].ID]))
-				extra += m.Cache.Access(m.Mem.ElemAddr(o, i))
-			case ir.OpLoadLength:
-				o := hd.ObjectOrNil(vals[v.Args[0].ID])
-				if o == nil {
-					vals[v.ID] = value.BoxInt(0)
-					break
-				}
-				vals[v.ID] = value.BoxInt(int32(o.Length))
-				extra += m.load(m.Mem.LengthAddr(o))
-			case ir.OpLoadGlobal:
-				// One shape lookup per access: the global object is never
-				// an array, so its offset alone decides presence.
-				g := m.host.Globals()
-				off := g.OffsetOf(v.AuxStr)
-				if off < 0 {
+			}
+
+		case ir.OpLoadSlot:
+			o := hd.ObjectOrNil(vals[in.args[0]])
+			off := int(in.aux)
+			if o == nil || off >= len(o.Slots) {
+				vals[in.dst] = value.BoxedUndefined // garbage pre-abort
+				break
+			}
+			vals[in.dst] = hd.Box(o.GetSlot(off))
+			extra += m.load(m.Mem.SlotAddr(o, off))
+		case ir.OpStoreSlot:
+			o := hd.ObjectOrNil(vals[in.args[0]])
+			off := int(in.aux)
+			if o == nil || off >= len(o.Slots) {
+				break
+			}
+			o.SetSlot(off, hd.Unbox(vals[in.args[1]]))
+			extra += m.Cache.Access(m.Mem.SlotAddr(o, off))
+		case ir.OpLoadElem:
+			o := hd.ObjectOrNil(vals[in.args[0]])
+			i := int(vals[in.args[1]].Int32())
+			if o == nil || !o.InBounds(i) {
+				vals[in.dst] = value.BoxedUndefined // garbage pre-abort
+				break
+			}
+			vals[in.dst] = hd.Box(o.ElementRaw(i))
+			extra += m.load(m.Mem.ElemAddr(o, i))
+		case ir.OpStoreElem:
+			o := hd.ObjectOrNil(vals[in.args[0]])
+			i := int(vals[in.args[1]].Int32())
+			if o == nil || i < 0 {
+				break
+			}
+			o.SetElement(i, hd.Unbox(vals[in.args[2]]))
+			extra += m.Cache.Access(m.Mem.ElemAddr(o, i))
+		case ir.OpLoadLength:
+			o := hd.ObjectOrNil(vals[in.args[0]])
+			if o == nil {
+				vals[in.dst] = value.BoxInt(0)
+				break
+			}
+			vals[in.dst] = value.BoxInt(int32(o.Length))
+			extra += m.load(m.Mem.LengthAddr(o))
+		case ir.OpLoadGlobal:
+			// One shape lookup per access: the global object is never
+			// an array, so its offset alone decides presence.
+			g := m.host.Globals()
+			off := g.OffsetOf(in.name)
+			if off < 0 {
+				account(instr, extra)
+				d, err := raise(in.v, raisedAt(f, in.v, fmt.Errorf("%s is not defined", in.name)))
+				return value.Undefined(), d, err
+			}
+			vals[in.dst] = hd.Box(g.GetSlot(off))
+			extra += m.load(m.Mem.SlotAddr(g, off))
+		case ir.OpStoreGlobal:
+			g := m.host.Globals()
+			x := hd.Unbox(vals[in.args[0]])
+			off := g.OffsetOf(in.name)
+			if off >= 0 {
+				g.SetSlot(off, x)
+			} else {
+				g.Set(in.name, x)
+				off = g.OffsetOf(in.name)
+			}
+			extra += m.Cache.Access(m.Mem.SlotAddr(g, off))
+
+		case ir.OpMathOp:
+			mf := &value.MathFuncs[in.aux]
+			var b float64
+			if mf.Arity > 1 {
+				b = vals[in.args[1]].NumberValue()
+			}
+			vals[in.dst] = value.BoxNumber(mf.Eval(vals[in.args[0]].NumberValue(), b))
+
+		case ir.OpCallDirect:
+			this := hd.Unbox(vals[in.args[0]])
+			callArgs := fb.gatherArgs(hd, in.args[1:], vals)
+			account(instr, extra)
+			m.noteUserCall()
+			res, err := m.host.Call(in.callee, this, callArgs)
+			if err != nil {
+				d, err2 := handleCallErr(in.v, callErr(f, in.v, err))
+				return value.Undefined(), d, err2
+			}
+			vals[in.dst] = hd.Box(res)
+			instr, extra = 0, 0
+
+		case ir.OpCallRuntime:
+			account(instr, extra)
+			res, err := m.runtimeCall(fb, p, in, vals)
+			if err != nil {
+				d, err2 := handleCallErr(in.v, err)
+				return value.Undefined(), d, err2
+			}
+			vals[in.dst] = hd.Box(res)
+			instr, extra = 0, 0
+
+		case ir.OpTxBegin:
+			if m.HTM.InTx() {
+				m.HTM.Begin(nil, nil) // flattened nesting: depth only
+				break
+			}
+			begin(in.v)
+			m.installHook()
+			extra += m.HTM.Config().BeginCycles
+			m.Emit(Event{Kind: EventTxBegin, Fn: f.Name})
+			if m.inject != nil {
+				act := m.inject.At(Site{SiteKey: m.siteKey(SiteTxBegin, f, in.v), InTx: true})
+				if cause, ok := act.abortCause(); ok {
 					account(instr, extra)
-					d, err := raise(v, raisedAt(f, v, fmt.Errorf("%s is not defined", v.AuxStr)))
+					d, err := abort(cause, stats.CheckOther, in.v)
 					return value.Undefined(), d, err
 				}
-				vals[v.ID] = hd.Box(g.GetSlot(off))
-				extra += m.load(m.Mem.SlotAddr(g, off))
-			case ir.OpStoreGlobal:
-				g := m.host.Globals()
-				x := hd.Unbox(vals[v.Args[0].ID])
-				off := g.OffsetOf(v.AuxStr)
-				if off >= 0 {
-					g.SetSlot(off, x)
-				} else {
-					g.Set(v.AuxStr, x)
-					off = g.OffsetOf(v.AuxStr)
-				}
-				extra += m.Cache.Access(m.Mem.SlotAddr(g, off))
-
-			case ir.OpMathOp:
-				mf := &value.MathFuncs[v.AuxInt]
-				var b float64
-				if mf.Arity > 1 {
-					b = vals[v.Args[1].ID].NumberValue()
-				}
-				vals[v.ID] = value.BoxNumber(mf.Eval(vals[v.Args[0].ID].NumberValue(), b))
-
-			case ir.OpCallDirect:
-				this := hd.Unbox(vals[v.Args[0].ID])
-				callArgs := fb.gatherArgs(hd, v.Args[1:], vals)
+			}
+		case ir.OpTxEnd:
+			t := m.HTM.Current()
+			if t == nil {
 				account(instr, extra)
-				if m.HTM.InTx() {
-					m.txHadCalls = true
-				}
-				res, err := m.host.Call(v.Callee, this, callArgs)
-				if err != nil {
-					d, err2 := handleCallErr(v, err)
-					return value.Undefined(), d, err2
-				}
-				vals[v.ID] = hd.Box(res)
-				instr, extra = 0, 0
-
-			case ir.OpCallRuntime:
-				account(instr, extra)
-				res, err := m.runtimeCall(fb, f, v, vals)
-				if err != nil {
-					d, err2 := handleCallErr(v, err)
-					return value.Undefined(), d, err2
-				}
-				vals[v.ID] = hd.Box(res)
-				instr, extra = 0, 0
-
-			case ir.OpTxBegin:
-				if m.HTM.InTx() {
-					m.HTM.Begin(nil, nil) // flattened nesting: depth only
-				} else {
-					rec := materialize(v.Deopt)
-					m.HTM.Begin(fb, rec)
-					m.installHook()
-					copy(beCheck, backEdges)
-					m.txHadCalls = false
-					extra += m.HTM.Config().BeginCycles
-					m.Emit(Event{Kind: EventTxBegin, Fn: f.Name})
-					if m.inject != nil {
-						act := m.inject.At(Site{SiteKey: m.siteKey(SiteTxBegin, f, v), InTx: true})
-						if cause, ok := act.abortCause(); ok {
-							account(instr, extra)
-							d, err := abort(cause, stats.CheckOther, v)
-							return value.Undefined(), d, err
-						}
-					}
-				}
-			case ir.OpTxEnd:
-				t := m.HTM.Current()
-				if t == nil {
+				return value.Undefined(), nil, errf("txend without transaction")
+			}
+			if m.inject != nil && t.Depth() == 1 {
+				act := m.inject.At(Site{SiteKey: m.siteKey(SiteTxCommit, f, in.v), InTx: true})
+				if cause, ok := act.abortCause(); ok {
 					account(instr, extra)
-					return value.Undefined(), nil, errf("txend without transaction")
+					d, err := abort(cause, stats.CheckOther, in.v)
+					return value.Undefined(), d, err
 				}
-				if m.inject != nil && t.Depth() == 1 {
-					act := m.inject.At(Site{SiteKey: m.siteKey(SiteTxCommit, f, v), InTx: true})
-					if cause, ok := act.abortCause(); ok {
-						account(instr, extra)
-						d, err := abort(cause, stats.CheckOther, v)
-						return value.Undefined(), d, err
-					}
+			}
+			outer, err := m.HTM.Commit()
+			if err != nil {
+				account(instr, extra)
+				return value.Undefined(), nil, err
+			}
+			if outer {
+				m.uninstallHook()
+				m.dropUndo()
+				extra += m.HTM.Config().CommitCycles
+				m.Emit(Event{Kind: EventTxCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
+			}
+		case ir.OpTxTile:
+			t := m.HTM.Current()
+			forceTile := false
+			if m.inject != nil && t != nil && t.Owner == any(fb) {
+				act := m.inject.At(Site{SiteKey: m.siteKey(SiteTxTile, f, in.v), InTx: true})
+				if cause, ok := act.abortCause(); ok {
+					account(instr, extra)
+					d, err := abort(cause, stats.CheckOther, in.v)
+					return value.Undefined(), d, err
 				}
-				outer, err := m.HTM.Commit()
-				if err != nil {
+				forceTile = act == ActTileCommit
+			}
+			if t != nil && t.Owner == any(fb) && (forceTile || m.footprintNearCapacity(t)) {
+				if _, err := m.HTM.Commit(); err != nil {
 					account(instr, extra)
 					return value.Undefined(), nil, err
 				}
-				if outer {
-					m.uninstallHook()
-					m.dropUndo()
-					extra += m.HTM.Config().CommitCycles
-					m.Emit(Event{Kind: EventTxCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
-				}
-			case ir.OpTxTile:
-				t := m.HTM.Current()
-				forceTile := false
-				if m.inject != nil && t != nil && t.Owner == any(fb) {
-					act := m.inject.At(Site{SiteKey: m.siteKey(SiteTxTile, f, v), InTx: true})
-					if cause, ok := act.abortCause(); ok {
-						account(instr, extra)
-						d, err := abort(cause, stats.CheckOther, v)
-						return value.Undefined(), d, err
+				m.dropUndo()
+				m.Emit(Event{Kind: EventTxTileCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
+				begin(in.v)
+				cfg := m.HTM.Config()
+				extra += cfg.CommitCycles + cfg.BeginCycles
+			}
+
+		case opJump, opBranch:
+			// Leaving the block: its branch or jump, the loop trip when it
+			// is a back edge (counted locally, into the slot of the
+			// activation the block was flattened from — aborts roll the
+			// counts back to the transaction checkpoint), then the edge's
+			// phi parallel copy.
+			account(instr, 0)
+			if in.aux >= 0 {
+				backEdges[in.aux]++
+			}
+			e := in.edges[0]
+			if in.op == opBranch && !hd.ToBoolean(vals[in.args[0]]) {
+				e = in.edges[1]
+			}
+			pc = data[e]
+			if n := data[e+1]; n > 0 {
+				cp := data[e+2 : e+2+2*n]
+				phi := fb.phi[:0]
+				for i := 0; i < len(cp); i += 2 {
+					x := value.BoxedUndefined
+					if src := cp[i+1]; src >= 0 {
+						x = vals[src]
 					}
-					forceTile = act == ActTileCommit
+					phi = append(phi, x)
 				}
-				if t != nil && t.Owner == any(fb) && (forceTile || m.footprintNearCapacity(t)) {
-					if _, err := m.HTM.Commit(); err != nil {
-						account(instr, extra)
-						return value.Undefined(), nil, err
-					}
-					m.dropUndo()
-					m.Emit(Event{Kind: EventTxTileCommit, Fn: f.Name, WriteBytes: t.WriteBytes()})
-					rec := materialize(v.Deopt)
-					m.HTM.Begin(fb, rec)
-					copy(beCheck, backEdges)
-					m.txHadCalls = false
-					extra += m.HTM.Config().CommitCycles + m.HTM.Config().BeginCycles
+				fb.phi = phi
+				for i, x := range phi {
+					vals[cp[2*i]] = x
 				}
-
-			default:
-				account(instr, extra)
-				return value.Undefined(), nil, errf("unhandled IR op %v", v.Op)
 			}
-
-			account(instr, extra)
-
-			// A write from this op (or a callee) may have overflowed the
-			// transactional capacity; the undo log covers it, so abort now.
-			if m.pendingCapacity {
-				m.pendingCapacity = false
-				d, err := abort(htm.AbortCapacity, stats.CheckOther, v)
-				return value.Undefined(), d, err
+			continue
+		case opReturn:
+			account(instr, 0)
+			if in.aux >= 0 {
+				backEdges[in.aux]++
 			}
-		}
-
-		account(blockEdgeCost, 0)
-		if block.BackEdge {
-			// The block ends in the bytecode's backward unconditional jump:
-			// count the same loop trip the bytecode tiers count, locally —
-			// aborts roll the counts back to the transaction checkpoint. A
-			// block flattened from an inlined callee counts into that
-			// activation's slot so the trip lands in the callee's profile.
-			idx := 0
-			if block.Inline != nil {
-				idx = block.Inline.Index
-			}
-			backEdges[idx]++
-		}
-		prev = block
-		switch block.Kind {
-		case ir.BlockPlain:
-			block = block.Succs[0]
-		case ir.BlockIf:
-			if hd.ToBoolean(vals[block.Control.ID]) {
-				block = block.Succs[0]
-			} else {
-				block = block.Succs[1]
-			}
-		case ir.BlockReturn:
 			// Clean exit: fold every logical frame's back edges into its
 			// function's profile (inlined activations credit the callee). A
 			// callee completing inside a still-open enclosing transaction
@@ -880,9 +891,24 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 					m.host.ProfileFor(slotSource(i)).AddBackEdges(n)
 				}
 			}
-			return hd.Unbox(vals[block.Control.ID]), nil, nil
-		default:
+			return hd.Unbox(vals[in.args[0]]), nil, nil
+		case opBadBlock:
+			account(instr, 0)
 			return value.Undefined(), nil, errf("bad block kind")
+
+		default:
+			account(instr, extra)
+			return value.Undefined(), nil, errf("unhandled IR op %v", in.op)
+		}
+
+		account(instr, extra)
+
+		// A write from this op (or a callee) may have overflowed the
+		// transactional capacity; the undo log covers it, so abort now.
+		if m.pendingCapacity {
+			m.pendingCapacity = false
+			d, err := abort(htm.AbortCapacity, stats.CheckOther, in.v)
+			return value.Undefined(), d, err
 		}
 	}
 }
@@ -892,7 +918,7 @@ func (m *Machine) exec(fb *frameBuf, f *ir.Func, tier profile.Tier, args []value
 func (m *Machine) load(addr uint64) int64 {
 	lat := m.Cache.Access(addr)
 	if m.HTM.InTx() {
-		cfg := m.HTM.Config()
+		cfg := m.HTM.Config() // the system's own geometry, not a copy
 		if cfg.ReadSets > 0 {
 			if err := m.HTM.RecordRead(addr, valueSize); err != nil {
 				m.pendingCapacity = true
@@ -907,51 +933,50 @@ func (m *Machine) load(addr uint64) int64 {
 
 // checkMemCost charges the cache accesses a check performs (shape word,
 // length word).
-func (m *Machine) checkMemCost(v *ir.Value, vals []value.Boxed) int64 {
+func (m *Machine) checkMemCost(in *instr, vals []value.Boxed) int64 {
 	hd := m.host.Handles()
-	switch v.Op {
+	switch in.op {
 	case ir.OpCheckShape, ir.OpCheckArray:
-		if o := hd.ObjectOrNil(vals[v.Args[0].ID]); o != nil {
+		if o := hd.ObjectOrNil(vals[in.args[0]]); o != nil {
 			return m.load(m.Mem.ShapeAddr(o))
 		}
 	case ir.OpCheckBounds:
-		if o := hd.ObjectOrNil(vals[v.Args[0].ID]); o != nil {
+		if o := hd.ObjectOrNil(vals[in.args[0]]); o != nil {
 			return m.load(m.Mem.LengthAddr(o))
 		}
 	}
 	return 0
 }
 
-func (m *Machine) checkPasses(v *ir.Value, vals []value.Boxed, oflow []bool) bool {
+func (m *Machine) checkPasses(in *instr, vals []value.Boxed, oflow []bool) bool {
 	hd := m.host.Handles()
-	switch v.Op {
+	switch in.op {
 	case ir.OpCheckInt32:
-		return vals[v.Args[0].ID].IsInt32()
+		return vals[in.args[0]].IsInt32()
 	case ir.OpCheckNumber:
-		return vals[v.Args[0].ID].IsNumber()
+		return vals[in.args[0]].IsNumber()
 	case ir.OpCheckShape:
-		o := hd.ObjectOrNil(vals[v.Args[0].ID])
-		return o != nil && o.Shape == v.Shape
+		o := hd.ObjectOrNil(vals[in.args[0]])
+		return o != nil && o.Shape == in.shape
 	case ir.OpCheckArray:
-		o := hd.ObjectOrNil(vals[v.Args[0].ID])
+		o := hd.ObjectOrNil(vals[in.args[0]])
 		return o != nil && o.IsArray
 	case ir.OpCheckBounds:
-		o := hd.ObjectOrNil(vals[v.Args[0].ID])
+		o := hd.ObjectOrNil(vals[in.args[0]])
 		if o == nil {
 			return false
 		}
-		idx := vals[v.Args[1].ID]
-		return o.InBounds(int(idx.Int32()))
+		return o.InBounds(int(vals[in.args[1]].Int32()))
 	case ir.OpCheckNonNeg:
-		idx := vals[v.Args[0].ID]
+		idx := vals[in.args[0]]
 		return idx.IsInt32() && idx.Int32() >= 0
 	case ir.OpCheckOverflow, ir.OpCheckUint32:
-		return !oflow[v.Args[0].ID]
+		return !oflow[in.args[0]]
 	case ir.OpCheckHole:
-		return !vals[v.Args[0].ID].IsHole()
+		return !vals[in.args[0]].IsHole()
 	case ir.OpCheckCallee:
-		o := hd.ObjectOrNil(vals[v.Args[0].ID])
-		return o != nil && o.Fn != nil && o.Fn == v.Callee
+		o := hd.ObjectOrNil(vals[in.args[0]])
+		return o != nil && o.Fn != nil && o.Fn == in.callee
 	}
 	return false
 }

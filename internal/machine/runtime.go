@@ -13,41 +13,42 @@ import (
 // runtime entries that optimized code falls back to when speculation is not
 // worthwhile (paper Figure 4(b)). Their cost is attributed to the NoFTL
 // instruction class, like the paper's C runtime code.
-func (m *Machine) runtimeCall(fb *frameBuf, f *ir.Func, v *ir.Value, vals []value.Boxed) (value.Value, error) {
+func (m *Machine) runtimeCall(fb *frameBuf, p *Program, in *instr, vals []value.Boxed) (value.Value, error) {
 	ctrs := m.host.Counters()
 	hd := m.host.Handles()
+	f, v := p.f, in.v
 	charge := func(n int64) {
 		ctrs.AddInstr(stats.NoFTL, n)
 		ctrs.AddCycles(n, m.HTM.InTx())
 	}
-	a := func(i int) value.Value { return hd.Unbox(vals[v.Args[i].ID]) }
+	a := func(i int) value.Value { return hd.Unbox(vals[in.args[i]]) }
 
-	switch v.AuxStr {
-	case "binop":
+	switch in.rt {
+	case rtBinop:
 		charge(22)
-		return bytecode.Op(v.AuxInt).Eval(a(0), a(1)), nil
-	case "unop":
+		return bytecode.Op(in.aux).Eval(a(0), a(1)), nil
+	case rtUnop:
 		charge(16)
-		if bytecode.Op(v.AuxInt) == bytecode.OpBitNot {
+		if bytecode.Op(in.aux) == bytecode.OpBitNot {
 			return value.BitNot(a(0)), nil
 		}
 		return value.Neg(a(0)), nil
-	case "typeof":
+	case rtTypeof:
 		charge(14)
 		return value.Str(a(0).TypeOf()), nil
-	case "tonumber":
+	case rtToNumber:
 		charge(14)
 		return value.ToNumeric(a(0)), nil
 
-	case "getprop":
+	case rtGetProp:
 		charge(32)
 		r, err := value.GetProp(a(0), a(1).StringVal())
 		return r, raisedAt(f, v, err)
-	case "setprop":
+	case rtSetProp:
 		charge(32)
 		return value.Undefined(), raisedAt(f, v, value.SetProp(a(0), a(1).StringVal(), a(2)))
 
-	case "getelem":
+	case rtGetElem:
 		charge(20)
 		obj, idx := a(0), a(1)
 		r, acc, err := value.GetElem(obj, idx)
@@ -55,7 +56,7 @@ func (m *Machine) runtimeCall(fb *frameBuf, f *ir.Func, v *ir.Value, vals []valu
 			m.observeElem(f, v, obj, idx, acc)
 		}
 		return r, raisedAt(f, v, err)
-	case "setelem":
+	case rtSetElem:
 		charge(20)
 		obj, idx := a(0), a(1)
 		acc, err := value.SetElem(obj, idx, a(2))
@@ -64,37 +65,39 @@ func (m *Machine) runtimeCall(fb *frameBuf, f *ir.Func, v *ir.Value, vals []valu
 		}
 		return value.Undefined(), raisedAt(f, v, err)
 
-	case "call":
+	case rtCall:
 		charge(24)
 		fn, err := value.Callee(a(0), "function")
 		if err != nil {
 			return value.Undefined(), raisedAt(f, v, err)
 		}
 		m.noteUserCall()
-		return m.host.Call(fn, value.Undefined(), fb.gatherArgs(hd, v.Args[1:], vals))
-	case "callmethod":
+		r, err := m.host.Call(fn, value.Undefined(), fb.gatherArgs(hd, in.args[1:], vals))
+		return r, callErr(f, v, err)
+	case rtCallMethod:
 		charge(28)
 		m.noteUserCall()
 		recv, name := a(0), a(1).StringVal()
-		args := fb.gatherArgs(hd, v.Args[2:], vals)
-		return m.host.InvokeMethod(recv, name, args)
-	case "construct":
+		r, err := m.host.InvokeMethod(recv, name, fb.gatherArgs(hd, in.args[2:], vals))
+		return r, callErr(f, v, err)
+	case rtConstruct:
 		charge(36)
 		fn, err := value.Callee(a(0), "constructor")
 		if err != nil {
 			return value.Undefined(), raisedAt(f, v, err)
 		}
 		m.noteUserCall()
-		return m.host.Construct(fn, fb.gatherArgs(hd, v.Args[1:], vals))
+		r, err := m.host.Construct(fn, fb.gatherArgs(hd, in.args[1:], vals))
+		return r, callErr(f, v, err)
 
-	case "newobject":
+	case rtNewObject:
 		charge(28)
-		return value.Obj(value.NewObject(m.host.Shapes(), int(v.AuxInt))), nil
-	case "newarray":
+		return value.Obj(value.NewObject(m.host.Shapes(), int(in.aux))), nil
+	case rtNewArray:
 		charge(28)
-		return value.Obj(value.NewArray(m.host.Shapes(), int(v.AuxInt))), nil
+		return value.Obj(value.NewArray(m.host.Shapes(), int(in.aux))), nil
 	}
-	return value.Undefined(), fmt.Errorf("machine: unknown runtime entry %q", v.AuxStr)
+	return value.Undefined(), fmt.Errorf("machine: unknown runtime entry %q", in.name)
 }
 
 // raisedAt attributes err, a JavaScript error raised by the operation at v, to
@@ -112,6 +115,16 @@ func raisedAt(f *ir.Func, v *ir.Value, err error) error {
 		return &bytecode.RuntimeError{Fn: f.Name, Msg: err.Error()}
 	}
 	return src.Errorf(v.BCPos, "%v", err)
+}
+
+// callErr attributes a builtin's own error to the call site v that invoked
+// the builtin, as Baseline does; every other error from a call — a callee's
+// RuntimeError, an interrupt, a transaction unwind — passes through as is.
+func callErr(f *ir.Func, v *ir.Value, err error) error {
+	if ne, ok := err.(*bytecode.NativeError); ok {
+		return raisedAt(f, v, ne.Err)
+	}
+	return err
 }
 
 // observeElem mirrors the Baseline interpreter's element-site profiling from

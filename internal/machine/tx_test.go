@@ -332,7 +332,7 @@ function reset() {
 						return machine.ActAbortCapacity
 					}))
 					defer m.SetInjector(nil)
-					_, d, err := m.Run(code, profile.TierFTL, []value.Value{value.Int(3)})
+					_, d, err := m.RunIR(code, profile.TierFTL, []value.Value{value.Int(3)})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -206,24 +206,35 @@ func (h *Handles) Str(b Boxed) string { return h.strs[b.handle()] }
 // semantics; see FuzzBox).
 func (h *Handles) Box(v Value) Boxed {
 	switch v.kind {
-	case KindUndefined:
-		return BoxedUndefined
-	case KindNull:
-		return BoxedNull
-	case KindBool:
-		return BoxBool(v.b)
-	case KindInt32:
-		return BoxInt(v.i)
-	case KindDouble:
-		return BoxDouble(v.f)
 	case KindString:
 		return h.BoxStr(v.s)
 	case KindObject:
 		return h.BoxObject(v.o)
-	case KindHole:
-		return BoxedHole
 	}
-	return BoxedUndefined
+	b, _ := BoxPrimitive(v)
+	return b
+}
+
+// BoxPrimitive boxes v without a handle slab; ok is false for strings and
+// objects, whose boxes index one isolate's slab.
+func BoxPrimitive(v Value) (b Boxed, ok bool) {
+	switch v.kind {
+	case KindString, KindObject:
+		return BoxedUndefined, false
+	case KindUndefined:
+		return BoxedUndefined, true
+	case KindNull:
+		return BoxedNull, true
+	case KindBool:
+		return BoxBool(v.b), true
+	case KindInt32:
+		return BoxInt(v.i), true
+	case KindDouble:
+		return BoxDouble(v.f), true
+	case KindHole:
+		return BoxedHole, true
+	}
+	return BoxedUndefined, true
 }
 
 // Unbox converts a boxed value back to the fat representation. A raw double

@@ -1,13 +1,13 @@
 package vm
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
 
+	"nomap/internal/bytecode"
 	"nomap/internal/stats"
 	"nomap/internal/value"
 )
@@ -60,7 +60,7 @@ func (vm *VM) installBuiltins() {
 		if len(args) == 1 && args[0].IsNumber() {
 			n := args[0].ToUint32()
 			if float64(n) != args[0].ToNumber() || n > maxArrayLength {
-				return value.Undefined(), errors.New("RangeError: Invalid array length")
+				return value.Undefined(), nativeErrorf("RangeError: Invalid array length")
 			}
 			return value.Obj(value.NewArray(vm.shapes, int(n))), nil
 		}
@@ -142,6 +142,15 @@ func (vm *VM) installBuiltins() {
 	g.Set("undefined", value.Undefined())
 }
 
+// nativeErrorf returns an error a builtin raises itself. It is tagged as the
+// builtin's own (bytecode.NativeError), so the tier that called the builtin
+// attributes it to the call site, while an error merely passing through a
+// builtin — a callback's RuntimeError, an interrupt, a call-depth overflow,
+// an irrevocable-operation abort — keeps its own form.
+func nativeErrorf(format string, a ...any) error {
+	return &bytecode.NativeError{Err: fmt.Errorf(format, a...)}
+}
+
 func (vm *VM) native(name string, f func(value.Value, []value.Value) (value.Value, error)) value.Value {
 	fn := &value.Function{Name: name, Native: f}
 	vm.registerNative(fn)
@@ -188,13 +197,13 @@ func (vm *VM) InvokeMethod(recv value.Value, name string, args []value.Value) (v
 		if o.IsArray {
 			return vm.arrayMethod(o, name, args)
 		}
-		return value.Undefined(), fmt.Errorf("object has no method %q", name)
+		return value.Undefined(), nativeErrorf("object has no method %q", name)
 	case value.KindString:
 		return vm.stringMethod(recv.StringVal(), name, args)
 	case value.KindInt32, value.KindDouble:
 		return vm.numberMethod(recv, name, args)
 	default:
-		return value.Undefined(), fmt.Errorf("cannot call method %q on %s", name, recv.TypeOf())
+		return value.Undefined(), nativeErrorf("cannot call method %q on %s", name, recv.TypeOf())
 	}
 }
 
@@ -301,7 +310,7 @@ func (vm *VM) arrayMethod(o *value.Object, name string, args []value.Value) (val
 	case "reduce":
 		return vm.arrayReduce(o, args)
 	default:
-		return value.Undefined(), fmt.Errorf("array has no method %q", name)
+		return value.Undefined(), nativeErrorf("array has no method %q", name)
 	}
 }
 
@@ -311,7 +320,7 @@ func (vm *VM) arrayMethod(o *value.Object, name string, args []value.Value) (val
 func (vm *VM) arrayIterate(o *value.Object, name string, args []value.Value) (value.Value, error) {
 	cb := arg(args, 0)
 	if !cb.IsCallable() {
-		return value.Undefined(), fmt.Errorf("%s requires a function", name)
+		return value.Undefined(), nativeErrorf("%s requires a function", name)
 	}
 	fn := cb.Object().Fn
 	var out *value.Object
@@ -355,7 +364,7 @@ func (vm *VM) arrayIterate(o *value.Object, name string, args []value.Value) (va
 func (vm *VM) arrayReduce(o *value.Object, args []value.Value) (value.Value, error) {
 	cb := arg(args, 0)
 	if !cb.IsCallable() {
-		return value.Undefined(), fmt.Errorf("reduce requires a function")
+		return value.Undefined(), nativeErrorf("reduce requires a function")
 	}
 	fn := cb.Object().Fn
 	i := 0
@@ -364,7 +373,7 @@ func (vm *VM) arrayReduce(o *value.Object, args []value.Value) (value.Value, err
 		acc = args[1]
 	} else {
 		if o.Length == 0 {
-			return value.Undefined(), fmt.Errorf("reduce of empty array with no initial value")
+			return value.Undefined(), nativeErrorf("reduce of empty array with no initial value")
 		}
 		acc = o.GetElement(0)
 		i = 1
@@ -525,16 +534,16 @@ func (vm *VM) stringMethod(s string, name string, args []value.Value) (value.Val
 	case "repeat":
 		n := int(arg(args, 0).ToInt32())
 		if n < 0 {
-			return value.Undefined(), fmt.Errorf("repeat count must be non-negative")
+			return value.Undefined(), nativeErrorf("repeat count must be non-negative")
 		}
 		if n*len(s) > 1<<22 {
-			return value.Undefined(), fmt.Errorf("repeat result too large")
+			return value.Undefined(), nativeErrorf("repeat result too large")
 		}
 		return value.Str(strings.Repeat(s, n)), nil
 	case "toString":
 		return value.Str(s), nil
 	default:
-		return value.Undefined(), fmt.Errorf("string has no method %q", name)
+		return value.Undefined(), nativeErrorf("string has no method %q", name)
 	}
 }
 
@@ -555,6 +564,6 @@ func (vm *VM) numberMethod(n value.Value, name string, args []value.Value) (valu
 		d := int(arg(args, 0).ToInt32())
 		return value.Str(strconv.FormatFloat(n.ToNumber(), 'f', d, 64)), nil
 	default:
-		return value.Undefined(), fmt.Errorf("number has no method %q", name)
+		return value.Undefined(), nativeErrorf("number has no method %q", name)
 	}
 }
