@@ -16,14 +16,13 @@
 package isolate
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"nomap/internal/bytecode"
 	"nomap/internal/codecache"
+	"nomap/internal/core"
 	"nomap/internal/governor"
 	"nomap/internal/jit"
 	"nomap/internal/profile"
@@ -121,20 +120,94 @@ var ErrSnapshotCorrupt = errors.New("isolate: snapshot failed integrity check")
 
 // seal is FNV-1a over the snapshot's payload — program hash, governor
 // ledgers and every profile encoding, each deterministically ordered — the
-// integrity fingerprint Restore verifies.
+// integrity fingerprint Restore verifies. The ledgers are hashed field by
+// field in a fixed binary order, so sealing allocates nothing.
 func (s *Snapshot) seal() uint64 {
-	h := fnv.New64a()
-	var n [binary.MaxVarintLen64]byte
+	h := sealHash(fnvOffset)
 	if s.Program != nil {
-		h.Write(binary.LittleEndian.AppendUint64(n[:0], s.Program.Hash))
+		h.u64(s.Program.Hash)
 	}
-	fmt.Fprintf(h, "gov:%+v\n", s.Gov)
+	h.u64(uint64(len(s.Gov)))
+	for i := range s.Gov {
+		f := &s.Gov[i]
+		h.str(f.Fn)
+		h.u64(uint64(f.Level))
+		h.u64(uint64(f.Proven))
+		h.flag(f.Probing)
+		h.flag(f.Pinned)
+		h.flag(f.Promoted)
+		h.u64(uint64(f.Failed))
+		h.u64(uint64(f.Window))
+		h.u64(uint64(f.Progress))
+		h.u64(uint64(f.SinceDecay))
+		for _, sites := range [][]governor.Ledger[core.CheckSite]{f.Sites, f.Dispatch} {
+			h.u64(uint64(len(sites)))
+			for _, l := range sites {
+				h.u64(uint64(l.Key.PC))
+				h.u64(uint64(l.Key.Class))
+				h.str(l.Key.Path)
+				h.str(l.Key.Shape)
+				h.ledger(l.N, l.Aux, l.On)
+			}
+		}
+		h.u64(uint64(len(f.OSR)))
+		for _, l := range f.OSR {
+			h.u64(uint64(l.Key))
+			h.ledger(l.N, l.Aux, l.On)
+		}
+	}
 	for _, b := range s.Profiles {
 		// Encodings are never empty, so length 0 marks an absent profile.
-		h.Write(binary.AppendUvarint(n[:0], uint64(len(b))))
-		h.Write(b)
+		h.u64(uint64(len(b)))
+		h.bytes(b)
 	}
-	return h.Sum64()
+	return uint64(h)
+}
+
+// sealHash is a running 64-bit FNV-1a hash. Integers go in as 8
+// little-endian bytes and strings with their length first, so no two
+// payloads run together into the same byte stream.
+type sealHash uint64
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func (h *sealHash) byte(c byte) { *h = (*h ^ sealHash(c)) * fnvPrime }
+
+func (h *sealHash) u64(x uint64) {
+	for range 8 {
+		h.byte(byte(x))
+		x >>= 8
+	}
+}
+
+func (h *sealHash) flag(b bool) {
+	if b {
+		h.byte(1)
+	} else {
+		h.byte(0)
+	}
+}
+
+func (h *sealHash) str(s string) {
+	h.u64(uint64(len(s)))
+	for i := range len(s) {
+		h.byte(s[i])
+	}
+}
+
+func (h *sealHash) bytes(b []byte) {
+	for _, c := range b {
+		h.byte(c)
+	}
+}
+
+func (h *sealHash) ledger(n, aux int64, on bool) {
+	h.u64(uint64(n))
+	h.u64(uint64(aux))
+	h.flag(on)
 }
 
 // CorruptCopy returns a copy of the snapshot with one payload byte damaged

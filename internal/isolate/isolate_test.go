@@ -3,11 +3,15 @@ package isolate
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"nomap/internal/bytecode"
 	"nomap/internal/codecache"
+	"nomap/internal/core"
+	"nomap/internal/governor"
 	"nomap/internal/profile"
+	"nomap/internal/stats"
 	"nomap/internal/value"
 	"nomap/internal/vm"
 )
@@ -112,6 +116,112 @@ func TestRecycledIsolateDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.counters, want.counters) {
 		t.Errorf("recycled counters diverge:\n got %+v\nwant %+v", got.counters, want.counters)
+	}
+}
+
+// leakyTenant tampers with every part of the builtin realm a program can
+// reach: it overwrites a native and a constant on Math, nulls a native on
+// String, sets a property on a native's function object, shadows a native
+// global, adds globals, and builds literals whose keys follow Math's own
+// transitions, sharing and then extending them.
+const leakyTenant = `
+Math.floor = function() { return 7; };
+Math.PI = 3;
+String.fromCharCode = null;
+print.x = 1;
+var parseInt = 5;
+var extra1 = 1;
+var lit = {abs: 1, floor: 2, ceil: 3};
+var off = {abs: 1, zzz: 2};
+Math.extra = 4;
+function run(k) {
+  var o = {abs: k, floor: 2, sqrt: 3, other: 4};
+  extra2 = k;
+  return Math.floor(k) + Math.PI + parseInt + print.x + o.other;
+}
+`
+
+// realmProbe reads everything leakyTenant tampers with and builds the same
+// literals, so any leak shows in its results, output or shapes.
+const realmProbe = `
+var lit = {abs: 1, floor: 2};
+var off = {abs: 1, zzz: 2};
+var fresh = {y: 1};
+function run(k) {
+  var s = Math.floor(k + 0.5) + Math.PI + String.fromCharCode(65 + k).length + parseInt("12");
+  print(typeof Math.extra, typeof print.x, typeof String.fromCharCode, typeof parseInt, s);
+  var o = {abs: k, floor: 2, ceil: 3};
+  var q = {abs: k, zzz: 2};
+  extra2 = k;
+  return s + o.ceil + q.zzz + extra2;
+}
+`
+
+// TestRecycledIsolateRealm: after a tenant that tampered with the builtin
+// realm, a Reset isolate runs the next program exactly as a fresh one does —
+// results, output, counters, the global object's keys and every shape ID
+// the program gets — so nothing of the realm leaks between tenants.
+func TestRecycledIsolateRealm(t *testing.T) {
+	cfg := vm.DefaultConfig()
+	cfg.Arch = vm.ArchNoMap
+	progs := codecache.NewPrograms()
+	leaky, err := progs.Load(leakyTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := progs.Load(realmProbe)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type realmRecord struct {
+		runRecord
+		globals []string
+		shapes  []uint32
+	}
+	observe := func(iso *Isolate) realmRecord {
+		r := realmRecord{runRecord: record(t, iso, probe)}
+		g := iso.VM().Globals()
+		r.globals = g.Shape.Keys()
+		r.shapes = append(r.shapes, g.Shape.ID)
+		for _, name := range []string{"lit", "off", "fresh"} {
+			r.shapes = append(r.shapes, g.Get(name).Object().Shape.ID)
+		}
+		// The next ID the table hands out.
+		r.shapes = append(r.shapes, iso.VM().Shapes().Replay([]string{"realmProbe.next"}).ID)
+		return r
+	}
+	want := observe(New(cfg))
+
+	used := New(cfg)
+	if err := used.Load(leaky); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := used.VM().CallGlobal("run", value.Int(int32(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f := used.VM().Globals().Get("Math").Object().Get("floor"); !f.IsCallable() || f.Object().Fn.IsNative() {
+		t.Fatal("the tampering tenant did not overwrite Math.floor")
+	}
+	used.Reset()
+	got := observe(used)
+
+	if !reflect.DeepEqual(got.results, want.results) {
+		t.Errorf("results diverge after a tampering tenant:\n got %v\nwant %v", got.results, want.results)
+	}
+	if !reflect.DeepEqual(got.output, want.output) {
+		t.Errorf("output diverges after a tampering tenant:\n got %q\nwant %q", got.output, want.output)
+	}
+	if !reflect.DeepEqual(got.counters, want.counters) {
+		t.Errorf("counters diverge after a tampering tenant:\n got %+v\nwant %+v", got.counters, want.counters)
+	}
+	if !reflect.DeepEqual(got.globals, want.globals) {
+		t.Errorf("global keys diverge after a tampering tenant:\n got %v\nwant %v", got.globals, want.globals)
+	}
+	if !reflect.DeepEqual(got.shapes, want.shapes) {
+		t.Errorf("shape IDs diverge after a tampering tenant: got %v, want %v", got.shapes, want.shapes)
 	}
 }
 
@@ -245,6 +355,83 @@ func TestStoreSaveOnce(t *testing.T) {
 	stats := st.Stats()
 	if stats.Size != 1 || stats.Hits != 1 || stats.Misses != 2 {
 		t.Errorf("store stats = %+v", stats)
+	}
+}
+
+// TestSealCoversEveryLedgerField: changing any one field of a governor
+// ledger entry — every FuncSnap field, down to each ledger's key, counts and
+// flag — changes the seal. The fields are found by reflection, so a field
+// added to FuncSnap and left out of the seal fails here.
+func TestSealCoversEveryLedgerField(t *testing.T) {
+	site := func(pc int) core.CheckSite {
+		return core.CheckSite{PC: pc, Class: stats.CheckType, Path: "f@3", Shape: "s"}
+	}
+	snapshot := func() *Snapshot {
+		return &Snapshot{Gov: governor.Snapshot{
+			{Fn: "f", Level: core.TxLoopNest, Proven: core.TxLoopNest,
+				Probation:  governor.Probation{Failed: 1, Window: 2, Progress: 3},
+				SinceDecay: 4,
+				Sites:      []governor.Ledger[core.CheckSite]{{Key: site(5), N: 6, Aux: 7}},
+				Dispatch:   []governor.Ledger[core.CheckSite]{{Key: site(8), N: 9, Aux: 10, On: true}},
+				OSR:        []governor.Ledger[int]{{Key: 11, N: 12, Aux: 13}}},
+			{Fn: "g"},
+		}}
+	}
+	base := snapshot().seal()
+	// leaves visits every scalar field under v, in a fixed order.
+	var leaves func(v reflect.Value, visit func(reflect.Value))
+	leaves = func(v reflect.Value, visit func(reflect.Value)) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := range v.NumField() {
+				leaves(v.Field(i), visit)
+			}
+		case reflect.Slice:
+			for i := range v.Len() {
+				leaves(v.Index(i), visit)
+			}
+		default:
+			visit(v)
+		}
+	}
+	for k := 0; ; k++ {
+		s, i, name := snapshot(), 0, ""
+		leaves(reflect.ValueOf(&s.Gov[0]).Elem(), func(v reflect.Value) {
+			if i++; i-1 != k {
+				return
+			}
+			name = v.Type().String()
+			switch v.Kind() {
+			case reflect.Bool:
+				v.SetBool(!v.Bool())
+			case reflect.Int, reflect.Int64:
+				v.SetInt(v.Int() + 100)
+			case reflect.Uint8:
+				v.SetUint(v.Uint() + 1)
+			case reflect.String:
+				v.SetString(v.String() + "x")
+			default:
+				t.Fatalf("field %d: unhandled kind %v", k, v.Kind())
+			}
+		})
+		if name == "" {
+			if k < 20 {
+				t.Fatalf("visited only %d fields", k)
+			}
+			break
+		}
+		if s.seal() == base {
+			t.Errorf("changing FuncSnap field %d (%s) leaves the seal unchanged", k, name)
+		}
+	}
+	// Moving a string's bytes across a field boundary changes it too.
+	s := snapshot()
+	s.Gov[0].Sites[0].Key.Path, s.Gov[0].Sites[0].Key.Shape = "f@3s", ""
+	if s.seal() == base {
+		t.Error("the seal must keep adjacent strings apart")
+	}
+	if n := testing.AllocsPerRun(20, func() { s.seal() }); n != 0 {
+		t.Errorf("seal allocates %v, want 0", n)
 	}
 }
 
@@ -428,5 +615,67 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		if err := warm.Restore(donor.Snapshot()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// resetAllocsBound caps a recycled isolate's Reset: the builtin realm's
+// fresh objects, the handle slab and the governor and machine state. Before
+// the realm had a template, a Reset replayed every builtin's Object.Set and
+// cost 291 allocations.
+const resetAllocsBound = 12
+
+// tenantSource is a small program that adds globals and shapes, so a Reset
+// after it has a tenant to undo.
+const tenantSource = `var o = {abs: 1, q: 2}; Math.z = 1; function run(k) { var p = {abs: k, r: 2}; return p.r + o.q; }`
+
+// TestResetAllocations gates isolate.Reset's allocations, each Reset
+// following a tenant that extended the realm's shapes (the loads are not
+// counted).
+func TestResetAllocations(t *testing.T) {
+	entry, err := codecache.NewPrograms().Load(tenantSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iso := New(vm.DefaultConfig())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for i := 0; i <= runs; i++ {
+		if err := iso.Load(entry); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		iso.Reset()
+		runtime.ReadMemStats(&after)
+		if i > 0 { // the first Reset warms up
+			mallocs += after.Mallocs - before.Mallocs
+		}
+	}
+	n := float64(mallocs / runs)
+	t.Logf("isolate.Reset allocates %v", n)
+	if n > resetAllocsBound {
+		t.Errorf("isolate.Reset allocates %v, want at most %d", n, resetAllocsBound)
+	}
+}
+
+// BenchmarkIsolateReset measures what a pool worker pays to recycle an
+// isolate after a tenant: one op resets an isolate that ran tenantSource
+// (the load itself is not timed).
+func BenchmarkIsolateReset(b *testing.B) {
+	entry, err := codecache.NewPrograms().Load(tenantSource)
+	if err != nil {
+		b.Fatal(err)
+	}
+	iso := New(vm.DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := iso.Load(entry); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		iso.Reset()
 	}
 }

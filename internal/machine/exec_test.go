@@ -383,3 +383,88 @@ func TestFolderMatchesMachine(t *testing.T) {
 		}
 	}
 }
+
+// globalAccess builds `g = param0; return g`, or `return g` without store.
+func globalAccess(store bool) *ir.Func {
+	f := ir.NewFunc("t", stubSource(1))
+	b := f.NewBlock()
+	f.Entry = b
+	if store {
+		p := b.NewValue(ir.OpParam, ir.TypeGeneric)
+		b.NewValue(ir.OpStoreGlobal, ir.TypeNone, p).AuxStr = "g"
+	}
+	ld := b.NewValue(ir.OpLoadGlobal, ir.TypeGeneric)
+	ld.AuxStr = "g"
+	b.Kind = ir.BlockReturn
+	b.Control = ld
+	return f
+}
+
+// A global access caches the global object's shape and the name's offset in
+// its lowered instruction. Every change to the global object must still be
+// read correctly through that cache: a store that adds the global, globals
+// added between two runs, a new global object with another layout, and a
+// global add rolled back by an aborted transaction. Each access is charged
+// the same simulated address whether it hits the cache or not.
+func TestGlobalOffsetCache(t *testing.T) {
+	h := newStubHost()
+	m := New(h, htm.ROTConfig())
+	store, load := Lower(globalAccess(true), profile.TierFTL), Lower(globalAccess(false), profile.TierFTL)
+	run := func(p *Program, arg int32) (value.Value, error) {
+		t.Helper()
+		res, d, err := m.Run(p, []value.Value{value.Int(arg)})
+		if d != nil {
+			t.Fatalf("unexpected deopt to pc %d", d.Frame.PC)
+		}
+		return res, err
+	}
+	expect := func(what string, p *Program, arg, want int32) {
+		t.Helper()
+		if r, err := run(p, arg); err != nil || r != value.Int(want) {
+			t.Errorf("%s: got %v, %v; want %d", what, r, err, want)
+		}
+	}
+
+	if _, err := run(&load, 0); err == nil {
+		t.Error("reading g before it exists must raise")
+	}
+	expect("a store that adds g", &store, 5, 5)
+	expect("a load after the add", &load, 0, 5)
+	h.globals.Set("h", value.Int(1))
+	h.globals.Set("g", value.Int(6))
+	expect("a load after a global was added", &load, 0, 6)
+	expect("a store after a global was added", &store, 7, 7)
+	if h.globals.Get("h") != value.Int(1) {
+		t.Error("the store to g clobbered h")
+	}
+
+	// A new global object with g at another offset.
+	h.globals = value.NewObject(h.shapes, 0)
+	h.globals.Set("a", value.Int(10))
+	h.globals.Set("b", value.Int(11))
+	h.globals.Set("g", value.Int(12))
+	expect("a load from a new global object", &load, 0, 12)
+	addr := m.Mem.SlotAddr(h.globals, 2)
+	m.Cache.Reset()
+	expect("a cached load", &load, 0, 12)
+	if first := m.Cache.Access(addr); first != m.Cache.Access(addr) {
+		t.Error("a cached load must touch g's slot address")
+	}
+
+	// A global add inside a transaction that aborts is rolled back: g is
+	// undefined again, though the store's instruction saw it added.
+	h.globals = value.NewObject(h.shapes, 0)
+	m.HTM.Begin(nil, nil)
+	m.installHook()
+	expect("a store inside a transaction", &store, 8, 8)
+	m.rollback()
+	m.uninstallHook()
+	if err := m.HTM.Abort(htm.AbortCheck); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run(&load, 0); err == nil {
+		t.Error("reading g after its add was rolled back must raise")
+	}
+	expect("a store after the rollback", &store, 9, 9)
+	expect("a load after the rollback", &load, 0, 9)
+}

@@ -724,10 +724,10 @@ func (m *Machine) exec(fb *frameBuf, p *Program, args []value.Value, osr *frame.
 			vals[in.dst] = value.BoxInt(int32(o.Length))
 			extra += m.load(m.Mem.LengthAddr(o))
 		case ir.OpLoadGlobal:
-			// One shape lookup per access: the global object is never
-			// an array, so its offset alone decides presence.
+			// The global object is never an array, so its offset alone
+			// decides presence.
 			g := m.host.Globals()
-			off := g.OffsetOf(in.name)
+			off := in.globalOffset(g)
 			if off < 0 {
 				account(instr, extra)
 				d, err := raise(in.v, raisedAt(f, in.v, fmt.Errorf("%s is not defined", in.name)))
@@ -738,12 +738,12 @@ func (m *Machine) exec(fb *frameBuf, p *Program, args []value.Value, osr *frame.
 		case ir.OpStoreGlobal:
 			g := m.host.Globals()
 			x := hd.Unbox(vals[in.args[0]])
-			off := g.OffsetOf(in.name)
+			off := in.globalOffset(g)
 			if off >= 0 {
 				g.SetSlot(off, x)
 			} else {
 				g.Set(in.name, x)
-				off = g.OffsetOf(in.name)
+				off = in.globalOffset(g)
 			}
 			extra += m.Cache.Access(m.Mem.SlotAddr(g, off))
 

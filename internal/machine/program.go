@@ -23,7 +23,9 @@ import (
 // predecessors or walks its values at run time.
 //
 // A Program is immutable once lowered (Relocate runs before it is
-// installed) and is the zero value when no artifact is present.
+// installed), apart from its global accesses' offset caches, and is the
+// zero value when no artifact is present. Each isolate lowers its own, so
+// only that isolate ever writes one.
 type Program struct {
 	f     *ir.Func
 	tier  profile.Tier
@@ -100,11 +102,32 @@ type instr struct {
 	// aux is the op's integer immediate (AuxInt); for an OpConst without a
 	// heap payload it is the boxed constant, and for a terminator the
 	// back-edge slot it counts into (-1: not a loop back edge).
-	aux    int64
-	name   string // property or global name (AuxStr)
+	aux  int64
+	name string // property or global name (AuxStr)
+	// shape is the relocated shape the op checks or transitions to. A
+	// global access has none; there shape and aux cache the global
+	// object's shape it last saw and name's offset in it (globalOffset).
 	shape  *value.Shape
 	callee *value.Function
 	v      *ir.Value
+}
+
+// globalOffset returns the offset of a global access's name in the global
+// object g, or -1 when g has no such property. A shape's layout never
+// changes, so when g still has the shape the instruction saw last, the
+// cached offset is exact; otherwise (a global added or rolled back, a new
+// global object) it looks the name up and caches a found offset. The cache
+// lives in the instruction, which only the isolate the program was lowered
+// for ever runs.
+func (in *instr) globalOffset(g *value.Object) int {
+	if g.Shape == in.shape {
+		return int(in.aux)
+	}
+	off := g.OffsetOf(in.name)
+	if off >= 0 {
+		in.shape, in.aux = g.Shape, int64(off)
+	}
+	return off
 }
 
 // Lower builds the flat program of f under tier's weights. It costs at most

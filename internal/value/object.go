@@ -45,6 +45,11 @@ type ShapeTable struct {
 	nextID uint32
 	Root   *Shape
 	Hook   WriteHook
+
+	// mark is the last ID of the template tree (Mark); template holds its
+	// shapes, the only ones whose transitions a Rewind must prune.
+	mark     uint32
+	template []*Shape
 }
 
 // NewShapeTable returns a table with a fresh empty root shape.
@@ -79,6 +84,40 @@ func (t *ShapeTable) Transition(s *Shape, key string) *Shape {
 	}
 	s.transitions[key] = next
 	return next
+}
+
+// Mark makes the table's current tree its template: Rewind returns the
+// table to exactly this tree.
+func (t *ShapeTable) Mark() {
+	t.mark = t.nextID
+	t.template = append(t.template[:0], t.Root)
+	for i := 0; i < len(t.template); i++ {
+		for _, next := range t.template[i].transitions {
+			t.template = append(t.template, next)
+		}
+	}
+}
+
+// Rewind returns the table to its template (Mark; the bare root when never
+// marked): every transition created since is deleted from the template
+// shapes, IDs restart after the template's, and the Hook is cleared. A
+// program then gets the same shapes and IDs as on a fresh table built the
+// same way, and Holds is false for every shape the deleted transitions led
+// to, so nothing can resolve a reference to one. The template shapes and
+// their lookup tables are kept.
+func (t *ShapeTable) Rewind() {
+	if t.template == nil {
+		t.mark, t.template = t.Root.ID, []*Shape{t.Root}
+	}
+	for _, s := range t.template {
+		for key, next := range s.transitions {
+			if next.ID > t.mark {
+				delete(s.transitions, key)
+			}
+		}
+	}
+	t.nextID = t.mark
+	t.Hook = nil
 }
 
 // Path returns the transition keys that reach s from its table's root, in
@@ -264,6 +303,24 @@ func NewArray(t *ShapeTable, length int) *Object {
 // NewFunctionObject wraps fn in a callable object.
 func NewFunctionObject(t *ShapeTable, fn *Function) *Object {
 	return &Object{Shape: t.Root, Class: "Function", Fn: fn, table: t}
+}
+
+// NewFunctionObjects wraps each of fns in a callable object, all in one
+// allocation: objs[i] wraps fns[i].
+func NewFunctionObjects(t *ShapeTable, fns []*Function) []Object {
+	objs := make([]Object, len(fns))
+	for i, fn := range fns {
+		objs[i] = Object{Shape: t.Root, Class: "Function", Fn: fn, table: t}
+	}
+	return objs
+}
+
+// NewObjectOf creates a plain object of shape s (a shape of t) whose slots
+// are a copy of slots, one per property of s.
+func NewObjectOf(t *ShapeTable, s *Shape, class string, slots []Value) *Object {
+	o, buf := alloc(len(slots))
+	o.Shape, o.Slots, o.Class, o.table = s, append(buf, slots...), class, t
+	return o
 }
 
 // Table returns the shape table this object belongs to.

@@ -261,3 +261,69 @@ func TestHandlesReset(t *testing.T) {
 		}
 	}
 }
+
+// nopHook is a WriteHook that observes nothing.
+type nopHook struct{}
+
+func (nopHook) OnSlotWrite(*Object, int, Value)           {}
+func (nopHook) OnPropAdd(*Object, *Shape)                 {}
+func (nopHook) OnElemWrite(*Object, int, Value, int, int) {}
+func (nopHook) OnTruncate(*Object, []Value, int)          {}
+
+// A rewound table hands a program the same shapes, with the same IDs, as a
+// fresh table built up to the same Mark; it no longer holds any shape
+// created after the Mark, keeps the template's own, and drops its hook.
+func TestShapeTableRewind(t *testing.T) {
+	build := func() *ShapeTable {
+		table := NewShapeTable()
+		table.Replay([]string{"a", "b"})
+		table.Replay([]string{"c"})
+		table.Mark()
+		return table
+	}
+	// The tenant reuses a template shape, extends one, extends the root, and
+	// grows past the template's deepest shape.
+	paths := [][]string{{"a", "b"}, {"a", "x"}, {"y"}, {"c", "d", "e"}, {"a", "b", "z"}}
+	tenant := func(table *ShapeTable) []*Shape {
+		var out []*Shape
+		for _, p := range paths {
+			out = append(out, table.Replay(p))
+		}
+		return out
+	}
+
+	want := tenant(build())
+	used := build()
+	stale := tenant(used)
+	used.Hook = nopHook{}
+	used.Rewind()
+	if used.Hook != nil {
+		t.Error("Rewind must clear the hook")
+	}
+	if !used.Holds(stale[0]) {
+		t.Error("a template shape must survive Rewind")
+	}
+	for _, s := range stale[1:] {
+		if used.Holds(s) {
+			t.Errorf("shape %v created after Mark is still held after Rewind", s.Path())
+		}
+	}
+	got := tenant(used)
+	for i := range got {
+		if got[i].ID != want[i].ID || got[i].Offset != want[i].Offset {
+			t.Errorf("%v: ID %d offset %d after Rewind, want %d, %d as on a fresh table",
+				paths[i], got[i].ID, got[i].Offset, want[i].ID, want[i].Offset)
+		}
+		if i > 0 && got[i] == stale[i] {
+			t.Errorf("%v: Rewind handed back a shape the previous tenant created", paths[i])
+		}
+	}
+
+	// A table never marked rewinds to its bare root.
+	bare := NewShapeTable()
+	x := bare.Replay([]string{"x"})
+	bare.Rewind()
+	if bare.Holds(x) || bare.Replay([]string{"y"}).ID != x.ID {
+		t.Error("an unmarked table must rewind to its root")
+	}
+}

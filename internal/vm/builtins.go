@@ -23,25 +23,29 @@ import (
 // Arrays still grow past it element by element.
 const maxArrayLength = 1 << 20
 
+// installBuiltins builds the realm's template: the natives, in their one
+// creation order, and the global, Math and String objects' final shapes and
+// slots. It runs once, from New; every Reset restores the realm from it.
 func (vm *VM) installBuiltins() {
-	g := vm.globals
+	vm.realm = realm{shapes: vm.shapes}
+	r := &vm.realm
+	g := r.object("Object")
 
-	mathObj := value.NewObject(vm.shapes, 0)
-	mathObj.Class = "Math"
+	mathObj := r.object("Math")
 	for i := range value.MathFuncs {
 		mf := &value.MathFuncs[i]
-		mathObj.Set(mf.Name, vm.native(mf.Name, func(this value.Value, args []value.Value) (value.Value, error) {
+		r.link(mathObj, mf.Name, vm.native(mf.Name, func(this value.Value, args []value.Value) (value.Value, error) {
 			return mf.Call(args), nil
 		}))
 	}
-	mathObj.Set("random", vm.native("random", func(this value.Value, args []value.Value) (value.Value, error) {
+	r.link(mathObj, "random", vm.native("random", func(this value.Value, args []value.Value) (value.Value, error) {
 		return value.Double(vm.nextRandom()), nil
 	}))
-	mathObj.Set("PI", value.Double(math.Pi))
-	mathObj.Set("E", value.Double(math.E))
-	g.Set("Math", value.Obj(mathObj))
+	r.set(mathObj, "PI", value.Double(math.Pi))
+	r.set(mathObj, "E", value.Double(math.E))
+	r.link(g, "Math", mathObj)
 
-	printFn := &value.Function{
+	r.link(g, "print", vm.registerNative(&value.Function{
 		Name:        "print",
 		Irrevocable: true, // I/O aborts transactions (paper §V-A)
 		Native: func(this value.Value, args []value.Value) (value.Value, error) {
@@ -52,11 +56,9 @@ func (vm *VM) installBuiltins() {
 			vm.Output = append(vm.Output, strings.Join(parts, " "))
 			return value.Undefined(), nil
 		},
-	}
-	vm.registerNative(printFn)
-	g.Set("print", value.Obj(value.NewFunctionObject(vm.shapes, printFn)))
+	}))
 
-	g.Set("Array", vm.native("Array", func(this value.Value, args []value.Value) (value.Value, error) {
+	r.link(g, "Array", vm.native("Array", func(this value.Value, args []value.Value) (value.Value, error) {
 		if len(args) == 1 && args[0].IsNumber() {
 			n := args[0].ToUint32()
 			if float64(n) != args[0].ToNumber() || n > maxArrayLength {
@@ -70,29 +72,28 @@ func (vm *VM) installBuiltins() {
 		}
 		return value.Obj(a), nil
 	}))
-	g.Set("Object", vm.native("Object", func(this value.Value, args []value.Value) (value.Value, error) {
+	r.link(g, "Object", vm.native("Object", func(this value.Value, args []value.Value) (value.Value, error) {
 		return value.Obj(value.NewObject(vm.shapes, 0)), nil
 	}))
 
-	stringObj := value.NewObject(vm.shapes, 0)
-	stringObj.Class = "String"
-	stringObj.Set("fromCharCode", vm.native("fromCharCode", func(this value.Value, args []value.Value) (value.Value, error) {
+	stringObj := r.object("String")
+	r.link(stringObj, "fromCharCode", vm.native("fromCharCode", func(this value.Value, args []value.Value) (value.Value, error) {
 		var b strings.Builder
 		for _, a := range args {
 			b.WriteRune(rune(a.ToInt32() & 0xFFFF))
 		}
 		return value.Str(b.String()), nil
 	}))
-	g.Set("String", value.Obj(stringObj))
+	r.link(g, "String", stringObj)
 
-	g.Set("isNaN", vm.native("isNaN", func(this value.Value, args []value.Value) (value.Value, error) {
+	r.link(g, "isNaN", vm.native("isNaN", func(this value.Value, args []value.Value) (value.Value, error) {
 		return value.Boolean(math.IsNaN(arg(args, 0).ToNumber())), nil
 	}))
-	g.Set("isFinite", vm.native("isFinite", func(this value.Value, args []value.Value) (value.Value, error) {
+	r.link(g, "isFinite", vm.native("isFinite", func(this value.Value, args []value.Value) (value.Value, error) {
 		f := arg(args, 0).ToNumber()
 		return value.Boolean(!math.IsNaN(f) && !math.IsInf(f, 0)), nil
 	}))
-	g.Set("parseInt", vm.native("parseInt", func(this value.Value, args []value.Value) (value.Value, error) {
+	r.link(g, "parseInt", vm.native("parseInt", func(this value.Value, args []value.Value) (value.Value, error) {
 		s := strings.TrimSpace(arg(args, 0).ToStringValue())
 		radix := 10
 		if len(args) > 1 && !args[1].IsUndefined() {
@@ -134,12 +135,14 @@ func (vm *VM) installBuiltins() {
 		}
 		return value.Number(float64(n)), nil
 	}))
-	g.Set("parseFloat", vm.native("parseFloat", func(this value.Value, args []value.Value) (value.Value, error) {
+	r.link(g, "parseFloat", vm.native("parseFloat", func(this value.Value, args []value.Value) (value.Value, error) {
 		return value.Number(value.Str(arg(args, 0).ToStringValue()).ToNumber()), nil
 	}))
-	g.Set("Infinity", value.Double(math.Inf(1)))
-	g.Set("NaN", value.Double(math.NaN()))
-	g.Set("undefined", value.Undefined())
+	r.set(g, "Infinity", value.Double(math.Inf(1)))
+	r.set(g, "NaN", value.Double(math.NaN()))
+	r.set(g, "undefined", value.Undefined())
+	r.live = make([]*value.Object, len(r.objs))
+	vm.shapes.Mark()
 }
 
 // nativeErrorf returns an error a builtin raises itself. It is tagged as the
@@ -151,18 +154,92 @@ func nativeErrorf(format string, a ...any) error {
 	return &bytecode.NativeError{Err: fmt.Errorf(format, a...)}
 }
 
-func (vm *VM) native(name string, f func(value.Value, []value.Value) (value.Value, error)) value.Value {
-	fn := &value.Function{Name: name, Native: f}
-	vm.registerNative(fn)
-	return value.Obj(value.NewFunctionObject(vm.shapes, fn))
+func (vm *VM) native(name string, f func(value.Value, []value.Value) (value.Value, error)) realmRef {
+	return vm.registerNative(&value.Function{Name: name, Native: f})
 }
 
 // registerNative assigns the builtin its creation-order identity (see
-// NativeID). installBuiltins is deterministic, so identities line up across
-// VMs — the property compiled-code relocation relies on.
-func (vm *VM) registerNative(fn *value.Function) {
-	vm.nativeIDs[fn] = len(vm.natives)
+// NativeID) and returns the realm's reference to its function object.
+// installBuiltins is deterministic, so identities line up across VMs — the
+// property compiled-code relocation relies on.
+func (vm *VM) registerNative(fn *value.Function) realmRef {
+	id := len(vm.natives)
+	vm.nativeIDs[fn] = id
 	vm.natives = append(vm.natives, fn)
+	return realmRef(id)
+}
+
+// realm is the builtin realm's template. objs[0] is the global object, then
+// Math and String: each records its final shape and its slot values. A slot
+// that holds one of the realm's own objects is recorded as a link instead,
+// because every Reset allocates those objects afresh: a tenant may set
+// properties on them or overwrite them, and the next tenant must see none
+// of it. The natives' Functions themselves are kept (nothing mutates one,
+// and NativeID relocation depends on their creation order).
+type realm struct {
+	shapes *value.ShapeTable
+	objs   []realmObj
+	// live holds the objects of the current restore, indexed as objs.
+	live []*value.Object
+}
+
+type realmObj struct {
+	class string
+	shape *value.Shape
+	slots []value.Value
+	links []realmLink
+}
+
+// realmRef names one of the realm's objects: native k's function object
+// (k >= 0) or plain object j (^j).
+type realmRef int32
+
+type realmLink struct {
+	slot int32
+	to   realmRef
+}
+
+// object adds a plain object of the given class, with the root shape and no
+// slots, and returns its reference.
+func (r *realm) object(class string) realmRef {
+	r.objs = append(r.objs, realmObj{class: class, shape: r.shapes.Root})
+	return ^realmRef(len(r.objs) - 1)
+}
+
+// set adds property key holding v to plain object obj, taking the shape
+// transition directly: the realm's keys are distinct, so no lookup is needed.
+func (r *realm) set(obj realmRef, key string, v value.Value) {
+	o := &r.objs[^obj]
+	o.shape = r.shapes.Transition(o.shape, key)
+	o.slots = append(o.slots, v)
+}
+
+// link adds property key holding the realm object to.
+func (r *realm) link(obj realmRef, key string, to realmRef) {
+	o := &r.objs[^obj]
+	o.links = append(o.links, realmLink{slot: int32(len(o.slots)), to: to})
+	r.set(obj, key, value.Undefined())
+}
+
+// restore allocates the realm's objects afresh from the template: every
+// native's function object in one allocation, then each plain object with
+// its slots copied and its links resolved. It returns the global object.
+func (r *realm) restore(natives []*value.Function) *value.Object {
+	fns := value.NewFunctionObjects(r.shapes, natives)
+	for j := range r.objs {
+		t := &r.objs[j]
+		r.live[j] = value.NewObjectOf(r.shapes, t.shape, t.class, t.slots)
+	}
+	for j, o := range r.live {
+		for _, l := range r.objs[j].links {
+			if l.to >= 0 {
+				o.Slots[l.slot] = value.Obj(&fns[l.to])
+			} else {
+				o.Slots[l.slot] = value.Obj(r.live[^l.to])
+			}
+		}
+	}
+	return r.live[0]
 }
 
 func arg(args []value.Value, i int) value.Value {

@@ -87,6 +87,8 @@ type VM struct {
 	// layer uses to relocate compiled callee references between isolates.
 	natives   []*value.Function
 	nativeIDs map[*value.Function]int
+	// realm is the builtin realm's template, built once by New.
+	realm realm
 
 	// closures records the first function object created for each bytecode
 	// function. For top-level declarations (run once at setup) this is the
@@ -125,35 +127,39 @@ func New(cfg Config) *VM {
 	if cfg.RandomSeed == 0 {
 		cfg.RandomSeed = 0x9E3779B97F4A7C15
 	}
-	vm := &VM{cfg: cfg}
+	vm := &VM{
+		cfg:       cfg,
+		shapes:    value.NewShapeTable(),
+		handles:   value.NewHandles(),
+		profiles:  make(map[*bytecode.Function]*profile.FunctionProfile),
+		nativeIDs: make(map[*value.Function]int),
+		closures:  make(map[*bytecode.Function]*value.Function),
+	}
+	vm.installBuiltins()
 	vm.Reset()
 	return vm
 }
 
 // Reset returns the VM to its freshly constructed state under its original
-// configuration: a fresh shape table, global object, builtins, profiles, and
-// output, with the RNG re-seeded from Config.RandomSeed and the call depth
-// (bounded by Config.MaxCallDepth) cleared. A recycled isolate calls it so a
-// reused VM is indistinguishable from a new one — including the RandomSeed
-// and MaxCallDepth settings, which are part of cfg and survive verbatim.
+// configuration. The shape table rewinds to the builtin realm's template,
+// the global, Math and String objects and the natives' function objects are
+// allocated afresh from the template, profiles, closures and output are
+// emptied, the RNG is re-seeded from Config.RandomSeed and the call depth
+// (bounded by Config.MaxCallDepth) is cleared. A recycled isolate calls it
+// so a reused VM is indistinguishable from a new one — including the shape
+// IDs a program gets and the RandomSeed and MaxCallDepth settings, which
+// are part of cfg and survive verbatim.
 func (vm *VM) Reset() {
-	if vm.handles == nil {
-		vm.handles = value.NewHandles()
-	} else {
-		vm.handles.Reset()
-	}
-	vm.shapes = value.NewShapeTable()
-	vm.profiles = make(map[*bytecode.Function]*profile.FunctionProfile)
+	vm.handles.Reset()
+	vm.shapes.Rewind()
+	clear(vm.profiles)
+	clear(vm.closures)
 	vm.rng = vm.cfg.RandomSeed
 	vm.callDepth = 0
 	vm.acts = nil
 	vm.counters.Reset()
 	vm.Output = nil
-	vm.natives = nil
-	vm.nativeIDs = make(map[*value.Function]int)
-	vm.closures = make(map[*bytecode.Function]*value.Function)
-	vm.globals = value.NewObject(vm.shapes, 0)
-	vm.installBuiltins()
+	vm.globals = vm.realm.restore(vm.natives)
 }
 
 // SetJIT injects the speculative-tier backend.

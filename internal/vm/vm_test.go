@@ -522,3 +522,35 @@ var result = ("hello".startsWith("he") ? 1 : 0) +
 		t.Error("negative repeat must error")
 	}
 }
+
+// newAllocsReplayed is what New allocated when it built the realm by
+// replaying Object.Set over a fresh shape table on every Reset.
+const newAllocsReplayed = 291
+
+// The builtin realm is built once, by New, and every Reset restores it from
+// the template: Reset allocates exactly the realm's fresh objects — every
+// native's function object in one allocation, then each plain object with
+// its slots — and nothing for a shape transition or a lookup table, even
+// after a tenant extended the template's shapes. New pays for the template
+// once, no more than the replayed construction cost.
+func TestRealmAllocations(t *testing.T) {
+	cfg := DefaultConfig()
+	newAllocs := testing.AllocsPerRun(20, func() { New(cfg) })
+
+	v := New(cfg)
+	if _, err := v.Run(`var o = {abs: 1, q: 2}; Math.z = 1; print.y = 2; x = Math.floor(o.q);`); err != nil {
+		t.Fatal(err)
+	}
+	resetAllocs := testing.AllocsPerRun(20, v.Reset)
+	objects := 1.0
+	for _, o := range v.realm.objs {
+		objects += testing.AllocsPerRun(20, func() { value.NewObjectOf(v.shapes, o.shape, o.class, o.slots) })
+	}
+	t.Logf("allocations: New %v, Reset %v (the realm's objects: %v)", newAllocs, resetAllocs, objects)
+	if resetAllocs > objects {
+		t.Errorf("Reset allocates %v, want at most the realm's %v objects: it rebuilds shapes or tables", resetAllocs, objects)
+	}
+	if newAllocs > newAllocsReplayed {
+		t.Errorf("New allocates %v, want at most %v", newAllocs, newAllocsReplayed)
+	}
+}
