@@ -108,7 +108,7 @@ func TestSMPToAbortConversion(t *testing.T) {
 	dom := ir.BuildDom(f)
 	loops := ir.FindLoops(f, dom)
 	for _, l := range loops {
-		for b := range l.Blocks {
+		for _, b := range l.Blocks {
 			for _, v := range b.Values {
 				if v.Op.IsCheck() && v.Deopt != nil {
 					t.Errorf("in-transaction check v%d still carries an SMP", v.ID)
@@ -154,7 +154,7 @@ func TestBoundsCombining(t *testing.T) {
 	inLoop := func() int {
 		n := 0
 		for _, l := range loops {
-			for b := range l.Blocks {
+			for _, b := range l.Blocks {
 				for _, v := range b.Values {
 					if v.Op == ir.OpCheckBounds {
 						n++
@@ -314,7 +314,7 @@ func TestFormTransactionsKeeping(t *testing.T) {
 	kept, converted := 0, 0
 	dom := ir.BuildDom(f)
 	for _, l := range ir.FindLoops(f, dom) {
-		for b := range l.Blocks {
+		for _, b := range l.Blocks {
 			for _, v := range b.Values {
 				if !v.Op.IsCheck() {
 					continue

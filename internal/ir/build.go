@@ -3,7 +3,6 @@ package ir
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"nomap/internal/bytecode"
 	"nomap/internal/ic"
@@ -44,14 +43,7 @@ func build(bc *bytecode.Function, prof *profile.FunctionProfile, osrPC int) (*Fu
 	if bc.UsesClosure {
 		return nil, &UnsupportedError{Fn: bc.Name, Reason: "uses closures; pinned to Baseline"}
 	}
-	b := &builder{
-		bc:      bc,
-		prof:    prof,
-		f:       NewFunc(bc.Name, bc),
-		osrPC:   osrPC,
-		factInt: make(map[*Value]bool),
-		factNum: make(map[*Value]bool),
-	}
+	b := &builder{bc: bc, prof: prof, f: NewFunc(bc.Name, bc), osrPC: osrPC}
 	b.f.OSREntryPC = osrPC
 	if err := b.run(); err != nil {
 		return nil, err
@@ -75,18 +67,50 @@ type builder struct {
 	cur *Block
 	pc  int
 
-	// Block-local checked facts for redundant-check elimination during
-	// construction (modelling the DFG tier's existing check-removal passes,
-	// paper §III-A1). Shape/array facts are invalidated by calls.
-	factShape map[*Value]*value.Shape
-	factArray map[*Value]bool
-	// Value-permanent representation facts (SSA values are immutable).
-	factInt map[*Value]bool
-	factNum map[*Value]bool
+	// facts holds the checked facts of each value, indexed by value ID,
+	// for redundant-check elimination during construction (modelling the
+	// DFG tier's existing check-removal passes, paper §III-A1).
+	facts []valueFacts
+	// shapes holds every shape fact's shape; a valueFacts names one by
+	// position.
+	shapes []*value.Shape
+	// gen stamps the block-local heap facts: a value's shape and array
+	// facts hold only while its stamp equals gen, so a block start or a
+	// call (which invalidate them) is gen++. Every block starts with one,
+	// so the zero stamp of a fresh entry is never current.
+	gen uint32
+
+	// regs is the chunk each block's defs and incomplete are carved from,
+	// NumRegs entries at a time.
+	regs []*Value
+	// ops and args are operand lists reused by every call site; emit copies
+	// what it keeps.
+	ops, args []*Value
 
 	undef *Value
+}
 
-	maps mapArena // snapshot's stack maps
+// valueFacts is what the builder has proved about one value.
+type valueFacts struct {
+	// isArray and shape are block-local heap facts, valid while gen equals
+	// the builder's; shape is 1 + the fact's position in builder.shapes, 0
+	// for none.
+	gen     uint32
+	shape   int32
+	isArray bool
+	// isInt and isNum are permanent representation facts (SSA values are
+	// immutable).
+	isInt, isNum bool
+}
+
+// heap returns v's facts, first clearing its heap facts if a block start or
+// call has invalidated them since they were set.
+func (b *builder) heap(v *Value) *valueFacts {
+	fv := b.fact(v)
+	if fv.gen != b.gen {
+		fv.gen, fv.isArray, fv.shape = b.gen, false, 0
+	}
+	return fv
 }
 
 // blockState is the builder's state for one block: the bytecode it covers
@@ -95,8 +119,13 @@ type blockState struct {
 	start, end int // bytecode pcs [start, end); none for the synthetic entry
 
 	sealed, filled bool
-	defs           map[int]*Value // register -> its current value in the block
-	incomplete     map[int]*Value // register -> operand-less phi until sealed
+	// defs maps each register to its current value in the block, nil while
+	// the block has not defined or looked it up.
+	defs []*Value
+	// incomplete holds the operand-less phi of each register read before
+	// the block was sealed, indexed by register, so sealing completes them
+	// in register order; nil until the first such read.
+	incomplete []*Value
 }
 
 func (b *builder) run() error {
@@ -111,6 +140,10 @@ func (b *builder) run() error {
 		}
 	}
 	header := b.buildCFG(g, first)
+	// Most functions build fewer values than twice their instructions, and
+	// fewer operands.
+	b.facts = make([]valueFacts, 2*len(b.bc.Code)+b.bc.NumRegs)
+	b.f.operands = make([]*Value, 0, 2*len(b.bc.Code))
 
 	// Synthetic entry holding the initial register state: parameters plus
 	// undefined for a normal build, the incoming frame's locals (as
@@ -157,11 +190,56 @@ func (b *builder) buildCFG(g *bytecode.CFG, first int) *Block {
 	// never gets a block, which keeps the artifact free of dangling phis.
 	head := g.BlockOf(first)
 	reach := g.Reachable(head)
+	// Count the blocks and each one's predecessors first, so the blocks,
+	// their states and their edge lists are each one allocation.
+	n, edges, loops := 1, 1, 0 // the synthetic entry and its edge to head
+	preds := make([]int, len(g.Blocks))
+	preds[head]++
+	for i, cb := range g.Blocks {
+		if reach[i] {
+			n++
+			edges += len(cb.Succs)
+			if cb.BackEdge {
+				loops++
+			}
+			for _, s := range cb.Succs {
+				preds[s]++
+			}
+		}
+	}
+	// Each block's Values has room for two values per instruction, plus a
+	// phi per register where control flow merges; a block that outgrows it
+	// regrows as usual. The synthetic entry holds undefined and a value per
+	// register.
+	nregs := b.bc.NumRegs
+	room := func(i int) int {
+		cb := &g.Blocks[i]
+		return 2*(cb.End-cb.Start) + nregs*btoi(preds[i] > 1)
+	}
+	values := nregs + 1
+	for i := range g.Blocks {
+		if reach[i] {
+			values += room(i)
+		}
+	}
+	f := b.f
+	f.reserveBlocks(n)
+	f.Blocks = make([]*Block, 0, n)
+	f.edges = make([]*Block, 0, 2*edges)
+	vals := make([]*Value, 0, values)
+	b.blocks = make([]blockState, 0, n)
+	// A register table per block, and one per loop header for the phis
+	// read before its back edge is filled.
+	b.regs = make([]*Value, 0, (n+loops)*nregs)
 	irOf := make([]*Block, len(g.Blocks))
 	for i, cb := range g.Blocks {
 		if reach[i] {
-			irOf[i] = b.f.NewBlock()
-			b.blocks = append(b.blocks, blockState{start: cb.Start, end: cb.End})
+			blk := f.NewBlock()
+			blk.Values = carve(&vals, 0, room(i))
+			blk.Succs = carve(&f.edges, 0, len(cb.Succs))
+			blk.Preds = carve(&f.edges, 0, preds[i])
+			irOf[i] = blk
+			b.blocks = append(b.blocks, blockState{start: cb.Start, end: cb.End, defs: b.regSlice()})
 		}
 	}
 	for i, cb := range g.Blocks {
@@ -175,24 +253,34 @@ func (b *builder) buildCFG(g *bytecode.CFG, first int) *Block {
 		blk.Kind = [...]BlockKind{BlockReturn, BlockPlain, BlockIf}[len(blk.Succs)]
 		blk.BackEdge = cb.BackEdge
 	}
-	entry := b.f.NewBlock()
-	b.blocks = append(b.blocks, blockState{})
+	entry := f.NewBlock()
+	entry.Values = carve(&vals, 0, nregs+1)
+	entry.Succs = carve(&f.edges, 0, 1)
+	b.blocks = append(b.blocks, blockState{defs: b.regSlice()})
 	AddEdge(entry, irOf[head])
 	return irOf[head]
+}
+
+// regSlice carves a zeroed NumRegs-long register table from the build's
+// chunk.
+func (b *builder) regSlice() []*Value { return carve(&b.regs, b.bc.NumRegs, b.bc.NumRegs) }
+
+// fact returns v's facts, doubling the table until it covers v's ID.
+func (b *builder) fact(v *Value) *valueFacts {
+	if v.ID >= len(b.facts) {
+		b.facts = append(b.facts, make([]valueFacts, max(v.ID+1, 2*len(b.facts))-len(b.facts))...)
+	}
+	return &b.facts[v.ID]
 }
 
 // --- Braun SSA construction ---
 
 func (b *builder) writeVar(blk *Block, reg int, v *Value) {
-	st := &b.blocks[blk.ID]
-	if st.defs == nil {
-		st.defs = make(map[int]*Value)
-	}
-	st.defs[reg] = v
+	b.blocks[blk.ID].defs[reg] = v
 }
 
 func (b *builder) readVar(blk *Block, reg int) *Value {
-	if v, ok := b.blocks[blk.ID].defs[reg]; ok {
+	if v := b.blocks[blk.ID].defs[reg]; v != nil {
 		return v
 	}
 	return b.readVarRecursive(blk, reg)
@@ -202,22 +290,30 @@ func (b *builder) readVarRecursive(blk *Block, reg int) *Value {
 	var v *Value
 	switch st := &b.blocks[blk.ID]; {
 	case !st.sealed:
-		phi := blk.InsertValueAt(0, OpPhi, TypeGeneric)
+		phi := b.newPhi(blk)
 		if st.incomplete == nil {
-			st.incomplete = make(map[int]*Value)
+			st.incomplete = b.regSlice()
 		}
 		st.incomplete[reg] = phi
 		v = phi
 	case len(blk.Preds) == 1:
 		v = b.readVar(blk.Preds[0], reg)
 	default:
-		phi := blk.InsertValueAt(0, OpPhi, TypeGeneric)
+		phi := b.newPhi(blk)
 		b.writeVar(blk, reg, phi)
 		b.addPhiOperands(phi, reg)
 		return phi
 	}
 	b.writeVar(blk, reg, v)
 	return v
+}
+
+// newPhi places an operand-less phi at the top of blk, with room for one
+// operand per predecessor (every edge is wired before any block is filled).
+func (b *builder) newPhi(blk *Block) *Value {
+	phi := blk.InsertValueAt(0, OpPhi, TypeGeneric)
+	phi.Args = carve(&b.f.operands, 0, len(blk.Preds))
+	return phi
 }
 
 func (b *builder) addPhiOperands(phi *Value, reg int) {
@@ -254,14 +350,11 @@ func (b *builder) maybeSeal(blk *Block) {
 	}
 	st.sealed = true
 	// Complete pending phis in register order: operand lookup can create
-	// new values, so map-order iteration would make numbering nondeterministic.
-	regs := make([]int, 0, len(st.incomplete))
-	for reg := range st.incomplete {
-		regs = append(regs, reg)
-	}
-	slices.Sort(regs)
-	for _, reg := range regs {
-		b.addPhiOperands(st.incomplete[reg], reg)
+	// new values, so the order fixes their numbering.
+	for reg, phi := range st.incomplete {
+		if phi != nil {
+			b.addPhiOperands(phi, reg)
+		}
 	}
 	st.incomplete = nil
 }
@@ -306,7 +399,7 @@ func (b *builder) removeTrivialPhis() {
 // snapshot captures the Stack Map for the current bytecode pc: the Baseline
 // register state that deoptimization must materialize.
 func (b *builder) snapshot() *StackMap {
-	sm := b.maps.newMap(b.pc, b.bc.NumRegs)
+	sm := b.f.maps.newMap(b.pc, b.bc.NumRegs)
 	for r := range sm.Entries {
 		sm.Entries[r] = StackMapEntry{Reg: r, Val: b.readVar(b.cur, r)}
 	}
@@ -315,10 +408,8 @@ func (b *builder) snapshot() *StackMap {
 
 // --- block filling ---
 
-func (b *builder) invalidateHeapFacts() {
-	b.factShape = make(map[*Value]*value.Shape)
-	b.factArray = make(map[*Value]bool)
-}
+// invalidateHeapFacts forgets every block-local shape and array fact.
+func (b *builder) invalidateHeapFacts() { b.gen++ }
 
 func (b *builder) fillBlock(blk *Block) error {
 	b.cur = blk
@@ -377,11 +468,11 @@ func (b *builder) constVal(val value.Value) *Value {
 // ensureInt32 returns vv usable as int32, inserting a type check when the
 // static type does not already guarantee it.
 func (b *builder) ensureInt32(v *Value) *Value {
-	if v.Type == TypeInt32 || b.factInt[v] {
+	if v.Type == TypeInt32 || b.fact(v).isInt {
 		return v
 	}
 	b.emitCheck(OpCheckInt32, stats.CheckType, v)
-	b.factInt[v] = true
+	b.fact(v).isInt = true
 	return v
 }
 
@@ -394,31 +485,36 @@ func (b *builder) ensureDouble(v *Value) *Value {
 	case TypeInt32:
 		return b.emit(OpIntToDouble, TypeDouble, v)
 	}
-	if !b.factNum[v] && !b.factInt[v] {
+	if fv := b.fact(v); !fv.isNum && !fv.isInt {
 		b.emitCheck(OpCheckNumber, stats.CheckType, v)
-		b.factNum[v] = true
+		b.fact(v).isNum = true
 	}
 	return b.emit(OpNumberToDouble, TypeDouble, v)
 }
 
 // ensureArray checks v is a dense array (once per block per value).
 func (b *builder) ensureArray(v *Value) {
-	if b.factArray[v] {
+	if b.heap(v).isArray {
 		return
 	}
 	b.emitCheck(OpCheckArray, stats.CheckType, v)
-	b.factArray[v] = true
+	b.heap(v).isArray = true
 }
 
 // ensureShape checks v has the given shape (once per block per value,
 // invalidated by calls).
 func (b *builder) ensureShape(v *Value, shape *value.Shape) {
-	if b.factShape[v] == shape {
+	var known *value.Shape
+	if i := b.heap(v).shape; i > 0 {
+		known = b.shapes[i-1]
+	}
+	if known == shape {
 		return
 	}
 	chk := b.emitCheck(OpCheckShape, stats.CheckProperty, v)
 	chk.Shape = shape
-	b.factShape[v] = shape
+	b.shapes = append(b.shapes, shape)
+	b.heap(v).shape = int32(len(b.shapes))
 }
 
 func (b *builder) toBool(v *Value) *Value {
@@ -498,13 +594,13 @@ func (b *builder) instr(in bytecode.Instr) error {
 
 	case bytecode.OpToNumber:
 		v := b.readVar(b.cur, int(in.B))
-		if v.Type == TypeInt32 || v.Type == TypeDouble || b.factInt[v] || b.factNum[v] {
+		if fv := b.fact(v); v.Type == TypeInt32 || v.Type == TypeDouble || fv.isInt || fv.isNum {
 			b.writeVar(b.cur, int(in.A), v)
 		} else {
 			fb := &b.prof.Arith[b.pc]
 			if fb.NumberOnly() || fb.IntOnly() {
 				b.emitCheck(OpCheckNumber, stats.CheckType, v)
-				b.factNum[v] = true
+				b.fact(v).isNum = true
 				b.writeVar(b.cur, int(in.A), v)
 			} else {
 				b.writeVar(b.cur, int(in.A), b.runtimeCall("tonumber", 0, TypeGeneric, v))
@@ -515,11 +611,13 @@ func (b *builder) instr(in bytecode.Instr) error {
 		// Const-fused arithmetic expands to the same speculative IR as the
 		// ldc+binop pair it replaced; the constant operand simply never
 		// occupies a bytecode register.
-		base := map[bytecode.Op]bytecode.Op{
-			bytecode.OpAddK: bytecode.OpAdd,
-			bytecode.OpSubK: bytecode.OpSub,
-			bytecode.OpMulK: bytecode.OpMul,
-		}[in.Op]
+		base := bytecode.OpAdd
+		switch in.Op {
+		case bytecode.OpSubK:
+			base = bytecode.OpSub
+		case bytecode.OpMulK:
+			base = bytecode.OpMul
+		}
 		l := b.readVar(b.cur, int(in.B))
 		r := b.constVal(b.bc.Consts[in.C])
 		return b.binaryVals(base, int(in.A), l, r)
@@ -544,7 +642,7 @@ func (b *builder) instr(in bytecode.Instr) error {
 	case bytecode.OpNew:
 		callee := b.readVar(b.cur, int(in.B))
 		args := b.argValues(int(in.C), int(in.D))
-		b.writeVar(b.cur, int(in.A), b.runtimeCall("construct", 0, TypeGeneric, append([]*Value{callee}, args...)...))
+		b.writeVar(b.cur, int(in.A), b.runtimeCall("construct", 0, TypeGeneric, b.operands(args, callee)...))
 
 	case bytecode.OpNewObject:
 		b.writeVar(b.cur, int(in.A), b.runtimeCall("newobject", int64(in.B), TypeObject))
@@ -602,12 +700,34 @@ func (b *builder) terminator(in bytecode.Instr) error {
 	return nil
 }
 
+// argValues reads the n argument registers from start into the builder's
+// reused argument list, which the next call site overwrites.
 func (b *builder) argValues(start, n int) []*Value {
-	args := make([]*Value, n)
-	for i := 0; i < n; i++ {
-		args[i] = b.readVar(b.cur, start+i)
+	args := b.args[:0]
+	for i := range n {
+		args = append(args, b.readVar(b.cur, start+i))
 	}
+	b.args = args
 	return args
+}
+
+// operands returns head followed by rest in the builder's reused operand
+// list, which the next call site overwrites.
+func (b *builder) operands(rest []*Value, head ...*Value) []*Value {
+	b.ops = append(append(b.ops[:0], head...), rest...)
+	return b.ops
+}
+
+// arithIndex numbers add, sub and mul 0, 1 and 2, for the tables of their
+// int32 and double IR ops.
+func arithIndex(op bytecode.Op) int {
+	switch op {
+	case bytecode.OpSub:
+		return 1
+	case bytecode.OpMul:
+		return 2
+	}
+	return 0
 }
 
 func (b *builder) binary(in bytecode.Instr) error {
@@ -656,13 +776,13 @@ func (b *builder) binaryVals(op bytecode.Op, dst int, l, r *Value) error {
 		switch {
 		case fb.IntOnly():
 			l, r = b.ensureInt32(l), b.ensureInt32(r)
-			op := map[bytecode.Op]Op{bytecode.OpAdd: OpAddInt, bytecode.OpSub: OpSubInt, bytecode.OpMul: OpMulInt}[in.Op]
+			op := [...]Op{OpAddInt, OpSubInt, OpMulInt}[arithIndex(in.Op)]
 			v := b.emit(op, TypeInt32, l, r)
 			b.emitCheck(OpCheckOverflow, stats.CheckOverflow, v)
 			b.writeVar(b.cur, dst, v)
 		case fb.NumberOnly():
 			ld, rd := b.ensureDouble(l), b.ensureDouble(r)
-			op := map[bytecode.Op]Op{bytecode.OpAdd: OpAddDouble, bytecode.OpSub: OpSubDouble, bytecode.OpMul: OpMulDouble}[in.Op]
+			op := [...]Op{OpAddDouble, OpSubDouble, OpMulDouble}[arithIndex(in.Op)]
 			b.writeVar(b.cur, dst, b.emit(op, TypeDouble, ld, rd))
 		default:
 			b.writeVar(b.cur, dst, b.runtimeCall("binop", int64(in.Op), TypeGeneric, l, r))
@@ -680,11 +800,21 @@ func (b *builder) binaryVals(op bytecode.Op, dst int, l, r *Value) error {
 		}
 	case bytecode.OpBitAnd, bytecode.OpBitOr, bytecode.OpBitXor,
 		bytecode.OpShl, bytecode.OpShr, bytecode.OpUShr:
-		op := map[bytecode.Op]Op{
-			bytecode.OpBitAnd: OpBitAnd, bytecode.OpBitOr: OpBitOr,
-			bytecode.OpBitXor: OpBitXor, bytecode.OpShl: OpShl,
-			bytecode.OpShr: OpShr, bytecode.OpUShr: OpUShr,
-		}[in.Op]
+		var op Op
+		switch in.Op {
+		case bytecode.OpBitAnd:
+			op = OpBitAnd
+		case bytecode.OpBitOr:
+			op = OpBitOr
+		case bytecode.OpBitXor:
+			op = OpBitXor
+		case bytecode.OpShl:
+			op = OpShl
+		case bytecode.OpShr:
+			op = OpShr
+		default:
+			op = OpUShr
+		}
 		// >>> sites whose result has escaped the int32 range widen the
 		// result to a double instead of deopt-looping on the range check.
 		finish := func(v *Value) {
@@ -817,13 +947,13 @@ func (b *builder) call(in bytecode.Instr) error {
 	if fb.Monomorphic() {
 		chk := b.emitCheck(OpCheckCallee, stats.CheckOther, callee)
 		chk.Callee = fb.Target
-		call := b.emit(OpCallDirect, TypeGeneric, append([]*Value{b.undef}, args...)...)
+		call := b.emit(OpCallDirect, TypeGeneric, b.operands(args, b.undef)...)
 		call.Callee = fb.Target
 		b.invalidateHeapFacts()
 		b.writeVar(b.cur, dst, call)
 		return nil
 	}
-	v := b.runtimeCall("call", 0, TypeGeneric, append([]*Value{callee}, args...)...)
+	v := b.runtimeCall("call", 0, TypeGeneric, b.operands(args, callee)...)
 	if pl := ic.CallPlan(fb); pl != nil {
 		v.Plan = pl
 		v.Deopt = b.snapshot()
@@ -849,16 +979,17 @@ func (b *builder) callMethod(in bytecode.Instr) error {
 			// Every value.MathFuncs entry is an intrinsic, inlined after the
 			// callee check (JavaScriptCore does the same via DFG intrinsics).
 			if i := value.MathIndex(name); i >= 0 && fb.Target.IsNative() && fb.Target.Name == name && len(args) == value.MathFuncs[i].Arity {
-				var dargs []*Value
+				dargs := b.ops[:0]
 				for _, a := range args {
 					dargs = append(dargs, b.ensureDouble(a))
 				}
+				b.ops = dargs
 				mo := b.emit(OpMathOp, TypeDouble, dargs...)
 				mo.AuxStr, mo.AuxInt = name, int64(i)
 				b.writeVar(b.cur, dst, mo)
 				return nil
 			}
-			call := b.emit(OpCallDirect, TypeGeneric, append([]*Value{recv}, args...)...)
+			call := b.emit(OpCallDirect, TypeGeneric, b.operands(args, recv)...)
 			call.Callee = fb.Target
 			b.invalidateHeapFacts()
 			b.writeVar(b.cur, dst, call)
@@ -866,7 +997,7 @@ func (b *builder) callMethod(in bytecode.Instr) error {
 		}
 	}
 	nameC := b.constVal(value.Str(name))
-	v := b.runtimeCall("callmethod", 0, TypeGeneric, append([]*Value{recv, nameC}, args...)...)
+	v := b.runtimeCall("callmethod", 0, TypeGeneric, b.operands(args, recv, nameC)...)
 	if pl := ic.MethodPlan(fb, name); pl != nil {
 		v.Plan = pl
 		v.Deopt = b.snapshot()

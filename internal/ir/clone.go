@@ -47,7 +47,11 @@ func (f *Func) Clone() (*Func, map[*Value]*Value) {
 		nf.Blocks[i] = nb
 	}
 	nf.values = make([]Value, 0, live)
-	var maps mapArena
+	edges := 0
+	for _, b := range f.Blocks {
+		edges += len(b.Succs) + len(b.Preds)
+	}
+	nf.edges = make([]*Block, 0, edges)
 	// remap tolerates references to values no longer placed in any block
 	// (e.g. a stale EntryState surviving DCE) by cloning them as orphans:
 	// they are reachable only through the referencing stack map, exactly
@@ -73,7 +77,7 @@ func (f *Func) Clone() (*Func, map[*Value]*Value) {
 		}
 		vmap[v] = nv
 		if len(v.Args) > 0 {
-			nv.Args = make([]*Value, len(v.Args))
+			nv.Args = carve(&nf.operands, len(v.Args), len(v.Args))
 			for i, a := range v.Args {
 				nv.Args[i] = remap(a)
 			}
@@ -88,7 +92,7 @@ func (f *Func) Clone() (*Func, map[*Value]*Value) {
 		if nsm, ok := smmap[sm]; ok {
 			return nsm
 		}
-		nsm := maps.newMap(sm.PC, len(sm.Entries))
+		nsm := nf.maps.newMap(sm.PC, len(sm.Entries))
 		nsm.Inline = imap[sm.Inline]
 		smmap[sm] = nsm
 		for i, e := range sm.Entries {
@@ -108,9 +112,11 @@ func (f *Func) Clone() (*Func, map[*Value]*Value) {
 		nb := bmap[b]
 		nb.Control = remap(b.Control)
 		nb.EntryState = remapSM(b.EntryState)
+		nb.Succs = carve(&nf.edges, 0, len(b.Succs))
 		for _, s := range b.Succs {
 			nb.Succs = append(nb.Succs, bmap[s])
 		}
+		nb.Preds = carve(&nf.edges, 0, len(b.Preds))
 		for _, p := range b.Preds {
 			nb.Preds = append(nb.Preds, bmap[p])
 		}

@@ -4,7 +4,10 @@ package ir
 // loop discovery, used by LICM, the bounds-check combining pass, and
 // NoMap's transaction formation around loop nests.
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // DomTree holds immediate dominators indexed by block ID.
 type DomTree struct {
@@ -21,9 +24,11 @@ func BuildDom(f *Func) *DomTree {
 			maxID = b.ID
 		}
 	}
+	// idom and rpo share one backing array.
+	blocks := make([]*Block, maxID+1+len(f.Blocks))
 	t := &DomTree{
-		idom: make([]*Block, maxID+1),
-		rpo:  make([]*Block, 0, len(f.Blocks)),
+		idom: blocks[: maxID+1 : maxID+1],
+		rpo:  blocks[maxID+1 : maxID+1],
 		rpoN: make([]int, maxID+1),
 	}
 	// Reverse postorder over reachable blocks: the postorder, reversed in
@@ -113,7 +118,11 @@ func (t *DomTree) RPO() []*Block { return t.rpo }
 // Loop is a natural loop.
 type Loop struct {
 	Header *Block
-	Blocks map[*Block]bool
+	// Blocks is the loop body, header included, ordered by block ID. It is
+	// the loop's own slice: callers read it and must not modify it.
+	Blocks []*Block
+	// in is the body's membership bitset, indexed by block ID.
+	in []uint64
 	// Parent is the innermost enclosing loop, nil for top-level loops.
 	Parent *Loop
 	// Children are directly nested loops.
@@ -123,50 +132,67 @@ type Loop struct {
 }
 
 // Contains reports whether b belongs to the loop.
-func (l *Loop) Contains(b *Block) bool { return l.Blocks[b] }
+func (l *Loop) Contains(b *Block) bool { return hasBit(l.in, b.ID) }
 
-// BlockList returns the loop's blocks ordered by ID. Blocks is a set; passes
-// that create or move values while walking it must use this instead so that
-// value numbering does not depend on map iteration order.
-func (l *Loop) BlockList() []*Block {
-	out := make([]*Block, 0, len(l.Blocks))
-	for b := range l.Blocks {
-		out = append(out, b)
+// BlockList returns the loop's blocks ordered by ID, so passes that create
+// or move values while walking a loop number them deterministically. It is
+// Blocks itself, not a copy.
+func (l *Loop) BlockList() []*Block { return l.Blocks }
+
+func hasBit(set []uint64, i int) bool {
+	return i>>6 < len(set) && set[i>>6]&(1<<(i&63)) != 0
+}
+
+func setBit(set []uint64, i int) { set[i>>6] |= 1 << (i & 63) }
+
+func countBits(set []uint64) int {
+	n := 0
+	for _, w := range set {
+		n += bits.OnesCount64(w)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].ID < out[j-1].ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return n
 }
 
 // FindLoops discovers natural loops via back edges (an edge b->h where h
 // dominates b) and nests them into a forest ordered outermost-first.
 func FindLoops(f *Func, dom *DomTree) []*Loop {
-	byHeader := make(map[*Block]*Loop)
-	var loops []*Loop
-	for _, b := range dom.RPO() {
+	// Loops are discovered into one slice and their bitsets into one chunk
+	// (words per loop); pointers into them are taken once discovery ends.
+	// Bytecode back edges size both; a wrong guess only costs a regrowth.
+	rpo := dom.RPO()
+	words := (len(dom.rpoN) + 63) / 64
+	guess := 0
+	for _, b := range rpo {
+		guess += btoi(b.BackEdge)
+	}
+	found := make([]Loop, 0, guess)
+	sets := make([]uint64, 0, guess*words)
+	stack := make([]*Block, 0, len(rpo))
+	for _, b := range rpo {
 		for _, s := range b.Succs {
 			if !dom.Dominates(s, b) {
 				continue
 			}
-			l, ok := byHeader[s]
-			if !ok {
-				l = &Loop{Header: s, Blocks: map[*Block]bool{s: true}}
-				byHeader[s] = l
-				loops = append(loops, l)
+			k := 0
+			for k < len(found) && found[k].Header != s {
+				k++
 			}
+			if k == len(found) {
+				found = append(found, Loop{Header: s})
+				sets = append(sets, make([]uint64, words)...)
+			}
+			in := sets[k*words : (k+1)*words]
+			setBit(in, s.ID)
 			// Collect the natural loop body by walking predecessors from
 			// the back edge source.
-			stack := []*Block{b}
+			stack = append(stack[:0], b)
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				if l.Blocks[x] {
+				if hasBit(in, x.ID) {
 					continue
 				}
-				l.Blocks[x] = true
+				setBit(in, x.ID)
 				for _, p := range x.Preds {
 					if dom.Reachable(p) {
 						stack = append(stack, p)
@@ -175,12 +201,45 @@ func FindLoops(f *Func, dom *DomTree) []*Loop {
 			}
 		}
 	}
+	if len(found) == 0 {
+		return nil
+	}
+	// Every body's blocks come from one chunk, each loop's part sorted by
+	// ID. Every body block is reachable, so walking RPO finds them all.
+	total := 0
+	for k := range found {
+		found[k].in = sets[k*words : (k+1)*words : (k+1)*words]
+		total += countBits(found[k].in)
+	}
+	chunk := make([]*Block, total)
+	for k := range found {
+		size := countBits(found[k].in)
+		found[k].Blocks, chunk = chunk[:0:size], chunk[size:]
+	}
+	for _, b := range rpo {
+		for k := range found {
+			if l := &found[k]; l.Contains(b) {
+				l.Blocks = append(l.Blocks, b)
+			}
+		}
+	}
+	for k := range found {
+		slices.SortFunc(found[k].Blocks, func(a, b *Block) int { return a.ID - b.ID })
+	}
+	// The result and every Children list share one array: a loop is the
+	// child of at most one loop.
+	n := len(found)
+	ptrs := make([]*Loop, 2*n)
+	loops := ptrs[:n:n]
+	for k := range found {
+		loops[k] = &found[k]
+	}
 	// Nest: loop A is a child of the smallest loop B != A containing A's
 	// header.
 	for _, l := range loops {
 		var best *Loop
 		for _, m := range loops {
-			if m == l || !m.Blocks[l.Header] {
+			if m == l || !m.Contains(l.Header) {
 				continue
 			}
 			if best == nil || len(m.Blocks) < len(best.Blocks) {
@@ -188,8 +247,18 @@ func FindLoops(f *Func, dom *DomTree) []*Loop {
 			}
 		}
 		l.Parent = best
-		if best != nil {
-			best.Children = append(best.Children, l)
+	}
+	next := n
+	for _, l := range loops {
+		start := next
+		for _, c := range loops {
+			if c.Parent == l {
+				ptrs[next] = c
+				next++
+			}
+		}
+		if next > start {
+			l.Children = ptrs[start:next:next]
 		}
 	}
 	for _, l := range loops {
@@ -207,7 +276,7 @@ func FindLoops(f *Func, dom *DomTree) []*Loop {
 func (l *Loop) Preheader() *Block {
 	var pre *Block
 	for _, p := range l.Header.Preds {
-		if l.Blocks[p] {
+		if l.Contains(p) {
 			continue
 		}
 		if pre != nil {
@@ -221,12 +290,10 @@ func (l *Loop) Preheader() *Block {
 // Exits returns the blocks outside the loop that are targets of edges from
 // inside the loop, ordered by the exiting block's ID.
 func (l *Loop) Exits() []*Block {
-	seen := map[*Block]bool{}
 	var exits []*Block
-	for _, b := range l.BlockList() {
+	for _, b := range l.Blocks {
 		for _, s := range b.Succs {
-			if !l.Blocks[s] && !seen[s] {
-				seen[s] = true
+			if !l.Contains(s) && !slices.Contains(exits, s) {
 				exits = append(exits, s)
 			}
 		}
@@ -238,7 +305,7 @@ func (l *Loop) Exits() []*Block {
 func (l *Loop) Latches() []*Block {
 	var latches []*Block
 	for _, p := range l.Header.Preds {
-		if l.Blocks[p] {
+		if l.Contains(p) {
 			latches = append(latches, p)
 		}
 	}
@@ -256,8 +323,9 @@ func ResolveEntryState(header *Block, pred *Block) *StackMap {
 	src := header.EntryState
 	// Inline/Caller carry over: a loop inside flattened callee code recovers
 	// into the callee's logical frame, with the caller chain intact.
-	sm := &StackMap{PC: src.PC, Inline: src.Inline, Caller: src.Caller, Entries: make([]StackMapEntry, 0, len(src.Entries))}
-	for _, e := range src.Entries {
+	sm := header.Fn.maps.newMap(src.PC, len(src.Entries))
+	sm.Inline, sm.Caller = src.Inline, src.Caller
+	for i, e := range src.Entries {
 		v := e.Val
 		for v.Op == OpPhi && v.Block == header && k < len(v.Args) {
 			nv := v.Args[k]
@@ -266,7 +334,7 @@ func ResolveEntryState(header *Block, pred *Block) *StackMap {
 			}
 			v = nv
 		}
-		sm.Entries = append(sm.Entries, StackMapEntry{Reg: e.Reg, Val: v})
+		sm.Entries[i] = StackMapEntry{Reg: e.Reg, Val: v}
 	}
 	return sm
 }

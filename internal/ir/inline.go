@@ -169,19 +169,24 @@ func inlineSite(f *Func, b *Block, ci int, opts InlineOptions) bool {
 	// Transplant the callee CFG with fresh value IDs. Parameters map to the
 	// call's argument values (args[0] is the receiver slot, unread: the
 	// bytecode set has no `this` access op); missing arguments map to the
-	// callee's own undefined constant.
-	bmap := make(map[*Block]*Block, len(cf.Blocks))
-	vmap := make(map[*Value]*Value, cf.NumValues())
+	// callee's own undefined constant. bmap and vmap are indexed by callee
+	// block and value ID. Each copied block's edge lists have room for the
+	// edge the splice below adds: into the callee's entry, out of a return.
+	bmap := make([]*Block, cf.nextBlockID)
+	vmap := make([]*Value, cf.NumValues())
+	f.reserveBlocks(len(cf.Blocks))
 	for _, cb := range cf.Blocks {
 		nb := f.NewBlock()
 		nb.Kind = cb.Kind
 		nb.StartPC = cb.StartPC
 		nb.BackEdge = cb.BackEdge
 		nb.Inline = inf
-		bmap[cb] = nb
+		nb.Succs = carve(&f.edges, 0, len(cb.Succs)+btoi(cb.Kind == BlockReturn))
+		nb.Preds = carve(&f.edges, 0, len(cb.Preds)+btoi(cb == cf.Entry))
+		bmap[cb.ID] = nb
 	}
 	for _, cb := range cf.Blocks {
-		nb := bmap[cb]
+		nb := bmap[cb.ID]
 		for _, cv := range cb.Values {
 			if cv.Op == OpParam {
 				continue // mapped below, never materialized
@@ -191,19 +196,19 @@ func inlineSite(f *Func, b *Block, ci int, opts InlineOptions) bool {
 			nv.AuxVal, nv.Shape, nv.Callee = cv.AuxVal, cv.Shape, cv.Callee
 			nv.Check, nv.Free, nv.BCPos = cv.Check, cv.Free, cv.BCPos
 			nv.Inline = inf
-			vmap[cv] = nv
+			vmap[cv.ID] = nv
 		}
 	}
-	calleeUndef := vmap[cf.Entry.Values[0]] // builder creates it first
+	calleeUndef := vmap[cf.Entry.Values[0].ID] // builder creates it first
 	for _, cb := range cf.Blocks {
 		for _, cv := range cb.Values {
 			if cv.Op != OpParam {
 				continue
 			}
 			if i := int(cv.AuxInt) + 1; i < len(v.Args) {
-				vmap[cv] = v.Args[i]
+				vmap[cv.ID] = v.Args[i]
 			} else {
-				vmap[cv] = calleeUndef
+				vmap[cv.ID] = calleeUndef
 			}
 		}
 	}
@@ -211,23 +216,24 @@ func inlineSite(f *Func, b *Block, ci int, opts InlineOptions) bool {
 		if sm == nil {
 			return nil
 		}
-		nsm := &StackMap{PC: sm.PC, Inline: inf, Caller: callerSM, Entries: make([]StackMapEntry, len(sm.Entries))}
+		nsm := f.maps.newMap(sm.PC, len(sm.Entries))
+		nsm.Inline, nsm.Caller = inf, callerSM
 		for i, e := range sm.Entries {
-			nsm.Entries[i] = StackMapEntry{Reg: e.Reg, Val: vmap[e.Val]}
+			nsm.Entries[i] = StackMapEntry{Reg: e.Reg, Val: vmap[e.Val.ID]}
 		}
 		return nsm
 	}
 	for _, cb := range cf.Blocks {
-		nb := bmap[cb]
+		nb := bmap[cb.ID]
 		for _, cv := range cb.Values {
 			if cv.Op == OpParam {
 				continue
 			}
-			nv := vmap[cv]
+			nv := vmap[cv.ID]
 			if len(cv.Args) > 0 {
-				nv.Args = make([]*Value, len(cv.Args))
+				nv.Args = carve(&f.operands, len(cv.Args), len(cv.Args))
 				for i, a := range cv.Args {
-					nv.Args[i] = vmap[a]
+					nv.Args[i] = vmap[a.ID]
 				}
 			}
 			// A callee placeholder call carrying a dispatch plan is not
@@ -239,11 +245,11 @@ func inlineSite(f *Func, b *Block, ci int, opts InlineOptions) bool {
 			}
 		}
 		if cb.Control != nil {
-			nb.Control = vmap[cb.Control]
+			nb.Control = vmap[cb.Control.ID]
 		}
 		nb.EntryState = mapSM(cb.EntryState)
 		for _, s := range cb.Succs {
-			AddEdge(nb, bmap[s])
+			AddEdge(nb, bmap[s.ID])
 		}
 	}
 
@@ -252,13 +258,13 @@ func inlineSite(f *Func, b *Block, ci int, opts InlineOptions) bool {
 	// falls through to the flattened callee, and the callee's returns feed
 	// the continuation.
 	cont := splitAt(b, ci)
-	AddEdge(b, bmap[cf.Entry])
+	AddEdge(b, bmap[cf.Entry.ID])
 
 	var result *Value
-	var retBlocks []*Block
+	retBlocks := make([]*Block, 0, rets)
 	for _, cb := range cf.Blocks {
 		if cb.Kind == BlockReturn {
-			retBlocks = append(retBlocks, bmap[cb])
+			retBlocks = append(retBlocks, bmap[cb.ID])
 		}
 	}
 	if len(retBlocks) == 1 {
@@ -270,14 +276,15 @@ func inlineSite(f *Func, b *Block, ci int, opts InlineOptions) bool {
 	} else {
 		merge := f.NewBlock()
 		merge.Inline = b.Inline
-		var phiArgs []*Value
+		merge.Preds = carve(&f.edges, 0, len(retBlocks))
+		phi := merge.NewValue(OpPhi, TypeGeneric)
+		phi.Args = carve(&f.operands, 0, len(retBlocks))
 		for _, rb := range retBlocks {
-			phiArgs = append(phiArgs, rb.Control)
+			phi.Args = append(phi.Args, rb.Control)
 			rb.Kind = BlockPlain
 			rb.Control = nil
 			AddEdge(rb, merge)
 		}
-		phi := merge.NewValue(OpPhi, TypeGeneric, phiArgs...)
 		phi.BCPos = v.BCPos
 		phi.Inline = b.Inline
 		AddEdge(merge, cont)
@@ -285,4 +292,12 @@ func inlineSite(f *Func, b *Block, ci int, opts InlineOptions) bool {
 	}
 	f.Forward(v, result)
 	return true
+}
+
+// btoi is 1 for true and 0 for false.
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

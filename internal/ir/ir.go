@@ -160,29 +160,14 @@ func (sm *StackMap) InlinePath() string { return sm.Inline.Path() }
 
 // Value is one SSA value / instruction.
 type Value struct {
-	ID    int
-	Op    Op
-	Type  Type
-	Args  []*Value
-	Block *Block
-
-	// Immediates (meaning depends on Op).
-	AuxInt   int64
-	AuxFloat float64
-	AuxStr   string
-	AuxVal   value.Value     // Const payload
-	Shape    *value.Shape    // CheckShape expectation
-	Callee   *value.Function // CallDirect / CheckCallee target
+	ID int
+	// Op, Type and the one-byte fields after them sit together, so a Value
+	// carries no padding between them.
+	Op   Op
+	Type Type
 
 	// Check is the check class for Check* ops (Figure 3 categories).
 	Check stats.CheckClass
-
-	// Plan is a polymorphic dispatch plan attached by the builder to a
-	// generic-call placeholder (OpCallRuntime). The ExpandDispatch pass
-	// lowers it to a shape-guarded dispatch tree and clears it; a placeholder
-	// whose plan is never expanded (demoted or megamorphic site) is already a
-	// correct generic call.
-	Plan *ic.Plan
 
 	// Dispatch marks values materialized from a dispatch plan: the guard
 	// chain's predicates and its deopting tail guard. Dispatch checks are
@@ -198,6 +183,24 @@ type Value struct {
 	// enforces the guarded condition — failing a free check aborts — but it
 	// costs zero instructions and is excluded from the Figure 3 counts.
 	Free bool
+
+	Args  []*Value
+	Block *Block
+
+	// Immediates (meaning depends on Op).
+	AuxInt   int64
+	AuxFloat float64
+	AuxStr   string
+	AuxVal   value.Value     // Const payload
+	Shape    *value.Shape    // CheckShape expectation
+	Callee   *value.Function // CallDirect / CheckCallee target
+
+	// Plan is a polymorphic dispatch plan attached by the builder to a
+	// generic-call placeholder (OpCallRuntime). The ExpandDispatch pass
+	// lowers it to a shape-guarded dispatch tree and clears it; a placeholder
+	// whose plan is never expanded (demoted or megamorphic site) is already a
+	// correct generic call.
+	Plan *ic.Plan
 
 	// Deopt is the Stack Map Point guarding this check: non-nil means "on
 	// failure, OSR-exit to Baseline here". NoMap sets it to nil inside
@@ -291,6 +294,13 @@ type Func struct {
 	// from: one allocation holds many values, and a full chunk is left to
 	// the values that point into it while the next one is allocated.
 	values []Value
+	// operands, edges and blockChunk do the same for value operands (Args),
+	// block edge lists (Preds, Succs) and Blocks; maps for stack maps and
+	// their entries.
+	operands   []*Value
+	edges      []*Block
+	blockChunk []Block
+	maps       mapArena
 
 	// fwd maps a forwarded value's ID to the value replacing it; it is
 	// empty unless a pass has forwarded since its last apply (forward.go).
@@ -334,12 +344,54 @@ func NewFunc(name string, source *bytecode.Function) *Func {
 	return &Func{Name: name, Source: source, OSREntryPC: -1}
 }
 
+// Block chunks grow from minBlockChunk to maxBlockChunk blocks by doubling.
+const (
+	minBlockChunk = 4
+	maxBlockChunk = 64
+)
+
 // NewBlock appends a fresh block.
 func (f *Func) NewBlock() *Block {
-	b := &Block{ID: f.nextBlockID, Fn: f, StartPC: -1}
+	if len(f.blockChunk) == cap(f.blockChunk) {
+		f.reserveBlocks(min(max(2*cap(f.blockChunk), minBlockChunk), maxBlockChunk))
+	}
+	f.blockChunk = f.blockChunk[:len(f.blockChunk)+1]
+	b := &f.blockChunk[len(f.blockChunk)-1]
+	*b = Block{ID: f.nextBlockID, Fn: f, StartPC: -1}
 	f.nextBlockID++
 	f.Blocks = append(f.Blocks, b)
 	return b
+}
+
+// reserveBlocks makes room for n more blocks in one chunk, so a caller that
+// knows how many blocks it is about to make allocates them at once.
+func (f *Func) reserveBlocks(n int) {
+	if cap(f.blockChunk)-len(f.blockChunk) < n {
+		f.blockChunk = make([]Block, 0, n)
+	}
+}
+
+// The chunks carve starts grow from minSliceChunk to maxSliceChunk entries
+// by doubling; a request larger than that gets a chunk of its own size.
+const (
+	minSliceChunk = 32
+	maxSliceChunk = 1024
+)
+
+// carve returns (*chunk)[s:s+n:s+c] for the next free s, or nil when c is
+// 0, starting a new chunk when fewer than c entries are left. The slice is
+// capped at c, so an append past c copies instead of writing into the next
+// carved slice; the rest of a chunk too small for a request is left unused.
+func carve[T any](chunk *[]T, n, c int) []T {
+	if c == 0 {
+		return nil
+	}
+	if cap(*chunk)-len(*chunk) < c {
+		*chunk = make([]T, 0, max(min(max(2*cap(*chunk), minSliceChunk), maxSliceChunk), c))
+	}
+	s := len(*chunk)
+	*chunk = (*chunk)[:s+c]
+	return (*chunk)[s : s+n : s+c]
 }
 
 // splitAt drops b.Values[ci] and moves the values after it, with b's
@@ -390,22 +442,30 @@ func (f *Func) allocValue() *Value {
 	return &f.values[len(f.values)-1]
 }
 
-// newValue creates an unplaced value of b with the next ID.
+// newValue creates an unplaced value of b with the next ID. Its Args are a
+// copy of args carved from the function's operand chunk, so the caller's
+// variadic array need not outlive the call.
 func (b *Block) newValue(op Op, t Type, args []*Value) *Value {
-	v := b.Fn.allocValue()
-	*v = Value{ID: b.Fn.nextValueID, Op: op, Type: t, Args: args, Block: b}
-	b.Fn.nextValueID++
+	f := b.Fn
+	v := f.allocValue()
+	*v = Value{ID: f.nextValueID, Op: op, Type: t, Block: b}
+	if len(args) > 0 {
+		v.Args = carve(&f.operands, len(args), len(args))
+		copy(v.Args, args)
+	}
+	f.nextValueID++
 	return v
 }
 
-// NewValue creates a value in block b.
+// NewValue creates a value in block b. Its Args are a copy of args.
 func (b *Block) NewValue(op Op, t Type, args ...*Value) *Value {
 	v := b.newValue(op, t, args)
 	b.Values = append(b.Values, v)
 	return v
 }
 
-// InsertValueAt creates a value placed at index i within b.
+// InsertValueAt creates a value placed at index i within b. Its Args are a
+// copy of args.
 func (b *Block) InsertValueAt(i int, op Op, t Type, args ...*Value) *Value {
 	v := b.newValue(op, t, args)
 	b.Values = append(b.Values, nil)

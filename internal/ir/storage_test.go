@@ -13,7 +13,7 @@ import (
 func TestSnapshotAmortisesToZeroAllocs(t *testing.T) {
 	const regs = 24
 	bc := &bytecode.Function{Name: "wide", NumRegs: regs}
-	b := &builder{bc: bc, f: NewFunc(bc.Name, bc), blocks: []blockState{{defs: map[int]*Value{}}}}
+	b := &builder{bc: bc, f: NewFunc(bc.Name, bc), blocks: []blockState{{defs: make([]*Value, regs)}}}
 	b.cur = b.f.NewBlock()
 	for r := range regs {
 		b.blocks[b.cur.ID].defs[r] = b.cur.NewValue(OpConst, TypeGeneric)

@@ -49,7 +49,7 @@ func countInLoops(t *testing.T, f *ir.Func, op ir.Op) int {
 	loops := ir.FindLoops(f, dom)
 	n := 0
 	for _, l := range loops {
-		for b := range l.Blocks {
+		for _, b := range l.Blocks {
 			for _, v := range b.Values {
 				if v.Op == op {
 					n++
@@ -195,7 +195,7 @@ func countLoopVals(t *testing.T, f *ir.Func) int {
 	loops := ir.FindLoops(f, dom)
 	n := 0
 	for _, l := range loops {
-		for b := range l.Blocks {
+		for _, b := range l.Blocks {
 			n += len(b.Values)
 		}
 	}

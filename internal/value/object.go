@@ -169,6 +169,24 @@ func (s *Shape) Lookup(key string) int {
 	return -1
 }
 
+// offset returns key's slot offset in s, or -1. A shape without a lookup
+// table is searched along its transition chain and gets its table only
+// when key is found: adding n properties one at a time then builds no table
+// for the n intermediate shapes, while a shape whose properties are
+// overwritten through Set gets one on the first overwrite.
+func (s *Shape) offset(key string) int {
+	if s.table == nil {
+		for cur := s; cur != nil && cur.Key != ""; cur = cur.Parent {
+			if cur.Key == key {
+				s.buildTable()
+				return cur.Offset
+			}
+		}
+		return -1
+	}
+	return s.Lookup(key)
+}
+
 func (s *Shape) buildTable() {
 	s.table = make(map[string]int, s.NumSlots)
 	for cur := s; cur != nil && cur.Key != ""; cur = cur.Parent {
@@ -353,7 +371,7 @@ func (o *Object) Set(key string, v Value) {
 		o.SetLength(int(v.ToInt32()))
 		return
 	}
-	if off := o.Shape.Lookup(key); off >= 0 {
+	if off := o.Shape.offset(key); off >= 0 {
 		if h := o.hook(); h != nil {
 			h.OnSlotWrite(o, off, o.Slots[off])
 		}

@@ -327,3 +327,39 @@ func TestShapeTableRewind(t *testing.T) {
 		t.Error("an unmarked table must rewind to its root")
 	}
 }
+
+// Adding properties one at a time through Set builds no name->offset table
+// for the intermediate shapes; only a shape that is looked up gets one.
+func TestSetBuildsNoIntermediateTables(t *testing.T) {
+	table := NewShapeTable()
+	o := NewObject(table, 0)
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	var shapes []*Shape
+	for i, k := range keys {
+		o.Set(k, Int(int32(i)))
+		shapes = append(shapes, o.Shape)
+	}
+	for i, s := range shapes {
+		if s.table != nil {
+			t.Errorf("shape after adding %q has a lookup table", keys[i])
+		}
+	}
+	o.Set("c", Int(30)) // an overwrite finds the key and keeps the table
+	if shapes[len(shapes)-1].table == nil {
+		t.Errorf("overwriting a property built no table for the final shape")
+	}
+	for i, k := range keys {
+		want := Int(int32(i))
+		if k == "c" {
+			want = Int(30)
+		}
+		if got := o.Get(k); !StrictEquals(got, want) {
+			t.Errorf("Get(%q) = %v, want %v", k, got, want)
+		}
+	}
+	for _, s := range shapes[:len(shapes)-1] {
+		if s.table != nil {
+			t.Errorf("an intermediate shape got a lookup table")
+		}
+	}
+}
