@@ -1,9 +1,12 @@
-// Package ftl is the highest compiler tier (paper Figure 2): speculative
-// SSA from Baseline profiles, the full "-O2-grade" optimization pipeline,
-// and — under the NoMap configurations — the transaction formation and check
-// optimizations of the paper (§IV). Pass order follows the paper: the
-// transformation runs before the optimization passes so that every pass
-// sees aborts instead of SMPs (§IV-B).
+// Package ftl holds the pipeline of both optimizing tiers (paper Figure 2):
+// speculative SSA from Baseline profiles, then one table of passes. The FTL
+// tier (Compile) runs the full "-O2-grade" pipeline and — under the NoMap
+// configurations — the transaction formation and check optimizations of the
+// paper (§IV). Pass order follows the paper: the transformation runs before
+// the optimization passes so that every pass sees aborts instead of SMPs
+// (§IV-B). The DFG tier (CompileDFG) runs a lighter subset of the same rows
+// and forms no transactions; the machine models its lack of the LLVM-grade
+// backend with higher per-op weights.
 package ftl
 
 import (
@@ -15,7 +18,7 @@ import (
 )
 
 // Options selects the architecture-dependent parts of the pipeline
-// (Table II configurations).
+// (Table II configurations) and the inputs both tiers share.
 type Options struct {
 	// Transactions enables NoMap's transaction formation at TxLevel.
 	Transactions bool
@@ -35,7 +38,8 @@ type Options struct {
 	KeepSMP core.KeepSet
 	// PassHook, when non-nil, observes the function after IR construction
 	// and after every pipeline pass (the oracle runs ir.Verify here to
-	// localize which pass broke an invariant).
+	// localize which pass broke an invariant); CompileDFG calls it once, on
+	// the finished function.
 	PassHook func(pass string, f *ir.Func)
 	// Inline enables speculative flattening of monomorphic direct-call sites
 	// into the caller's IR (multi-depth, with inline-frame stack maps). It
@@ -60,8 +64,87 @@ type Options struct {
 	OSREntryPC int
 }
 
-// Compile builds FTL-tier code for fn under the given configuration.
+// pass is one row of the pipeline: the name the pass hook reports, whether
+// the DFG tier runs it too, whether the options enable it (nil: always), and
+// the pass itself. Options travel by value, so the loop allocates nothing.
+type pass struct {
+	name string
+	dfg  bool
+	on   func(Options) bool
+	run  func(*ir.Func, Options)
+}
+
+// passes is the pipeline, in order. FTL runs every enabled row. The DFG tier
+// runs the rows marked dfg: no transactions, and check-removal phases that
+// SMPs limit (§III-A1): TypeCheckHoisting, and IntegerCheckCombining as the
+// builder's block-local fact cache plus GVN.
+var passes = []pass{
+	// Polymorphic dispatch trees first: plan placeholders lower to
+	// shape-guarded chains whose per-way callee guards the inliner treats like
+	// monomorphic sites, so a polymorphic call's top-K receivers inline.
+	{"expand-dispatch", true, nil, func(f *ir.Func, o Options) { ir.ExpandDispatch(f, o.Demote) }},
+	// Speculative call inlining next: flattened callees expose their checks
+	// to every later pass, which then sees across the former call boundary.
+	{"inline", true, func(o Options) bool { return o.Inline && o.Profiles != nil },
+		func(f *ir.Func, o Options) { ir.InlineCalls(f, ir.DefaultInlineOptions(o.Profiles)) }},
+	// JavaScriptCore's own check-removal phases run first (they exist in
+	// every configuration; SMPs limit them, paper §III-A1)...
+	{"hoist-type-checks", true, nil, plain(opt.HoistTypeChecks)},
+	// ...then NoMap's transformation, before the main passes (§IV-B)...
+	{"form-transactions", false, func(o Options) bool { return o.Transactions && o.TxLevel != core.TxOff },
+		func(f *ir.Func, o Options) { core.FormTransactionsKeeping(f, o.TxLevel, o.KeepSMP) }},
+	// ...then the "-O2-grade" pipeline, now free of in-transaction SMPs.
+	{"gvn", true, nil, plain(opt.GVN)},
+	{"licm", false, nil, plain(opt.LICM)},
+	{"promote-loop-stores", false, nil, plain(opt.PromoteLoopStores)},
+	{"combine-bounds-checks", false, func(o Options) bool { return o.CombineBounds && deferred(o) },
+		func(f *ir.Func, _ Options) { core.CombineBoundsChecks(f) }},
+	{"remove-overflow-checks", false, func(o Options) bool { return o.RemoveOverflow },
+		func(f *ir.Func, _ Options) { core.RemoveOverflowChecks(f) }},
+	{"remove-all-checks", false, func(o Options) bool { return o.RemoveAll && deferred(o) },
+		func(f *ir.Func, _ Options) { core.RemoveAllChecks(f) }},
+	{"gvn2", false, nil, plain(opt.GVN)},
+	{"dce", true, nil, plain(opt.DCE)},
+	// Block layout cleanup last: LLVM-quality codegen merges straight-line
+	// chains, which the DFG tier's simpler backend does not.
+	{"simplify-cfg", false, nil, plain(opt.SimplifyCFG)},
+}
+
+// plain adapts a pass that reads no option.
+func plain(run func(*ir.Func)) func(*ir.Func, Options) {
+	return func(f *ir.Func, _ Options) { run(f) }
+}
+
+// deferred reports whether deferred detection (mid-loop garbage validated
+// only at the loop exit) is sound: a restored SMP commits its transaction on
+// failure, which would expose it, so functions with kept sites go without.
+func deferred(o Options) bool { return len(o.KeepSMP) == 0 }
+
+// Compile builds FTL-tier code for fn under the given configuration. The
+// pass hook sees the function after "build" and after every pass that runs.
 func Compile(fn *bytecode.Function, prof *profile.FunctionProfile, opts Options) (*ir.Func, error) {
+	return run(fn, prof, opts, false)
+}
+
+// CompileDFG builds DFG-tier code for fn: only the rows marked dfg. The pass
+// hook sees the finished function once, as "dfg" ("dfg-osr" for OSR entry).
+func CompileDFG(fn *bytecode.Function, prof *profile.FunctionProfile, opts Options) (*ir.Func, error) {
+	hook := opts.PassHook
+	opts.PassHook = nil
+	f, err := run(fn, prof, opts, true)
+	if err == nil && hook != nil {
+		name := "dfg"
+		if opts.OSR {
+			name = "dfg-osr"
+		}
+		hook(name, f)
+	}
+	return f, err
+}
+
+// run builds fn's IR and runs the enabled rows of passes on it, only the DFG
+// tier's when dfgOnly is set.
+func run(fn *bytecode.Function, prof *profile.FunctionProfile, opts Options, dfgOnly bool) (*ir.Func, error) {
 	var f *ir.Func
 	var err error
 	if opts.OSR {
@@ -72,65 +155,17 @@ func Compile(fn *bytecode.Function, prof *profile.FunctionProfile, opts Options)
 	if err != nil {
 		return nil, err
 	}
-	after := func(pass string) {
+	if opts.PassHook != nil {
+		opts.PassHook("build", f)
+	}
+	for _, p := range passes {
+		if dfgOnly && !p.dfg || p.on != nil && !p.on(opts) {
+			continue
+		}
+		p.run(f, opts)
 		if opts.PassHook != nil {
-			opts.PassHook(pass, f)
+			opts.PassHook(p.name, f)
 		}
 	}
-	after("build")
-	// Polymorphic dispatch trees first: the builder's plan placeholders lower
-	// to shape-guarded chains whose per-way callee guards the inliner then
-	// treats exactly like monomorphic sites, so top-K receivers of a
-	// polymorphic call inline behind their guards.
-	ir.ExpandDispatch(f, opts.Demote)
-	after("expand-dispatch")
-	// Speculative call inlining next: flattened callees expose their checks
-	// to every later pass, so hoisting, GVN, and transaction formation all
-	// see across the former call boundary.
-	if opts.Inline && opts.Profiles != nil {
-		ir.InlineCalls(f, ir.DefaultInlineOptions(opts.Profiles))
-		after("inline")
-	}
-	// JavaScriptCore's own check-removal phases run first (they exist in
-	// every configuration; SMPs limit them, paper §III-A1)...
-	opt.HoistTypeChecks(f)
-	after("hoist-type-checks")
-	// ...then NoMap's transformation, before the main optimization passes
-	// (§IV-B)...
-	if opts.Transactions && opts.TxLevel != core.TxOff {
-		core.FormTransactionsKeeping(f, opts.TxLevel, opts.KeepSMP)
-		after("form-transactions")
-	}
-	// A restored SMP commits its transaction on failure, so deferred
-	// detection (mid-loop garbage validated only at the loop exit) becomes
-	// observable; those passes are withheld for functions with kept sites.
-	deferred := len(opts.KeepSMP) == 0
-	// ...then the "-O2-grade" pipeline, now free of in-transaction SMPs.
-	opt.GVN(f)
-	after("gvn")
-	opt.LICM(f)
-	after("licm")
-	opt.PromoteLoopStores(f)
-	after("promote-loop-stores")
-	if opts.CombineBounds && deferred {
-		core.CombineBoundsChecks(f)
-		after("combine-bounds-checks")
-	}
-	if opts.RemoveOverflow {
-		core.RemoveOverflowChecks(f)
-		after("remove-overflow-checks")
-	}
-	if opts.RemoveAll && deferred {
-		core.RemoveAllChecks(f)
-		after("remove-all-checks")
-	}
-	opt.GVN(f)
-	after("gvn2")
-	opt.DCE(f)
-	after("dce")
-	// Block layout cleanup last: LLVM-quality codegen merges straight-line
-	// chains, which the DFG tier's simpler backend does not.
-	opt.SimplifyCFG(f)
-	after("simplify-cfg")
 	return f, nil
 }

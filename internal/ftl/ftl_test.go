@@ -8,7 +8,6 @@ import (
 
 	"nomap/internal/bytecode"
 	"nomap/internal/core"
-	"nomap/internal/dfg"
 	"nomap/internal/ftl"
 	"nomap/internal/ir"
 	"nomap/internal/profile"
@@ -78,33 +77,46 @@ var result = run(48);
 }
 
 // Random programs through the full FTL pipeline must always verify, for
-// every architecture option set.
+// every architecture option set, and so must the DFG tier's; each compiles
+// at the invocation entry and as an OSR artifact at every loop header.
 func TestPipelineFuzzVerify(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		src := genLoopProgram(r)
 		bcFn, prof := warmFn(t, src, "run")
-		for _, opts := range []ftl.Options{
-			{},
-			{Transactions: true, TxLevel: core.TxLoopNest},
-			{Transactions: true, TxLevel: core.TxTiled, CombineBounds: true},
-			{Transactions: true, TxLevel: core.TxLoopNest, CombineBounds: true, RemoveOverflow: true},
-			{Transactions: true, TxLevel: core.TxLoopNest, RemoveAll: true},
-		} {
-			f, err := ftl.Compile(bcFn, prof, opts)
+		entries := []int{-1}
+		for _, b := range bytecode.NewCFG(bcFn).Blocks {
+			if b.BackEdge {
+				entries = append(entries, bcFn.Code[b.End-1].Target())
+			}
+		}
+		if len(entries) == 1 {
+			t.Fatalf("seed %d: no loop header\n%s", seed, src)
+		}
+		for _, entry := range entries {
+			for _, opts := range []ftl.Options{
+				{},
+				{Transactions: true, TxLevel: core.TxLoopNest},
+				{Transactions: true, TxLevel: core.TxTiled, CombineBounds: true},
+				{Transactions: true, TxLevel: core.TxLoopNest, CombineBounds: true, RemoveOverflow: true},
+				{Transactions: true, TxLevel: core.TxLoopNest, RemoveAll: true},
+			} {
+				opts.OSR, opts.OSREntryPC = entry >= 0, entry
+				f, err := ftl.Compile(bcFn, prof, opts)
+				if err != nil {
+					t.Fatalf("seed %d %+v: %v\n%s", seed, opts, err, src)
+				}
+				if err := ir.Verify(f); err != nil {
+					t.Fatalf("seed %d %+v: %v\nprogram:\n%s\nIR:\n%s", seed, opts, err, src, f)
+				}
+			}
+			g, err := ftl.CompileDFG(bcFn, prof, ftl.Options{OSR: entry >= 0, OSREntryPC: entry})
 			if err != nil {
-				t.Fatalf("seed %d %+v: %v\n%s", seed, opts, err, src)
+				t.Fatalf("seed %d dfg entry %d: %v", seed, entry, err)
 			}
-			if err := ir.Verify(f); err != nil {
-				t.Fatalf("seed %d %+v: %v\nprogram:\n%s\nIR:\n%s", seed, opts, err, src, f)
+			if err := ir.Verify(g); err != nil {
+				t.Fatalf("seed %d dfg entry %d verify: %v", seed, entry, err)
 			}
-		}
-		g, err := dfg.Compile(bcFn, prof, -1, nil, nil)
-		if err != nil {
-			t.Fatalf("seed %d dfg: %v", seed, err)
-		}
-		if err := ir.Verify(g); err != nil {
-			t.Fatalf("seed %d dfg verify: %v", seed, err)
 		}
 	}
 }

@@ -245,23 +245,61 @@ func plantCallerOnly(f *ir.Func) bool {
 	return false
 }
 
-// captureFuncs runs the workloads and returns a copy of every function
-// their FTL compiles hold after pass.
-func captureFuncs(t *testing.T, pass string, ids ...string) []*ir.Func {
+// stopRun ends a workload run from inside its pass hook.
+type stopRun struct{}
+
+// captureFunc runs workload id and returns the n-th function (from zero)
+// its FTL compiles bring to pass, as it stood after pass, or nil if fewer
+// reach it. The hook stops the run, so no later pass changes the function.
+func captureFunc(t *testing.T, id, pass string, n int) (f *ir.Func) {
 	t.Helper()
-	var fs []*ir.Func
+	defer func() {
+		if r := recover(); r != nil && r != (stopRun{}) {
+			panic(r)
+		}
+	}()
+	runWorkload(t, id, vm.ArchNoMap, 12, func(p string, g *ir.Func) {
+		if p != pass {
+			return
+		}
+		if n == 0 {
+			f = g
+			panic(stopRun{})
+		}
+		n--
+	})
+	return nil
+}
+
+// captureFuncs returns, for every function the workloads' FTL compiles
+// bring to pass, copies independent instances of it as it stood after
+// pass. The passes after the hook change a function in place, so each
+// instance comes from its own run of the (deterministic) workload, and each
+// must print as the first one does.
+func captureFuncs(t *testing.T, copies int, pass string, ids ...string) [][]*ir.Func {
+	t.Helper()
+	var out [][]*ir.Func
 	for _, id := range ids {
-		runWorkload(t, id, vm.ArchNoMap, 12, func(p string, f *ir.Func) {
-			if p == pass {
-				c, _ := f.Clone()
+		for n := 0; ; n++ {
+			first := captureFunc(t, id, pass, n)
+			if first == nil {
+				break
+			}
+			fs := []*ir.Func{first}
+			for len(fs) < copies {
+				c := captureFunc(t, id, pass, n)
+				if c == nil || c.String() != first.String() {
+					t.Fatalf("%s: run %d brings function %d to %s differently from the first", id, len(fs), n, pass)
+				}
 				fs = append(fs, c)
 			}
-		})
+			out = append(out, fs)
+		}
 	}
-	if len(fs) == 0 {
+	if len(out) == 0 {
 		t.Fatalf("no function reached %s in %v", pass, ids)
 	}
-	return fs
+	return out
 }
 
 // Random replacement sequences through the table give the IR the eager walk
@@ -274,19 +312,24 @@ func captureFuncs(t *testing.T, pass string, ids ...string) []*ir.Func {
 // round on the same Func forwards into the table's reused storage, as the
 // next pass does.
 func TestForwardingMatchesEagerWalk(t *testing.T) {
-	funcs := captureFuncs(t, "build", "S13", "K05", "P02")
+	// Each seed runs on an eager and a table copy of its own.
+	const seeds = 4
+	funcs := captureFuncs(t, 2*seeds, "build", "S13", "K05", "P02")
 	// Transactions take the Deopt maps of the checks they cover, so some
 	// inlined calls' Caller maps are left reachable only through chains.
-	for _, f := range captureFuncs(t, "form-transactions", "C01", "C02", "C03", "C05") {
-		if plantCallerOnly(f) {
-			funcs = append(funcs, f)
+	for _, fs := range captureFuncs(t, 2*seeds, "form-transactions", "C01", "C02", "C03", "C05") {
+		if plantCallerOnly(fs[0]) {
+			for _, f := range fs[1:] {
+				plantCallerOnly(f)
+			}
+			funcs = append(funcs, fs)
 		}
 	}
 	sharedOnly := 0
-	for fi, g := range funcs {
-		for seed := range uint64(4) {
-			eager, _ := g.Clone()
-			table, _ := g.Clone()
+	for fi, fs := range funcs {
+		g := fs[0]
+		for seed := range uint64(seeds) {
+			eager, table := fs[2*seed], fs[2*seed+1]
 			ev, tv := valuesByID(eager), valuesByID(table)
 			// cur is the eager world's answer to "which value does a use of
 			// id read now".
@@ -363,12 +406,15 @@ func TestForwardingMatchesEagerWalk(t *testing.T) {
 	if sharedOnly == 0 {
 		t.Fatal("no value was referenced only from inline Caller maps")
 	}
-	t.Logf("%d functions, %d values referenced only from Caller maps", len(funcs), sharedOnly/4)
+	t.Logf("%d functions, %d values referenced only from Caller maps", len(funcs), sharedOnly/seeds)
 }
 
 // A Func that forwarded nothing resolves and applies without allocating.
 func TestForwardingIdleAllocatesNothing(t *testing.T) {
-	f := captureFuncs(t, "build", "S13")[0]
+	f := captureFunc(t, "S13", "build", 0)
+	if f == nil {
+		t.Fatal("no function reached build in S13")
+	}
 	vals := valuesByID(f)
 	n := testing.AllocsPerRun(100, func() {
 		for _, v := range vals {

@@ -8,6 +8,7 @@ import (
 	"nomap/internal/bytecode"
 	"nomap/internal/core"
 	"nomap/internal/ftl"
+	"nomap/internal/ir"
 	"nomap/internal/jit"
 	"nomap/internal/profile"
 	"nomap/internal/vm"
@@ -42,6 +43,16 @@ for (var c = 0; c < 30; c++) wide(c & 7);
 // allocation gates are the AllocsPerRun tests in internal/opt and
 // internal/ir.
 func BenchmarkCompileFTL(b *testing.B) {
+	benchCompile(b, ftl.Compile)
+}
+
+// BenchmarkCompileDFG measures one DFG compile of the same function: ir.Build
+// and the DFG tier's rows of the pipeline.
+func BenchmarkCompileDFG(b *testing.B) {
+	benchCompile(b, ftl.CompileDFG)
+}
+
+func benchCompile(b *testing.B, compile func(*bytecode.Function, *profile.FunctionProfile, ftl.Options) (*ir.Func, error)) {
 	cfg := vm.DefaultConfig()
 	cfg.MaxTier = profile.TierBaseline
 	v := vm.New(cfg)
@@ -54,7 +65,7 @@ func BenchmarkCompileFTL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		if _, err := ftl.Compile(fn, prof, opts); err != nil {
+		if _, err := compile(fn, prof, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

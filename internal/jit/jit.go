@@ -16,7 +16,6 @@ import (
 	"nomap/internal/bytecode"
 	"nomap/internal/codecache"
 	"nomap/internal/core"
-	"nomap/internal/dfg"
 	"nomap/internal/frame"
 	"nomap/internal/ftl"
 	"nomap/internal/governor"
@@ -436,37 +435,19 @@ func (b *Backend) compile(key codeKey, prof *profile.FunctionProfile, tier profi
 		level, keep = b.gov.LevelFor(fn.Name), b.gov.KeepSet(fn.Name)
 	}
 	demote, demoteFP := b.demoteFor(fn.Name, tier)
-	// The callee-profile resolver steering the inliner; nil when inlining is
-	// off.
-	var profiles func(*bytecode.Function) *profile.FunctionProfile
-	if b.inline {
-		profiles = b.profiles
-	}
-
-	var fill func() (*ir.Func, error)
+	opts := optionsFor(b.arch, level)
+	opts.KeepSMP = keep
+	opts.Inline = b.inline
+	opts.Profiles = b.profiles
+	opts.Demote = demote
+	opts.OSR = key.osr >= 0
+	opts.OSREntryPC = key.osr
+	opts.PassHook = b.passHook
+	compile := ftl.Compile
 	if tier == profile.TierDFG {
-		fill = func() (*ir.Func, error) {
-			f, err := dfg.Compile(fn, prof, key.osr, profiles, demote)
-			if err == nil && b.passHook != nil {
-				pass := "dfg"
-				if key.osr >= 0 {
-					pass = "dfg-osr"
-				}
-				b.passHook(pass, f)
-			}
-			return f, err
-		}
-	} else {
-		opts := optionsFor(b.arch, level)
-		opts.KeepSMP = keep
-		opts.Inline = b.inline
-		opts.Profiles = profiles
-		opts.Demote = demote
-		opts.OSR = key.osr >= 0
-		opts.OSREntryPC = key.osr
-		opts.PassHook = b.passHook
-		fill = func() (*ir.Func, error) { return ftl.Compile(fn, prof, opts) }
+		compile = ftl.CompileDFG
 	}
+	fill := func() (*ir.Func, error) { return compile(fn, prof, opts) }
 
 	// A pass hook observes compilation itself and a bound artifact never
 	// compiles, so an installed hook bypasses the cache like having none.

@@ -22,16 +22,20 @@ import (
 // later values read their arguments through f's forwarding table, and one
 // walk at the end rewrites every remaining use.
 func GVN(f *ir.Func) {
-	placed := 0
+	numberable := 0
 	for _, b := range f.Blocks {
-		placed += len(b.Values)
+		for _, v := range b.Values {
+			if numbered(v) {
+				numberable++
+			}
+		}
 	}
-	// The table is sized once for every placed value, so numbering a wider
-	// function allocates no more often.
+	// The table is sized once for every value that can enter it, so
+	// numbering a wider function allocates no more often.
 	g := &gvn{
 		dom:   ir.BuildDom(f),
 		gen:   map[memKey]int32{},
-		table: make(map[gvnKey]*ir.Value, placed),
+		table: make(map[gvnKey]*ir.Value, numberable),
 	}
 	for _, b := range g.dom.RPO() {
 		for i := 0; i < len(b.Values); i++ {
@@ -107,17 +111,21 @@ type gvnKey struct {
 	str string
 }
 
-// key returns v's numbering key, or false for a value GVN leaves alone.
-func (g *gvn) key(v *ir.Value) (gvnKey, bool) {
+// numbered reports whether GVN numbers v: a pure value other than a phi or
+// parameter, a load, or a check without an SMP. An SMP is a barrier and is
+// never deduplicated across itself, so SMP-carrying checks are left alone.
+func numbered(v *ir.Value) bool {
+	if v.Op.IsCheck() {
+		return v.Deopt == nil
+	}
 	pure := v.Op.IsPure() && v.Op != ir.OpPhi && v.Op != ir.OpParam
 	load := v.Op.ReadsMemory() && !v.Op.WritesMemory() && !v.Op.IsCall()
-	check := v.Op.IsCheck()
-	if !pure && !load && !check {
-		return gvnKey{}, false
-	}
-	if check && v.Deopt != nil {
-		// An SMP is a barrier and is never deduplicated across itself;
-		// conservatively leave SMP-carrying checks alone.
+	return pure || load
+}
+
+// key returns v's numbering key, or false for a value GVN leaves alone.
+func (g *gvn) key(v *ir.Value) (gvnKey, bool) {
+	if !numbered(v) {
 		return gvnKey{}, false
 	}
 	k := gvnKey{

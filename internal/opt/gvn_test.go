@@ -257,19 +257,19 @@ for (var c = 0; c < 30; c++) wide(A, O, 16);
 func TestGVNAllocsFlatInWidth(t *testing.T) {
 	const runs = 20
 	allocs := func(width int) (float64, int) {
-		f := buildIR(t, wideSrc(width), "wide")
-		core.FormTransactions(f, core.TxLoopNest)
 		fs := make([]*ir.Func, runs+1) // AllocsPerRun makes one warm-up call
 		for i := range fs {
-			fs[i], _ = f.Clone()
+			fs[i] = buildIR(t, wideSrc(width), "wide")
+			core.FormTransactions(fs[i], core.TxLoopNest)
 		}
+		values := fs[0].NumValues()
 		i := 0
 		n := testing.AllocsPerRun(runs, func() {
 			opt.GVN(fs[i])
 			i++
 		})
 		verify(t, fs[0], "gvn")
-		return n, f.NumValues()
+		return n, values
 	}
 	narrow, nv := allocs(4)
 	wide, wv := allocs(16)
