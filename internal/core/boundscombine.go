@@ -23,16 +23,14 @@ const boundsClass = stats.CheckBounds
 // which the paper hoists instead, are left unoptimized here — increasing
 // loops dominate the suites.) Returns the number of in-loop checks removed.
 func CombineBoundsChecks(f *ir.Func) int {
-	dom := ir.BuildDom(f)
-	loops := ir.FindLoops(f, dom)
 	removed := 0
-	for _, l := range loops {
-		removed += combineInLoop(f, dom, l)
+	for _, l := range f.Loops() {
+		removed += combineInLoop(f, l)
 	}
 	return removed
 }
 
-func combineInLoop(f *ir.Func, dom *ir.DomTree, l *ir.Loop) int {
+func combineInLoop(f *ir.Func, l *ir.Loop) int {
 	pre := l.Preheader()
 	exits := l.Exits()
 	latches := l.Latches()

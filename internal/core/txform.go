@@ -153,10 +153,8 @@ func FormTransactionsKeeping(f *ir.Func, level TxLevel, keep KeepSet) int {
 	if level == TxOff {
 		return 0
 	}
-	dom := ir.BuildDom(f)
-	loops := ir.FindLoops(f, dom)
 	var selected []*ir.Loop
-	for _, l := range loops {
+	for _, l := range f.Loops() {
 		switch level {
 		case TxLoopNest:
 			if l.Parent == nil {

@@ -143,7 +143,9 @@ func CompileDFG(fn *bytecode.Function, prof *profile.FunctionProfile, opts Optio
 }
 
 // run builds fn's IR and runs the enabled rows of passes on it, only the DFG
-// tier's when dfgOnly is set.
+// tier's when dfgOnly is set. A pass that edits the CFG by hand drops the
+// cached analyses (ir.Func.InvalidateCFG); the ir mutators drop them
+// themselves.
 func run(fn *bytecode.Function, prof *profile.FunctionProfile, opts Options, dfgOnly bool) (*ir.Func, error) {
 	var f *ir.Func
 	var err error
@@ -167,5 +169,8 @@ func run(fn *bytecode.Function, prof *profile.FunctionProfile, opts Options, dfg
 			opts.PassHook(p.name, f)
 		}
 	}
+	// The passes share f's dominator tree and loop forest; the finished
+	// function, which the code cache may share, keeps neither.
+	f.ReleaseAnalyses()
 	return f, nil
 }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -265,8 +266,120 @@ func TestFindLoopsNestingAndExits(t *testing.T) {
 			t.Errorf("%s: preheader %v, want %v", c.name, got, c.pre)
 		}
 	}
-	// A block made after FindLoops belongs to no loop.
+	// The cached forest is FindLoops's, and its innermost-first order is
+	// the exchange sort LICM and type-check hoisting once ran in place on
+	// it: the inner loop first, then the two top-level loops in reverse.
+	cached := f.Loops()
+	if !slices.EqualFunc(cached, loops, sameLoop) {
+		t.Errorf("f.Loops() differs from FindLoops")
+	}
+	swapSorted := slices.Clone(cached)
+	for i := 0; i < len(swapSorted); i++ {
+		for j := i + 1; j < len(swapSorted); j++ {
+			if swapSorted[j].Depth > swapSorted[i].Depth {
+				swapSorted[i], swapSorted[j] = swapSorted[j], swapSorted[i]
+			}
+		}
+	}
+	if got := f.LoopsInnermostFirst(); !slices.Equal(got, swapSorted) {
+		t.Errorf("innermost-first order %v, want the exchange sort's %v", headers(got), headers(swapSorted))
+	}
+	if got, want := headers(f.LoopsInnermostFirst()), []int{h2.ID, h3.ID, h1.ID}; !slices.Equal(got, want) {
+		t.Errorf("innermost-first headers %v, want %v", got, want)
+	}
+	// Latches and exits, carved when the loops are found, are the blocks
+	// the per-call walks over the header's preds and the body's succs find.
+	for _, l := range cached {
+		var latches, exits []*Block
+		for _, p := range l.Header.Preds {
+			if l.Contains(p) {
+				latches = append(latches, p)
+			}
+		}
+		for _, b := range l.Blocks {
+			for _, s := range b.Succs {
+				if !l.Contains(s) && !slices.Contains(exits, s) {
+					exits = append(exits, s)
+				}
+			}
+		}
+		if !slices.Equal(l.Latches(), latches) || !slices.Equal(l.Exits(), exits) {
+			t.Errorf("loop b%d: latches %v exits %v, want %v %v", l.Header.ID, ids(l.Latches()), ids(l.Exits()), ids(latches), ids(exits))
+		}
+	}
+	// A block made after FindLoops belongs to no loop, and drops the cache.
 	if late := f.NewBlock(); outer.Contains(late) || inner.Contains(late) || third.Contains(late) {
 		t.Errorf("a block made after FindLoops is in a loop")
+	}
+	if f.an.domOK || f.an.loopsOK {
+		t.Errorf("NewBlock left the analyses cached")
+	}
+}
+
+func headers(loops []*Loop) []int {
+	var out []int
+	for _, l := range loops {
+		out = append(out, l.Header.ID)
+	}
+	return out
+}
+
+// A CFG edit made by hand after f.Dom() and f.Loops() leaves the cached
+// tree or forest describing a graph that is gone. Verify, which builds its
+// own, must say which one is stale; after InvalidateCFG the same edit
+// verifies.
+func TestVerifyCatchesStaleAnalyses(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		edit       func(a, b, c, d *Block)
+	}{
+		// c jumps to b instead of d: b, not a, now dominates d.
+		{"dominator tree", "cached dominator tree is stale", func(a, b, c, d *Block) {
+			c.Succs[0] = b
+			b.Preds = append(b.Preds, c)
+			d.Preds = d.Preds[:1]
+		}},
+		// d loops back to the entry: the dominator tree is unchanged, but
+		// the whole diamond is now a loop.
+		{"loop forest", "cached loop forest is stale", func(a, b, c, d *Block) {
+			d.Kind, d.Control = BlockPlain, nil
+			d.Succs = append(d.Succs, a)
+			a.Preds = append(a.Preds, d)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, invalidate := range []bool{false, true} {
+				f, a, b, cb, d := buildDiamond()
+				f.Dom()
+				f.Loops()
+				if err := Verify(f); err != nil {
+					t.Fatalf("before the edit: %v", err)
+				}
+				c.edit(a, b, cb, d)
+				if invalidate {
+					f.InvalidateCFG()
+				}
+				err := Verify(f)
+				switch {
+				case invalidate && err != nil:
+					t.Errorf("edit followed by InvalidateCFG: %v", err)
+				case !invalidate && (err == nil || !strings.Contains(err.Error(), c.want)):
+					t.Errorf("edit without InvalidateCFG: Verify returned %v, want %q", err, c.want)
+				}
+			}
+		})
+	}
+}
+
+// Rebuilding the cached tree after an edit that made no block reuses the
+// old tree's slices: simplify-cfg's reachability pass allocates nothing.
+func TestDomRebuildReusesStorage(t *testing.T) {
+	f, _, _, _, _ := buildLoop()
+	f.Dom()
+	if n := testing.AllocsPerRun(20, func() {
+		f.InvalidateCFG()
+		f.Dom()
+	}); n != 0 {
+		t.Errorf("rebuilding the dominator tree allocates %v times, want 0", n)
 	}
 }

@@ -113,6 +113,15 @@ func (a *mapArena) newMap(pc, n int) *StackMap {
 	return sm
 }
 
+// MapHeader returns a new stack map with sm's PC, frame and caller that
+// shares sm's Entries, carved from f's map arena: each holder gets a header
+// of its own, and none copies the entries.
+func (f *Func) MapHeader(sm *StackMap) *StackMap {
+	h := f.maps.newMap(sm.PC, 0)
+	h.Entries, h.Inline, h.Caller = sm.Entries, sm.Inline, sm.Caller
+	return h
+}
+
 // InlineFrame describes one callee activation flattened into a compiled
 // function by the speculative inlining pass. Deopt maps reference it so the
 // machine can rebuild the logical interpreter frame stack; the machine also
@@ -302,6 +311,9 @@ type Func struct {
 	blockChunk []Block
 	maps       mapArena
 
+	// an caches the dominator tree and loop forest (dom.go).
+	an analyses
+
 	// fwd maps a forwarded value's ID to the value replacing it; it is
 	// empty unless a pass has forwarded since its last apply (forward.go).
 	fwd []*Value
@@ -360,6 +372,7 @@ func (f *Func) NewBlock() *Block {
 	*b = Block{ID: f.nextBlockID, Fn: f, StartPC: -1}
 	f.nextBlockID++
 	f.Blocks = append(f.Blocks, b)
+	f.InvalidateCFG()
 	return b
 }
 
@@ -398,6 +411,7 @@ func carve[T any](chunk *[]T, n, c int) []T {
 // terminator and successor edges, to a new continuation block it returns; b
 // is left plain with no successor, for the caller to wire up. StartPC stays
 // with b: the continuation must never pass for the loop header b may be.
+// Making the continuation drops f's cached analyses.
 func splitAt(b *Block, ci int) *Block {
 	cont := b.Fn.NewBlock()
 	cont.Kind = b.Kind
@@ -482,6 +496,7 @@ func (f *Func) NumValues() int { return f.nextValueID }
 func AddEdge(b, succ *Block) {
 	b.Succs = append(b.Succs, succ)
 	succ.Preds = append(succ.Preds, b)
+	b.Fn.InvalidateCFG()
 }
 
 // RemoveValue deletes v from its block (v must have no remaining uses).

@@ -3,12 +3,17 @@ package ir
 import "fmt"
 
 // Verify checks structural SSA invariants. It is run after construction and
-// after every optimization pass in tests, catching pass bugs early.
+// after every optimization pass in tests, catching pass bugs early. It
+// builds its own dominator tree and loop forest, and fails when f's cached
+// ones disagree with them: a pass edited the CFG without InvalidateCFG.
 func Verify(f *Func) error {
 	if f.Entry == nil {
 		return fmt.Errorf("%s: no entry block", f.Name)
 	}
 	dom := BuildDom(f)
+	if err := f.checkAnalyses(dom); err != nil {
+		return err
+	}
 	inFunc := make(map[*Value]*Block)
 	for _, b := range f.Blocks {
 		for _, v := range b.Values {

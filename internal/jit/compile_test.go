@@ -39,34 +39,63 @@ for (var c = 0; c < 30; c++) wide(c & 7);
 }
 
 // BenchmarkCompileFTL measures one FTL compile of a wide function under
-// NoMap: ir.Build and the whole pipeline. Run it with -benchmem; the
-// allocation gates are the AllocsPerRun tests in internal/opt and
-// internal/ir.
+// NoMap: ir.Build and the whole pipeline. Run it with -benchmem;
+// TestCompileAllocations is its allocation gate.
 func BenchmarkCompileFTL(b *testing.B) {
-	benchCompile(b, ftl.Compile)
+	compile := compiler(b, ftl.Compile)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		compile()
+	}
 }
 
 // BenchmarkCompileDFG measures one DFG compile of the same function: ir.Build
 // and the DFG tier's rows of the pipeline.
 func BenchmarkCompileDFG(b *testing.B) {
-	benchCompile(b, ftl.CompileDFG)
+	compile := compiler(b, ftl.CompileDFG)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		compile()
+	}
 }
 
-func benchCompile(b *testing.B, compile func(*bytecode.Function, *profile.FunctionProfile, ftl.Options) (*ir.Func, error)) {
+// TestCompileAllocations pins the allocations of one FTL and one DFG compile
+// of the wide function at their measured counts. The passes share one
+// dominator tree and loop forest per CFG, and hoisted checks carve their
+// stack maps from the function's arena; a change that allocates more per
+// compile must raise these numbers on purpose.
+func TestCompileAllocations(t *testing.T) {
+	for _, c := range []struct {
+		tier    string
+		compile func(*bytecode.Function, *profile.FunctionProfile, ftl.Options) (*ir.Func, error)
+		max     float64
+	}{
+		{"FTL", ftl.Compile, 83},
+		{"DFG", ftl.CompileDFG, 56},
+	} {
+		if n := testing.AllocsPerRun(20, compiler(t, c.compile)); n > c.max {
+			t.Errorf("one %s compile allocates %v times, want at most %v", c.tier, n, c.max)
+		}
+	}
+}
+
+// compiler returns a function compiling the wide function, warmed in the
+// Baseline tier, with compile under NoMap.
+func compiler(tb testing.TB, compile func(*bytecode.Function, *profile.FunctionProfile, ftl.Options) (*ir.Func, error)) func() {
 	cfg := vm.DefaultConfig()
 	cfg.MaxTier = profile.TierBaseline
 	v := vm.New(cfg)
 	if _, err := v.Run(wideSrc()); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	fn := v.Globals().Get("wide").Object().Fn.Code.(*bytecode.Function)
 	prof := v.ProfileFor(fn)
 	opts := jit.OptionsFor(vm.ArchNoMap, core.TxLoopNest)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
+	return func() {
 		if _, err := compile(fn, prof, opts); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }

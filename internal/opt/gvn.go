@@ -33,7 +33,7 @@ func GVN(f *ir.Func) {
 	// The table is sized once for every value that can enter it, so
 	// numbering a wider function allocates no more often.
 	g := &gvn{
-		dom:   ir.BuildDom(f),
+		dom:   f.Dom(),
 		gen:   map[memKey]int32{},
 		table: make(map[gvnKey]*ir.Value, numberable),
 	}

@@ -17,22 +17,13 @@ import "nomap/internal/ir"
 // aborts, shape checks, array checks, and invariant loads all leave the
 // loop — the paper's enabling effect.
 func LICM(f *ir.Func) {
-	dom := ir.BuildDom(f)
-	loops := ir.FindLoops(f, dom)
 	// Innermost first so hoisted values can cascade outward on later calls.
-	for i := 0; i < len(loops); i++ {
-		for j := i + 1; j < len(loops); j++ {
-			if loops[j].Depth > loops[i].Depth {
-				loops[i], loops[j] = loops[j], loops[i]
-			}
-		}
-	}
-	for _, l := range loops {
-		hoistLoop(f, dom, l)
+	for _, l := range f.LoopsInnermostFirst() {
+		hoistLoop(f, l)
 	}
 }
 
-func hoistLoop(f *ir.Func, dom *ir.DomTree, l *ir.Loop) {
+func hoistLoop(f *ir.Func, l *ir.Loop) {
 	pre := l.Preheader()
 	if pre == nil {
 		return
@@ -101,7 +92,7 @@ func hoistLoop(f *ir.Func, dom *ir.DomTree, l *ir.Loop) {
 	// Iterate to a fixpoint over the loop body in RPO.
 	for changed := true; changed; {
 		changed = false
-		for _, b := range dom.RPO() {
+		for _, b := range f.Dom().RPO() {
 			if !l.Contains(b) {
 				continue
 			}

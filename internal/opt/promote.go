@@ -21,10 +21,8 @@ import "nomap/internal/ir"
 //     slot-offset alias class in the loop,
 //   - no barriers (calls / SMPs) anywhere in the loop.
 func PromoteLoopStores(f *ir.Func) {
-	dom := ir.BuildDom(f)
-	loops := ir.FindLoops(f, dom)
-	for _, l := range loops {
-		promoteLoop(f, dom, l)
+	for _, l := range f.Loops() {
+		promoteLoop(f, l)
 	}
 	f.ApplyForwarding()
 }
@@ -32,7 +30,8 @@ func PromoteLoopStores(f *ir.Func) {
 // promoteLoop promotes at most one slot of l. A load promoted in an earlier
 // loop is forwarded, not yet rewritten, so arguments are read through
 // f.Resolve.
-func promoteLoop(f *ir.Func, dom *ir.DomTree, l *ir.Loop) {
+func promoteLoop(f *ir.Func, l *ir.Loop) {
+	dom := f.Dom()
 	pre := l.Preheader()
 	latches := l.Latches()
 	exits := l.Exits()

@@ -49,8 +49,10 @@ func SimplifyCFG(f *ir.Func) {
 		}
 	}
 	f.ApplyForwarding()
-	// Drop unreachable blocks.
-	dom := ir.BuildDom(f)
+	// Drop unreachable blocks. The merges above edited edges by hand, and so
+	// does the sweep.
+	f.InvalidateCFG()
+	dom := f.Dom()
 	kept := f.Blocks[:0]
 	for _, b := range f.Blocks {
 		if dom.Reachable(b) {
@@ -69,6 +71,7 @@ func SimplifyCFG(f *ir.Func) {
 		}
 	}
 	f.Blocks = kept
+	f.InvalidateCFG()
 }
 
 // mergeInto appends c's contents to b and rewires edges. c has exactly one

@@ -25,16 +25,7 @@ import "nomap/internal/ir"
 // preheader (deopting there re-executes the whole loop in Baseline, which
 // is correct because the hoisted facts are invariant).
 func HoistTypeChecks(f *ir.Func) {
-	dom := ir.BuildDom(f)
-	loops := ir.FindLoops(f, dom)
-	for i := 0; i < len(loops); i++ { // innermost first
-		for j := i + 1; j < len(loops); j++ {
-			if loops[j].Depth > loops[i].Depth {
-				loops[i], loops[j] = loops[j], loops[i]
-			}
-		}
-	}
-	for _, l := range loops {
+	for _, l := range f.LoopsInnermostFirst() {
 		hoistTypeChecksInLoop(f, l)
 	}
 }
@@ -105,7 +96,7 @@ func hoistTypeChecksInLoop(f *ir.Func, l *ir.Loop) {
 				// preheader map's inline frame and caller chain carry over —
 				// for a loop inside flattened callee code the relocated
 				// check still reconstructs the full logical frame stack.
-				v.Deopt = &ir.StackMap{PC: preMap.PC, Entries: preMap.Entries, Inline: preMap.Inline, Caller: preMap.Caller}
+				v.Deopt = f.MapHeader(preMap)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nomap/internal/ir"
 	"nomap/internal/machine"
 	"nomap/internal/profile"
 	"nomap/internal/vm"
@@ -241,5 +242,58 @@ func TestCheckCountersRejectsLeaksAndNegatives(t *testing.T) {
 	bad.CyclesTM = -1
 	if err := CheckCounters(&bad); err == nil {
 		t.Error("negative counter not flagged")
+	}
+}
+
+// A pass that edits the CFG by hand and forgets ir.Func.InvalidateCFG
+// leaves the passes after it a dominator tree of a graph that is gone. The
+// planted edit swaps an if block's arms after gvn, which changes the
+// reverse postorder, and swaps them back once the hook has run. Without the
+// invalidation the Verify-after-every-pass hook must report it after gvn;
+// with it, no pass may fail.
+func TestPassVerifierCatchesStaleAnalyses(t *testing.T) {
+	for _, invalidate := range []bool{false, true} {
+		pv := &passVerifier{}
+		swap := func(f *ir.Func, b *ir.Block) {
+			b.Succs[0], b.Succs[1] = b.Succs[1], b.Succs[0]
+			if invalidate {
+				f.InvalidateCFG()
+			}
+		}
+		planted := 0
+		e := newEngine(vm.ArchNoMap, profile.TierFTL)
+		e.Backend().SetPassHook(func(pass string, f *ir.Func) {
+			if pass == "gvn" {
+				for _, b := range f.Blocks {
+					if b.Kind == ir.BlockIf && b.Succs[0] != b.Succs[1] {
+						planted++
+						swap(f, b)
+						defer swap(f, b)
+						break
+					}
+				}
+			}
+			pv.hook(pass, f)
+		})
+		if obs := observe(e.VM(), hotProgram); obs.Err != "" {
+			t.Fatalf("invalidate=%v: %s", invalidate, obs.Err)
+		}
+		if planted == 0 {
+			t.Fatal("no FTL compile ran gvn on a function with a branch: the test needs one")
+		}
+		if invalidate {
+			if len(pv.errs) > 0 {
+				t.Errorf("edit followed by InvalidateCFG: %q", pv.errs)
+			}
+			continue
+		}
+		if len(pv.errs) != planted {
+			t.Errorf("%d compiles planted the edit, %d errors: %q", planted, len(pv.errs), pv.errs)
+		}
+		for _, e := range pv.errs {
+			if !strings.HasPrefix(e, "after gvn: ") || !strings.Contains(e, "cached dominator tree is stale") {
+				t.Errorf("error %q does not name gvn and the stale tree", e)
+			}
+		}
 	}
 }
